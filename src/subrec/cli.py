@@ -132,9 +132,7 @@ def cmd_generate(args) -> int:
 def cmd_rates(args) -> int:
     _require(args, "depth")
     source = build_source(args)
-    series = rate_series(
-        source, args.depth, window_policy(args), jobs=_fallback(args, "jobs", 1)
-    )
+    series = rate_series(source, args.depth, window_policy(args))
     write_out(series.to_csv(), args.out)
     bad = sum(1 for e in series.entries if not e.stabilized)
     print(
@@ -352,7 +350,6 @@ CONFIG_KEYS = {
     "window_base": int,
     "window_cap": int,
     "max_len": int,
-    "jobs": int,
     "seed": int,
     "out": str,
     "suite": str,
@@ -396,7 +393,6 @@ def build_parser() -> CLIParser:
     add_source_args(p)
     p.add_argument("-N", "--depth", type=int, help="max cylinder depth (required)")
     add_window_args(p)
-    p.add_argument("--jobs", type=int, help="worker threads (default 1)")
     p.add_argument("-o", "--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_rates)
 

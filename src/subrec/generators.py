@@ -1,19 +1,18 @@
 """Word generators: substitutions, composition towers, Sturmian codings.
 
-All generators hand out prefixes of a single well-defined infinite word, so
-a length-L request is always a prefix of the length-2L request. Sources
-cache what they have produced and extend on demand.
+Every word comes from a WordSource, whose prefix(n) hands out the first n
+symbols of a single well-defined word, so a length-L request is always a
+prefix of the length-2L request. Sources keep what they have produced and
+extend it on demand from the state they carry.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .contfrac import CFExpansion, quadratic_of_cf
-from .quadratic import QuadraticReal
+from .contfrac import CFExpansion, InsufficientCoefficients, quadratic_of_cf
+from .quadratic import ONE, ZERO, QuadraticReal
 
 
 class NotProlongable(ValueError):
@@ -75,36 +74,15 @@ def thue_morse() -> Morphism:
     return Morphism({"0": "01", "1": "10"}, "tm")
 
 
-@dataclass(frozen=True)
-class GeneratedWord:
-    text: str
-    source: str
-
-    def __len__(self):
-        return len(self.text)
-
-    def __str__(self):
-        return self.text
-
-
-# ---------------------------------------------------------------- fixed points
-
-def fixed_point_prefix(m: Morphism, seed: str, length: int) -> GeneratedWord:
-    """Prefix of the fixed point of m starting with seed."""
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    img = m.apply(seed)
-    if not img.startswith(seed) or len(img) < 2:
-        raise NotProlongable(
-            "image of %r is %r, need a proper extension of the seed" % (seed, img)
-        )
-    w = seed
-    while len(w) < length:
-        w = m.apply(w)
-    return GeneratedWord(w[:length], "fixed-point %s seed %s" % (m.label, seed))
-
-
 # ---------------------------------------------------------------- kappa towers
+
+def _deeper_lengths(lengths: tuple[int, int], m: Morphism) -> tuple[int, int]:
+    """Image lengths of a tower after appending m as its innermost step."""
+    l0, l1 = lengths
+    return tuple(
+        sum(l0 if c == "0" else l1 for c in m.images[s]) for s in ("0", "1")
+    )
+
 
 def kappa_image_lengths(steps: list[Morphism]) -> list[tuple[int, int]]:
     """(|k_1..k_j(0)|, |k_1..k_j(1)|) for j = 1..len(steps).
@@ -112,16 +90,9 @@ def kappa_image_lengths(steps: list[Morphism]) -> list[tuple[int, int]]:
     Lengths follow the symbol counts of each image, so no word is built.
     """
     out: list[tuple[int, int]] = []
-    vec: tuple[int, int] | None = None
+    vec = (1, 1)
     for m in steps:
-        if vec is None:
-            vec = (len(m.images["0"]), len(m.images["1"]))
-        else:
-            prev0, prev1 = vec
-            vec = tuple(
-                sum(prev0 if c == "0" else prev1 for c in m.images[s])
-                for s in ("0", "1")
-            )
+        vec = _deeper_lengths(vec, m)
         out.append(vec)
     return out
 
@@ -134,7 +105,7 @@ def kappa_images(steps: list[Morphism]) -> tuple[str, str]:
     return w0, w1
 
 
-def kappa_prefix(steps: list[Morphism], length: int) -> GeneratedWord:
+def kappa_prefix(steps: list[Morphism], length: int) -> str:
     """Prefix of k_1(k_2(...k_n("0"))), built lazily.
 
     Raises SequenceTooShort when the composed image of "0" is shorter than
@@ -144,8 +115,7 @@ def kappa_prefix(steps: list[Morphism], length: int) -> GeneratedWord:
         raise SequenceTooShort("empty composition")
     if length < 0:
         raise ValueError("length must be >= 0")
-    lengths = kappa_image_lengths(steps)
-    total = lengths[-1][0]
+    total = kappa_image_lengths(steps)[-1][0]
     if length > total:
         raise SequenceTooShort(
             "composed image of '0' has length %d < %d" % (total, length)
@@ -158,8 +128,7 @@ def kappa_prefix(steps: list[Morphism], length: int) -> GeneratedWord:
     w = "0"
     for m, need in zip(reversed(steps), reversed(needs)):
         w = m.apply(w)[:need]
-    label = ",".join(m.label for m in steps)
-    return GeneratedWord(w[:length], "kappa [%s]" % label)
+    return w[:length]
 
 
 def length_ratio(steps: list[Morphism], k: int | None = None) -> Fraction:
@@ -186,30 +155,6 @@ def parse_kappa(text: str) -> list[Morphism]:
     return steps
 
 
-# ------------------------------------------------------------- standard words
-
-def standard_word_prefix(cf: CFExpansion, length: int) -> GeneratedWord:
-    """Prefix of the angle's coding at the origin, built combinatorially.
-
-    Convention: output is "0" followed by the limit of the standard-word
-    recurrence s_k = s_{k-1}^(a_k) s_{k-2} with seeds s_-1 = "1", s_0 = "0"
-    and first step s_1 = s_0^(a_1 - 1) s_-1.
-    """
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    if length <= 1:
-        return GeneratedWord("0" * length, "standard %s" % cf)
-    # seeds t_0 = "0", t_1 = 0^(a1-1) 1; then t_k = t_{k-1}^(a_k) t_{k-2}
-    prev = "0"
-    cur = "0" * (cf.coefficient(1) - 1) + "1"
-    i = 1
-    while len(cur) < length - 1:
-        i += 1
-        a = cf.coefficient(i)  # raises when a finite expansion runs out
-        prev, cur = cur, cur * a + prev
-    return GeneratedWord("0" + cur[: length - 1], "standard %s" % cf)
-
-
 # ------------------------------------------------------------ rotation coding
 
 def _common_integer_form(alpha: QuadraticReal, t0: QuadraticReal):
@@ -228,57 +173,29 @@ def _common_integer_form(alpha: QuadraticReal, t0: QuadraticReal):
     return lift(t0.a), lift(t0.b), lift(alpha.a), lift(alpha.b), D, d
 
 
-def rotation_coding_prefix(alpha: QuadraticReal, t0, length: int) -> GeneratedWord:
-    """Coding of the rotation orbit of t0 under t -> t + alpha mod 1.
-
-    Symbol 0 on [0, 1-alpha), symbol 1 on [1-alpha, 1). Each step compares
-    t + alpha against 1 exactly in integer arithmetic.
-    """
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    if not isinstance(t0, QuadraticReal):
-        t0 = QuadraticReal(t0)
-    if not (QuadraticReal(0) <= t0 < QuadraticReal(1)):
-        raise ValueError("t0 must lie in [0, 1)")
-    if not (QuadraticReal(0) < alpha < QuadraticReal(1)):
-        raise ValueError("alpha must lie in (0, 1)")
-    A, B, Aa, Ba, D, d = _common_integer_form(alpha, t0)
-    out = bytearray()
-    for _ in range(length):
-        A += Aa
-        B += Ba
-        s = A - D
-        # sign of s + B sqrt(d): t + alpha >= 1 picks symbol 1
-        if s >= 0:
-            one = True if B >= 0 else s * s > B * B * d
-        else:
-            one = False if B <= 0 else B * B * d > s * s
-        if one:
-            A -= D
-            out.append(49)
-        else:
-            out.append(48)
-    return GeneratedWord(out.decode("ascii"), "rotation coding t0=%s" % t0)
-
-
 # ----------------------------------------------------------------- sources
 
 class WordSource:
-    """Extendable prefix provider; subclasses fill _extend."""
+    """Prefixes of one word; subclasses fill _extend.
+
+    _extend(n) leaves at least n symbols in _buf, or, for a finite word,
+    all of it with max_length set. Sources resume from their own state,
+    so prefixes always nest. They are not thread-safe.
+    """
 
     name = "word"
     max_length: int | None = None
 
     def __init__(self):
         self._buf = ""
-        self._lock = threading.Lock()
 
     def prefix(self, n: int) -> str:
         """First n symbols (fewer only if the source is finite)."""
-        with self._lock:
-            if len(self._buf) < n and (self.max_length is None or len(self._buf) < self.max_length):
-                self._extend(n)
-            return self._buf[:n]
+        if n < 0:
+            raise ValueError("length must be >= 0")
+        if len(self._buf) < n and (self.max_length is None or len(self._buf) < self.max_length):
+            self._extend(n)
+        return self._buf[:n]
 
     def _extend(self, n: int):
         raise NotImplementedError
@@ -298,62 +215,95 @@ class PeriodicSource(WordSource):
 
 
 class FixedPointSource(WordSource):
+    """Fixed point of m starting with seed."""
+
     def __init__(self, m: Morphism, seed: str, name: str | None = None):
         super().__init__()
-        fixed_point_prefix(m, seed, 0)  # validates prolongability
+        img = m.apply(seed)
+        if not img.startswith(seed) or len(img) <= len(seed):
+            raise NotProlongable(
+                "image of %r is %r, need a proper extension of the seed" % (seed, img)
+            )
         self.m = m
         self.seed = seed
         self.name = name or ("fixed-point %s seed %s" % (m.label, seed))
+        self._buf = seed
 
     def _extend(self, n: int):
-        w = self._buf or self.seed
+        w = self._buf
         while len(w) < n:
             w = self.m.apply(w)
         self._buf = w
 
 
 class StandardWordSource(WordSource):
+    """The angle's coding at the origin, built combinatorially.
+
+    Convention: "0" followed by the limit of the standard-word recurrence
+    s_k = s_{k-1}^(a_k) s_{k-2} with seeds s_-1 = "1", s_0 = "0" and first
+    step s_1 = s_0^(a_1 - 1) s_-1. A finite expansion pins down only
+    "0" + s_k for its last k; the source ends there.
+    """
+
     def __init__(self, cf: CFExpansion, name: str | None = None):
         super().__init__()
         self.cf = cf
         self.name = name or ("standard %s" % cf)
+        self._prev, self._cur, self._i = "0", "0" * (cf.coefficient(1) - 1) + "1", 1
+        self._buf = "0" + self._cur
 
     def _extend(self, n: int):
+        prev, cur, i = self._prev, self._cur, self._i
         try:
-            self._buf = standard_word_prefix(self.cf, n).text
-        except Exception as exc:
-            from .contfrac import InsufficientCoefficients
-
-            if isinstance(exc, InsufficientCoefficients):
-                # finite expansion: expose all we can pin down, then stop
-                self._buf = self._longest_prefix()
-                self.max_length = len(self._buf)
-                if n <= len(self._buf):
-                    return
-            raise
-
-    def _longest_prefix(self) -> str:
-        prev = "0"
-        cur = "0" * (self.cf.coefficient(1) - 1) + "1"
-        i = 1
-        while True:
-            i += 1
-            try:
-                a = self.cf.coefficient(i)
-            except Exception:
-                return "0" + cur
-            prev, cur = cur, cur * a + prev
+            while len(cur) < n - 1:
+                a = self.cf.coefficient(i + 1)
+                prev, cur, i = cur, cur * a + prev, i + 1
+        except InsufficientCoefficients:
+            self.max_length = len(cur) + 1
+        self._prev, self._cur, self._i = prev, cur, i
+        self._buf = "0" + cur
 
 
 class RotationCodingSource(WordSource):
+    """Coding of the rotation orbit of t0 under t -> t + alpha mod 1.
+
+    Symbol 0 on [0, 1-alpha), symbol 1 on [1-alpha, 1). Each step compares
+    t + alpha against 1 exactly in integer arithmetic, carrying the orbit
+    point from one extension to the next.
+    """
+
     def __init__(self, alpha: QuadraticReal, t0=0, name: str | None = None):
         super().__init__()
+        if not isinstance(t0, QuadraticReal):
+            t0 = QuadraticReal(t0)
+        if not (ZERO <= t0 < ONE):
+            raise ValueError("t0 must lie in [0, 1)")
+        if not (ZERO < alpha < ONE):
+            raise ValueError("alpha must lie in (0, 1)")
         self.alpha = alpha
-        self.t0 = t0 if isinstance(t0, QuadraticReal) else QuadraticReal(t0)
-        self.name = name or ("rotation t0=%s" % self.t0)
+        self.t0 = t0
+        self.name = name or ("rotation t0=%s" % t0)
+        self._state = _common_integer_form(alpha, t0)
 
     def _extend(self, n: int):
-        self._buf = rotation_coding_prefix(self.alpha, self.t0, n).text
+        A, B, Aa, Ba, D, d = self._state
+        out = bytearray()
+        for _ in range(n - len(self._buf)):
+            A += Aa
+            B += Ba
+            s = A - D
+            # sign of s + B sqrt(d): t + alpha >= 1 picks symbol 1
+            if s >= 0:
+                one = True if B >= 0 else s * s > B * B * d
+            else:
+                one = False if B <= 0 else B * B * d > s * s
+            if one:
+                A -= D
+                out.append(49)
+            else:
+                out.append(48)
+        self._state = A, B, Aa, Ba, D, d
+        self._buf += out.decode("ascii")
 
 
 class KappaSource(WordSource):
@@ -366,8 +316,7 @@ class KappaSource(WordSource):
         self.name = name or ("kappa [%s]" % ",".join(m.label for m in steps))
 
     def _extend(self, n: int):
-        n = min(n, self.max_length)
-        self._buf = kappa_prefix(self.steps, n).text
+        self._buf = kappa_prefix(self.steps, min(n, self.max_length))
 
 
 class KappaRuleSource(WordSource):
@@ -378,15 +327,16 @@ class KappaRuleSource(WordSource):
         self.rule = rule
         self.name = name
         self._steps: list[Morphism] = []
+        self._lengths = (1, 1)  # image lengths of the tower built so far
 
     def _extend(self, n: int):
-        while True:
-            if self._steps:
-                total = kappa_image_lengths(self._steps)[-1][0]
-                if total >= n:
-                    break
-            self._steps.append(self.rule(len(self._steps) + 1))
-        self._buf = kappa_prefix(self._steps, n).text
+        # towers one step apart can differ in the last symbol of the shorter
+        # image of '0', so only a strictly longer image pins n symbols down
+        while self._lengths[0] <= n:
+            m = self.rule(len(self._steps) + 1)
+            self._steps.append(m)
+            self._lengths = _deeper_lengths(self._lengths, m)
+        self._buf = kappa_prefix(self._steps, n)
 
 
 class FixedTextSource(WordSource):
@@ -419,8 +369,6 @@ class ShiftedSource(WordSource):
 def as_source(x) -> WordSource:
     if isinstance(x, WordSource):
         return x
-    if isinstance(x, GeneratedWord):
-        return FixedTextSource(x.text, x.source)
     if isinstance(x, str):
         return FixedTextSource(x)
     raise TypeError("cannot treat %r as a word source" % type(x))

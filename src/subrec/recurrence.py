@@ -8,7 +8,6 @@ changing; a value is only trusted once it survives one doubling.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -95,18 +94,6 @@ def tau_cylinder(x, n: int, policy: WindowPolicy = DEFAULT_POLICY) -> TauResult:
         window = policy.grow(window)
 
 
-@dataclass(frozen=True)
-class RateEntry:
-    n: int
-    tau: int
-    window: int
-    stabilized: bool
-
-    @property
-    def ratio(self) -> Fraction:
-        return Fraction(self.tau, self.n)
-
-
 @dataclass
 class RateSeries:
     """tau(z_n)/n for n = 1..depth, with tail summaries.
@@ -118,7 +105,7 @@ class RateSeries:
 
     source: str
     depth: int
-    entries: list[RateEntry] = field(default_factory=list)
+    entries: list[TauResult] = field(default_factory=list)
 
     CSV_HEADER = "n,tau,ratio_num,ratio_den,window,stabilized"
 
@@ -126,7 +113,7 @@ class RateSeries:
     def tail_start(self) -> int:
         return self.depth // 2 + 1
 
-    def tail(self) -> list[RateEntry]:
+    def tail(self) -> list[TauResult]:
         return [e for e in self.entries if e.n >= self.tail_start]
 
     def tail_min(self) -> Fraction:
@@ -159,26 +146,14 @@ class RateSeries:
         return "\n".join(lines) + "\n"
 
 
-def rate_series(
-    x, depth: int, policy: WindowPolicy = DEFAULT_POLICY, jobs: int = 1
-) -> RateSeries:
+def rate_series(x, depth: int, policy: WindowPolicy = DEFAULT_POLICY) -> RateSeries:
     """tau and tau/n for every cylinder depth 1..depth."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     source = as_source(x)
-    # warm the shared buffer once so workers mostly read
+    # one extension up front rather than one per depth as windows grow
     source.prefix(policy.initial(depth))
-
-    def one(n: int) -> RateEntry:
-        t = tau_cylinder(source, n, policy)
-        return RateEntry(n, t.tau, t.window, t.stabilized)
-
-    ns = range(1, depth + 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(one, ns))
-    else:
-        entries = [one(n) for n in ns]
+    entries = [tau_cylinder(source, n, policy) for n in range(1, depth + 1)]
     return RateSeries(source.name, depth, entries)
 
 

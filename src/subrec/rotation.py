@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contfrac import CFExpansion, convergents, quadratic_of_cf
+from .contfrac import CFExpansion, convergents, nearest_int_distance, quadratic_of_cf
 from .generators import RotationCodingSource, kappa_images
 from .quadratic import ONE, ZERO, QuadraticReal
 from .recurrence import DEFAULT_POLICY, WindowPolicy, tau_cylinder
@@ -107,7 +107,7 @@ def tau_length(spec: RotationSpec, length: QuadraticReal) -> int:
     if length.sign() <= 0:
         raise ValueError("interval length must be positive")
     if spec.cf is not None:
-        if _dist(spec.alpha, 1) < length:
+        if nearest_int_distance(spec.alpha, 1) < length:
             return 1
         i = 1
         p_prev, q_prev = 1, 0
@@ -131,12 +131,6 @@ def tau_length_linear(spec: RotationSpec, length: QuadraticReal) -> int:
         frac = (frac + spec.alpha).mod1()
         if min(frac, ONE - frac) < length:
             return k
-
-
-def _dist(alpha: QuadraticReal, k: int) -> QuadraticReal:
-    frac = (alpha * k).mod1()
-    other = ONE - frac
-    return frac if frac < other else other
 
 
 def tau_interval(spec: RotationSpec, atom: IntervalAtom) -> int:

@@ -79,6 +79,11 @@ def naive_standard_word(digits: list[int], length: int) -> str:
     return ("0" + cur)[:length]
 
 
+def naive_thue_morse(length: int) -> str:
+    """Thue-Morse word: symbol k is the parity of the binary digit sum of k."""
+    return "".join(str(bin(k).count("1") % 2) for k in range(length))
+
+
 def cf_value(digits: list[int]) -> Fraction:
     """Value of [0; a1, ..., ak] by folding from the right."""
     x = Fraction(0)

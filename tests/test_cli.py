@@ -44,6 +44,7 @@ def test_generate_usage_errors():
         == 1
     )  # two sources
     assert run_cli("generate", "--kappa", "r1", "--length", "99").returncode == 1
+    assert run_cli("generate", "--preset", "fibonacci", "--length", "-3").returncode == 1
     assert run_cli("nonsense").returncode == 1
 
 
@@ -57,11 +58,26 @@ def test_rates_csv_shape():
     assert "min=1/10" in r.stderr
 
 
-def test_rates_deterministic_and_parallel():
+def test_rates_deterministic():
     a = run_cli("rates", "--preset", "fibonacci", "-N", "40")
-    b = run_cli("rates", "--preset", "fibonacci", "-N", "40", "--jobs", "4")
+    b = run_cli("rates", "--preset", "fibonacci", "-N", "40")
     assert a.stdout == b.stdout
     assert a.returncode == b.returncode == 0
+
+
+def test_finite_cf_word_ends_where_its_digits_do():
+    # [0; 1,2,3] pins down exactly 01101101101
+    r = run_cli("generate", "--cf", "[0;1,2,3]", "--length", "100")
+    assert r.returncode == 1
+    assert "yields only 11 symbols" in r.stderr
+    r = run_cli("generate", "--cf", "[0;1,2,3]", "--length", "11")
+    assert (r.returncode, r.stdout) == (0, "01101101101\n")
+    # rates scans the finite word to its end, as it does for --kappa
+    r = run_cli("rates", "--cf", "[0; 1,2,3]", "-N", "4")
+    assert r.returncode == 0
+    assert r.stdout.splitlines()[1:] == [
+        "1,3,3,1,11,1", "2,3,3,2,11,1", "3,3,1,1,11,1", "4,3,3,4,11,1",
+    ]
 
 
 def test_returns_table():

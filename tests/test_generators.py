@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 from subrec import (
     CFExpansion,
+    FixedPointSource,
     FixedTextSource,
     KappaSource,
+    Morphism,
     NotProlongable,
     PeriodicSource,
+    RotationCodingSource,
     SequenceTooShort,
     ShiftedSource,
-    fixed_point_prefix,
+    StandardWordSource,
     gamma,
     kappa_image_lengths,
     kappa_images,
@@ -22,13 +25,12 @@ from subrec import (
     parse_kappa,
     quadratic_of_cf,
     rho,
-    rotation_coding_prefix,
-    standard_word_prefix,
     sturmian_source,
+    tau_cylinder,
     thue_morse,
 )
-from subrec.presets import get_preset, golden_kappa_steps, sqrt2_kappa_steps
-from oracles import beatty_coding, naive_standard_word
+from subrec.presets import get_preset, golden_kappa_steps, preset_names, sqrt2_kappa_steps
+from oracles import beatty_coding, naive_standard_word, naive_thue_morse
 
 GOLDEN_CF = CFExpansion((), (1,))
 SQRT2_CF = CFExpansion((), (2,))
@@ -64,17 +66,19 @@ def test_morphism_apply_checks_domain():
 
 
 def test_thue_morse_fixed_point():
-    w = fixed_point_prefix(thue_morse(), "0", 8)
-    assert w.text == "01101001"
-    long = fixed_point_prefix(thue_morse(), "0", 64).text
+    assert FixedPointSource(thue_morse(), "0").prefix(8) == "01101001"
+    long = FixedPointSource(thue_morse(), "0").prefix(64)
     assert long[:8] == "01101001"
-    assert fixed_point_prefix(thue_morse(), "0", 32).text == long[:32]
+    assert FixedPointSource(thue_morse(), "0").prefix(32) == long[:32]
 
 
 def test_fixed_point_needs_prolongable_seed():
     with pytest.raises(NotProlongable):
-        fixed_point_prefix(gamma(1), "0", 5)
-    assert fixed_point_prefix(gamma(1), "1", 5).text == "10100"
+        FixedPointSource(gamma(1), "0")
+    with pytest.raises(NotProlongable):
+        # the image equals the seed, so no longer prefix is ever reached
+        FixedPointSource(Morphism({"0": "0", "1": "1"}), "01")
+    assert FixedPointSource(gamma(1), "1").prefix(5) == "10100"
 
 
 def test_kappa_images_frozen():
@@ -89,8 +93,8 @@ def test_kappa_image_lengths_frozen():
 
 
 def test_kappa_prefix_frozen():
-    assert kappa_prefix([gamma(1)], 3).text == "100"
-    assert kappa_prefix([rho(1), rho(1)], 7).text == "0110101"
+    assert kappa_prefix([gamma(1)], 3) == "100"
+    assert kappa_prefix([rho(1), rho(1)], 7) == "0110101"
     with pytest.raises(SequenceTooShort):
         kappa_prefix([rho(1)], 4)
 
@@ -160,8 +164,8 @@ def test_ratio_bound_holds_iff_no_late_gamma1(steps):
 
 
 def test_standard_word_frozen():
-    assert standard_word_prefix(GOLDEN_CF, 8).text == "01011010"
-    assert standard_word_prefix(SQRT2_CF, 8).text == "00101001"
+    assert StandardWordSource(GOLDEN_CF).prefix(8) == "01011010"
+    assert StandardWordSource(SQRT2_CF).prefix(8) == "00101001"
 
 
 @pytest.mark.parametrize(
@@ -178,8 +182,8 @@ def test_codings_match_beatty_oracle(cf):
     n = 2000
     alpha = quadratic_of_cf(cf)
     expected = beatty_coding(*integer_form(alpha), n)
-    assert rotation_coding_prefix(alpha, 0, n).text == expected
-    assert standard_word_prefix(cf, n).text == expected
+    assert RotationCodingSource(alpha, 0).prefix(n) == expected
+    assert StandardWordSource(cf).prefix(n) == expected
     assert naive_standard_word(list(cf.coefficients(25)), n) == expected
 
 
@@ -191,15 +195,82 @@ def test_sturmian_source_methods_agree():
         sturmian_source(GOLDEN_CF, "nope")
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["periodic01", "fibonacci", "thue-morse", "golden-rotation", "golden-kappa"],
-)
+@pytest.mark.parametrize("name", preset_names())
 def test_source_prefixes_nest(name):
+    # short requests first: a source must not hand out a short prefix that
+    # a later, longer request contradicts
     src = get_preset(name)
+    short = [src.prefix(n) for n in (1, 2, 3, 5, 8, 13, 21, 55, 150)]
     long = src.prefix(400)
-    assert src.prefix(150) == long[:150]
     assert len(long) == 400
+    assert all(s == long[: len(s)] for s in short)
+    assert long == get_preset(name).prefix(400)
+    with pytest.raises(ValueError):
+        src.prefix(-1)
+
+
+def test_golden_kappa_short_prefix_is_stable():
+    src = get_preset("golden-kappa")
+    assert src.prefix(3) == "010"
+    assert src.prefix(8) == "01011010"
+    assert tau_cylinder(get_preset("golden-kappa"), 8).tau == 13
+
+
+SOURCE_ORACLES = {
+    "golden-rotation": lambda n: beatty_coding(*integer_form(quadratic_of_cf(GOLDEN_CF)), n),
+    "sqrt2-rotation": lambda n: beatty_coding(*integer_form(quadratic_of_cf(SQRT2_CF)), n),
+    "fibonacci": lambda n: naive_standard_word([1] * 40, n),
+    "sqrt2": lambda n: naive_standard_word([2] * 30, n),
+    "unbounded": lambda n: naive_standard_word(list(range(1, 31)), n),
+    "thue-morse": naive_thue_morse,
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sorted(SOURCE_ORACLES)),
+    st.lists(st.integers(0, 3000), min_size=1, max_size=12),
+)
+def test_prefix_call_sequence_matches_fresh_source_and_oracle(name, lengths):
+    src = get_preset(name)
+    expected = SOURCE_ORACLES[name](max(lengths))
+    for n in lengths:
+        got = src.prefix(n)
+        assert got == get_preset(name).prefix(n)
+        assert got == expected[:n]
+
+
+def test_standard_source_extends_without_rebuilding():
+    asked = []
+
+    class CountingCF(CFExpansion):
+        def coefficient(self, i):
+            asked.append(i)
+            return super().coefficient(i)
+
+    src = StandardWordSource(CountingCF((), (1,)))
+    for n in (5, 50, 20, 500, 5000, 100):
+        src.prefix(n)
+    # each partial quotient is read once: every extension resumes from the
+    # recursion state instead of starting again from a_1
+    assert sorted(asked) == list(range(1, max(asked) + 1))
+
+
+def test_standard_source_on_finite_expansion():
+    word = "01101101101"  # "0" + s_3 for [0; 1, 2, 3]
+    src = StandardWordSource(CFExpansion((1, 2, 3)))
+    assert src.prefix(100) == word
+    assert src.max_length == len(word)
+    assert src.prefix(100) == word
+    assert src.prefix(4) == word[:4]
+
+    src = StandardWordSource(CFExpansion((1, 2, 3)))
+    assert src.prefix(5) == word[:5] and src.max_length is None
+    assert src.prefix(11) == word and src.max_length is None
+    assert src.prefix(12) == word and src.max_length == 11
+
+    t = tau_cylinder(StandardWordSource(CFExpansion((1, 2, 3))), 2)
+    assert (t.tau, t.window, t.stabilized) == (3, 11, True)
 
 
 def test_kappa_sources_share_language_with_rotation():

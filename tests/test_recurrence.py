@@ -91,14 +91,6 @@ def test_rate_series_csv_round_trip():
     assert int(window) > 0 and stab == "1"
 
 
-def test_rate_series_parallel_matches_serial():
-    src_a = get_preset("fibonacci")
-    src_b = get_preset("fibonacci")
-    a = rate_series(src_a, 40, jobs=1)
-    b = rate_series(src_b, 40, jobs=4)
-    assert [(e.n, e.tau) for e in a.entries] == [(e.n, e.tau) for e in b.entries]
-
-
 def test_rate_series_on_finite_kappa_source():
     src = KappaSource(golden_kappa_steps(8))
     assert src.max_length == 2584

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from subrec import (
     EmptyPattern,
+    FixedPointSource,
     InsufficientWindow,
-    fixed_point_prefix,
     fractional_power,
     max_fractional_power,
     max_power_witness,
@@ -24,7 +24,7 @@ from oracles import (
     naive_return_words,
 )
 
-TM256 = fixed_point_prefix(thue_morse(), "0", 256).text
+TM256 = FixedPointSource(thue_morse(), "0").prefix(256)
 
 binary = st.text(alphabet="01", min_size=0, max_size=60)
 binary1 = st.text(alphabet="01", min_size=1, max_size=60)
