@@ -25,6 +25,15 @@ print("alpha            :", alpha, "=", float(alpha))
 print("alpha**2 + alpha :", alpha * alpha + alpha)  # == 1, exactly
 print("1/alpha - alpha  :", QuadraticReal(1, 0, 5) / alpha - alpha)
 
+# values are stored as integers (p + q*sqrt(d)) / r with d squarefree, so
+# square factors of a radicand move into the coefficient once, at
+# construction, and equal numbers compare equal whatever they were built from
+print("sqrt(8) == 2*sqrt(2):", QuadraticReal(0, 1, 8) == QuadraticReal(0, 2, 2))
+
+# floor is exact integer work (math.isqrt), with no float guess to correct,
+# so even alpha * 10**400, far beyond any float, floors at once
+print("floor(alpha * 10**400) mod 10**6:", (alpha * 10**400).floor() % 10**6)
+
 # its continued fraction has all digits 1; convergents are Fibonacci
 cf = CFExpansion((), (1,))
 print("\nconvergents:", [(c.p, c.q) for c in convergents(cf, 8)])

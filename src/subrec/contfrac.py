@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quadratic import QuadraticReal
+from .quadratic import ONE, ZERO, QuadraticReal
 
 
 class InsufficientCoefficients(ValueError):
@@ -139,7 +139,7 @@ def quadratic_of_cf(cf: CFExpansion) -> QuadraticReal:
     num = y * m21 + m22
     den = y * m11 + m12
     alpha = num / den
-    if not (QuadraticReal(0) < alpha < QuadraticReal(1)):
+    if not (ZERO < alpha < ONE):
         raise ValueError("expansion does not describe an angle in (0,1): %s" % cf)
     return alpha
 
@@ -149,5 +149,5 @@ def nearest_int_distance(alpha: QuadraticReal, k: int) -> QuadraticReal:
     if k < 1:
         raise ValueError("k must be >= 1")
     frac = (alpha * k).mod1()
-    other = QuadraticReal(1) - frac
+    other = ONE - frac
     return frac if frac < other else other

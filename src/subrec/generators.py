@@ -9,7 +9,7 @@ extend it on demand from the state they carry.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .contfrac import CFExpansion, InsufficientCoefficients, quadratic_of_cf
 from .quadratic import ONE, ZERO, QuadraticReal
@@ -155,24 +155,6 @@ def parse_kappa(text: str) -> list[Morphism]:
     return steps
 
 
-# ------------------------------------------------------------ rotation coding
-
-def _common_integer_form(alpha: QuadraticReal, t0: QuadraticReal):
-    """(A, B, Aa, Ba, D, d) with t0=(A+B sqrt(d))/D, alpha=(Aa+Ba sqrt(d))/D."""
-    if alpha.b == 0:
-        raise ValueError("rotation angle must be irrational")
-    if t0.b != 0 and t0.d != alpha.d:
-        raise ValueError("t0 must live in the same quadratic field as alpha")
-    d = alpha.d
-    dens = [alpha.a.denominator, alpha.b.denominator, t0.a.denominator, t0.b.denominator]
-    D = 1
-    for q in dens:
-        D = D * q // gcd(D, q)
-    def lift(fr):
-        return fr.numerator * (D // fr.denominator)
-    return lift(t0.a), lift(t0.b), lift(alpha.a), lift(alpha.b), D, d
-
-
 # ----------------------------------------------------------------- sources
 
 class WordSource:
@@ -249,18 +231,19 @@ class StandardWordSource(WordSource):
         super().__init__()
         self.cf = cf
         self.name = name or ("standard %s" % cf)
-        self._prev, self._cur, self._i = "0", "0" * (cf.coefficient(1) - 1) + "1", 1
-        self._buf = "0" + self._cur
+        # _buf is "0" + s_i, the only copy of s_i kept between extensions
+        self._prev, self._i = "0", 1
+        self._buf = "0" * cf.coefficient(1) + "1"
 
     def _extend(self, n: int):
-        prev, cur, i = self._prev, self._cur, self._i
+        prev, cur, i = self._prev, self._buf[1:], self._i
         try:
             while len(cur) < n - 1:
                 a = self.cf.coefficient(i + 1)
                 prev, cur, i = cur, cur * a + prev, i + 1
         except InsufficientCoefficients:
             self.max_length = len(cur) + 1
-        self._prev, self._cur, self._i = prev, cur, i
+        self._prev, self._i = prev, i
         self._buf = "0" + cur
 
 
@@ -283,7 +266,15 @@ class RotationCodingSource(WordSource):
         self.alpha = alpha
         self.t0 = t0
         self.name = name or ("rotation t0=%s" % t0)
-        self._state = _common_integer_form(alpha, t0)
+        pa, qa, ra, d = alpha._v
+        pt, qt, rt, dt = t0._v
+        if qa == 0:
+            raise ValueError("rotation angle must be irrational")
+        if qt != 0 and dt != d:
+            raise ValueError("t0 must live in the same quadratic field as alpha")
+        # t0 = (A + B sqrt(d))/D and alpha = (Aa + Ba sqrt(d))/D
+        D = lcm(ra, rt)
+        self._state = pt * (D // rt), qt * (D // rt), pa * (D // ra), qa * (D // ra), D, d
 
     def _extend(self, n: int):
         A, B, Aa, Ba, D, d = self._state
@@ -311,6 +302,8 @@ class KappaSource(WordSource):
 
     def __init__(self, steps: list[Morphism], name: str | None = None):
         super().__init__()
+        if not steps:
+            raise SequenceTooShort("empty composition")
         self.steps = list(steps)
         self.max_length = kappa_image_lengths(self.steps)[-1][0]
         self.name = name or ("kappa [%s]" % ",".join(m.label for m in steps))

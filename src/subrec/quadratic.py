@@ -1,143 +1,155 @@
 """Exact arithmetic in real quadratic fields.
 
-Values are a + b*sqrt(d) with rational a, b and a fixed nonsquare radicand d.
-Everything here is exact: comparisons, floor, mod 1. Floats appear only as
-first guesses that are then corrected by integer arithmetic.
+A value is stored as integers (p + q*sqrt(d)) / r with r > 0,
+gcd(p, q, r) = 1 and d squarefree; rationals have q = 0 and d = 0. That form
+is canonical, so equality is equality of the four integers. Only the public
+constructor reduces a radicand to its squarefree part, once per distinct d;
+field operations work on the integers alone, and floor is
+(p + floor(q*sqrt(d))) // r with the inner floor from math.isqrt.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, isqrt, lcm
 
-Rational = (int, Fraction)
 
+@lru_cache(maxsize=256)
+def _squarefree_part(d: int) -> tuple[int, int]:
+    """(f, s) with d = f*f*s and s squarefree, for d >= 1.
 
-def _reduce_radicand(c: Fraction, d: int) -> tuple[Fraction, int]:
-    """Pull square factors of d into the coefficient: c*sqrt(d) canonical.
-
-    A perfect-square radicand comes back as d == 1; the caller folds it
-    into the rational part.
+    Trial division stops once k**3 exceeds what is left: the cofactor then
+    has no prime factor below k, so at most two prime factors, and it is
+    squarefree unless it is a perfect square.
     """
-    if d < 0:
-        raise ValueError("radicand must be nonnegative")
-    if c == 0 or d == 0:
-        return Fraction(0), 0
-    f = 1
+    f, s = 1, 1
     k = 2
-    while k * k <= d:
-        while d % (k * k) == 0:
-            d //= k * k
-            f *= k
-        k += 1
-    return c * f, d
+    while k * k * k <= d:
+        e = 0
+        while d % k == 0:
+            d //= k
+            e += 1
+        f *= k ** (e // 2)
+        s *= k ** (e % 2)
+        k += 1 if k == 2 else 2
+    root = isqrt(d)
+    if root * root == d:
+        return f * root, s
+    return f, s * d
 
 
 class QuadraticReal:
     """Immutable exact number a + b*sqrt(d)."""
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("_v",)  # (p, q, r, d): the value (p + q*sqrt(d)) / r
 
     def __init__(self, a, b=0, d=0):
-        a = Fraction(a)
-        b, d = _reduce_radicand(Fraction(b), int(d))
-        if d == 1:
-            a, b, d = a + b, Fraction(0), 0
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+        a, b, d = Fraction(a), Fraction(b), int(d)
+        if d < 0:
+            raise ValueError("radicand must be nonnegative")
+        if b == 0 or d == 0:
+            b, d = Fraction(0), 0
+        else:
+            f, d = _squarefree_part(d)
+            b *= f
+            if d == 1:
+                a, b, d = a + b, Fraction(0), 0
+        # a and b are in lowest terms, so over the lcm of their
+        # denominators gcd(p, q, r) is already 1
+        r = lcm(a.denominator, b.denominator)
+        _set(self, (a.numerator * (r // a.denominator), b.numerator * (r // b.denominator), r, d))
 
     def __setattr__(self, *args):
         raise AttributeError("QuadraticReal is immutable")
 
     @property
-    def is_rational(self) -> bool:
-        return self.b == 0
+    def a(self) -> Fraction:
+        return Fraction(self._v[0], self._v[2])
 
-    def _coerce(self, other) -> "QuadraticReal | None":
-        if isinstance(other, QuadraticReal):
-            if self.b != 0 and other.b != 0 and self.d != other.d:
-                raise ValueError("mixed radicands %d and %d" % (self.d, other.d))
-            return other
-        if isinstance(other, Rational):
-            return QuadraticReal(other)
-        return None
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._v[1], self._v[2])
+
+    @property
+    def d(self) -> int:
+        return self._v[3]
+
+    @property
+    def is_rational(self) -> bool:
+        return self._v[1] == 0
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        return QuadraticReal(self.a + o.a, self.b + o.b, self.d or o.d)
+        return _add(self._v, o)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticReal(-self.a, -self.b, self.d)
+        p, q, r, d = self._v
+        return _wrap((-p, -q, r, d))
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        p, q, r, d = o
+        return _add(self._v, (-p, -q, r, d))
 
     def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        d = self.d or o.d
-        return QuadraticReal(
-            self.a * o.a + self.b * o.b * d,
-            self.a * o.b + self.b * o.a,
-            d,
-        )
+        p, q, r, d = self._v
+        return _add(o, (-p, -q, r, d))
+
+    def __mul__(self, other):
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        p1, q1, r1, d1 = self._v
+        p2, q2, r2, d2 = o
+        d = _field(d1, d2)
+        return _new(p1 * p2 + q1 * q2 * d, p1 * q2 + q1 * p2, r1 * r2, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        d = self.d or o.d
-        # multiply by the conjugate; the norm is nonzero for nonzero divisors
-        norm = o.a * o.a - o.b * o.b * d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero quadratic value")
-        conj = QuadraticReal(o.a, -o.b, d)
-        num = self * conj
-        return QuadraticReal(num.a / norm, num.b / norm, d)
+        return _div(self._v, o)
 
     def __rtruediv__(self, other):
-        return QuadraticReal(other) / self
+        o = _operand(other)
+        if o is None:
+            return QuadraticReal(other) / self
+        return _div(o, self._v)
 
     def sign(self) -> int:
-        a, b, d = self.a, self.b, self.d
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
+        p, q, _, d = self._v
+        if q == 0:
+            return (p > 0) - (p < 0)
+        if p >= 0 and q > 0:
             return 1
-        if a < 0 and b < 0:
+        if p <= 0 and q < 0:
             return -1
-        # opposite signs: compare a^2 with b^2 d (sqrt(d) irrational, no tie)
-        if a > 0:
-            return 1 if a * a > b * b * d else -1
-        return 1 if b * b * d > a * a else -1
+        # opposite signs: compare p^2 with q^2 d (sqrt(d) irrational, no tie)
+        if p > 0:
+            return 1 if p * p > q * q * d else -1
+        return 1 if q * q * d > p * p else -1
 
     def _cmp(self, other) -> int:
         return (self - other).sign()
 
     def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except ValueError:
-            return False
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return self._v == o
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -152,42 +164,98 @@ class QuadraticReal:
         return self._cmp(other) >= 0
 
     def __hash__(self):
-        if self.b == 0:
+        if self._v[1] == 0:
             return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash(self._v)
 
     def __float__(self):
         return float(self.a) + float(self.b) * math.sqrt(self.d)
 
     def __floor__(self) -> int:
-        if self.b == 0:
-            return math.floor(self.a)
-        try:
-            est = math.floor(float(self))
-        except (OverflowError, ValueError):
-            est = 0
-        # exact adjustment; float estimate is off by at most a step or two
-        while self._cmp(est) < 0:
-            est -= 1
-        while self._cmp(est + 1) >= 0:
-            est += 1
-        return est
+        p, q, r, d = self._v
+        if q > 0:
+            p += isqrt(q * q * d)
+        elif q < 0:
+            p -= isqrt(q * q * d) + 1  # q*sqrt(d) is irrational, never an integer
+        return p // r
 
     def floor(self) -> int:
         return self.__floor__()
 
     def mod1(self) -> "QuadraticReal":
-        return self - self.__floor__()
+        f = self.__floor__()
+        p, q, r, d = self._v
+        return _wrap((p - f * r, q, r, d))  # gcd(p - f*r, q, r) = gcd(p, q, r)
 
     def __repr__(self):
-        if self.b == 0:
+        if self.is_rational:
             return "QuadraticReal(%s)" % (self.a,)
         return "QuadraticReal(%s + %s*sqrt(%d))" % (self.a, self.b, self.d)
 
     def __str__(self):
-        if self.b == 0:
+        if self.is_rational:
             return str(self.a)
         return "%s + %s*sqrt(%d) (~%.12g)" % (self.a, self.b, self.d, float(self))
+
+
+_set = QuadraticReal._v.__set__
+
+
+def _wrap(v: tuple) -> QuadraticReal:
+    """A value from an integer form that is already normalised."""
+    x = object.__new__(QuadraticReal)
+    _set(x, v)
+    return x
+
+
+def _new(p: int, q: int, r: int, d: int) -> QuadraticReal:
+    """(p + q*sqrt(d)) / r for r > 0 and d squarefree (or q = 0)."""
+    if q == 0:
+        d = 0
+    g = gcd(p, q, r)
+    if g != 1:
+        p, q, r = p // g, q // g, r // g
+    return _wrap((p, q, r, d))
+
+
+def _operand(x) -> tuple | None:
+    """x's integer form, or None when x is not an exact number."""
+    if isinstance(x, QuadraticReal):
+        return x._v
+    if isinstance(x, int):
+        return (x, 0, 1, 0)
+    if isinstance(x, Fraction):
+        return (x.numerator, 0, x.denominator, 0)
+    return None
+
+
+def _field(d1: int, d2: int) -> int:
+    """The radicand of a result; d = 0 marks a rational operand."""
+    if d1 and d2 and d1 != d2:
+        raise ValueError("mixed radicands %d and %d" % (d1, d2))
+    return d1 or d2
+
+
+def _add(u: tuple, v: tuple) -> QuadraticReal:
+    p1, q1, r1, d1 = u
+    p2, q2, r2, d2 = v
+    d = _field(d1, d2)
+    if r1 == r2:
+        return _new(p1 + p2, q1 + q2, r1, d)
+    return _new(p1 * r2 + p2 * r1, q1 * r2 + q2 * r1, r1 * r2, d)
+
+
+def _div(u: tuple, v: tuple) -> QuadraticReal:
+    p1, q1, r1, d1 = u
+    p2, q2, r2, d2 = v
+    d = _field(d1, d2)
+    # multiply by the conjugate; the norm is nonzero for nonzero divisors
+    norm = p2 * p2 - q2 * q2 * d
+    if norm == 0:
+        raise ZeroDivisionError("division by zero quadratic value")
+    if norm < 0:
+        norm, r2 = -norm, -r2
+    return _new(r2 * (p1 * p2 - q1 * q2 * d), r2 * (q1 * p2 - p1 * q2), r1 * norm, d)
 
 
 ZERO = QuadraticReal(0)

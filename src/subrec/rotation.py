@@ -9,7 +9,6 @@ exact. This is the independent oracle for the symbolic computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .contfrac import CFExpansion, convergents, nearest_int_distance, quadratic_of_cf
 from .generators import RotationCodingSource, kappa_images

@@ -47,23 +47,27 @@ def naive_max_power(text: str) -> Fraction:
     return best
 
 
+def floor_quadratic(a: int, b: int, d: int, den: int) -> int:
+    """floor((a + b*sqrt(d))/den) for integers a, b, d >= 0, den > 0;
+    d need not be squarefree. Exact integer work only."""
+    t = b * b * d
+    s = math.isqrt(t)
+    if b < 0:
+        # floor of the negative part; one lower unless it is an integer
+        s = -s if s * s == t else -s - 1
+    return (a + s) // den
+
+
 def beatty_coding(a: int, b: int, d: int, den: int, length: int) -> str:
     """Coding of the rotation by alpha = (a + b*sqrt(d))/den at t = 0,
     symbol k = floor((k+1) alpha) - floor(k alpha).
 
     Requires 0 < alpha < 1 with b != 0, d > 1 not a square, den > 0.
     """
-    def floor_mult(k: int) -> int:
-        # floor((k*a + k*b*sqrt(d))/den), exact integer work only
-        s = math.isqrt(k * k * b * b * d)
-        if k * b < 0:
-            s = -s - 1  # floor of the negative irrational part
-        return (k * a + s) // den
-
     prev = 0
     out = []
     for k in range(1, length + 1):
-        cur = floor_mult(k)
+        cur = floor_quadratic(k * a, k * b, d, den)
         out.append("01"[cur - prev])
         prev = cur
     return "".join(out)

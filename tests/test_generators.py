@@ -256,6 +256,14 @@ def test_standard_source_extends_without_rebuilding():
     assert sorted(asked) == list(range(1, max(asked) + 1))
 
 
+def test_standard_source_keeps_one_copy_of_its_word():
+    src = get_preset("unbounded")
+    src.prefix(100000)
+    held = sum(len(v) for v in vars(src).values() if isinstance(v, str))
+    assert held < 2 * len(src._buf)
+    assert src.prefix(100000) == naive_standard_word(list(range(1, 31)), 100000)
+
+
 def test_standard_source_on_finite_expansion():
     word = "01101101101"  # "0" + s_3 for [0; 1, 2, 3]
     src = StandardWordSource(CFExpansion((1, 2, 3)))
@@ -292,6 +300,8 @@ def test_kappa_source_is_finite():
     assert src.prefix(8) == "01011011"
     # finite sources return what they have; scanners detect exhaustion
     assert src.prefix(9) == "01011011"
+    with pytest.raises(SequenceTooShort):
+        KappaSource([])
 
 
 def test_shifted_and_fixed_text_sources():

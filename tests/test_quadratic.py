@@ -1,11 +1,15 @@
 import math
+import signal
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subrec import ONE, ZERO, QuadraticReal
+from subrec import ONE, ZERO, CFExpansion, QuadraticReal, nearest_int_distance, quadratic_of_cf
+from oracles import cf_value, floor_quadratic
 
 GOLDEN = QuadraticReal(Fraction(-1, 2), Fraction(1, 2), 5)
 SQRT2M1 = QuadraticReal(-1, 1, 2)
@@ -22,6 +26,12 @@ def test_basic_values():
 def test_radicand_reduction():
     assert QuadraticReal(0, 1, 8) == QuadraticReal(0, 2, 2)
     assert QuadraticReal(0, 1, 45) == QuadraticReal(0, 3, 5)
+    # cofactors left after trial division: a large prime squared, and two
+    # large distinct primes
+    p, q = 1000003, 1000033
+    assert QuadraticReal(0, 1, 7 * p * p) == QuadraticReal(0, p, 7)
+    assert QuadraticReal(0, 1, 4 * p * q).d == p * q
+    assert QuadraticReal(0, 1, p * p).is_rational
 
 
 def test_perfect_square_radicand_folds_to_rational():
@@ -74,10 +84,10 @@ radicands = st.sampled_from([2, 3, 5, 7, 10])
 
 
 @st.composite
-def quads(draw, d=None):
+def quads(draw, d=None, coeffs=rationals):
     if d is None:
         d = draw(radicands)
-    return QuadraticReal(draw(rationals), draw(rationals), d)
+    return QuadraticReal(draw(coeffs), draw(coeffs), d)
 
 
 @given(radicands.flatmap(lambda d: st.tuples(quads(d=d), quads(d=d))))
@@ -107,3 +117,108 @@ def test_float_agrees_with_exact_comparison(pair):
     fx, fy = float(x), float(y)
     if abs(fx - fy) > 1e-9:
         assert (x < y) == (fx < fy)
+
+
+@contextmanager
+def within(seconds):
+    """Fail, rather than hang, when the block runs longer than seconds."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after %s s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < seconds
+
+
+def test_long_period_radicand_is_fast():
+    cf = CFExpansion((), (3, 7, 11, 13, 17, 19, 23))
+    with within(2):
+        alpha = quadratic_of_cf(cf)
+    assert alpha.d > 10**14
+    assert float(alpha) == pytest.approx(float(cf_value(cf.coefficients(40))))
+
+
+@pytest.mark.parametrize("e", [20, 30, 400])
+def test_floor_of_huge_multiples_is_fast(e):
+    k = 10**e
+    with within(2):
+        f = (GOLDEN * k).floor()
+        dist = nearest_int_distance(GOLDEN, k)
+    assert f == floor_quadratic(-k, k, 5, 2)
+    frac = GOLDEN * k - f
+    assert dist == min(frac, 1 - frac)
+
+
+big_rationals = st.builds(Fraction, st.integers(-10**50, 10**50), st.integers(1, 10**50))
+big_radicands = st.one_of(
+    st.integers(2, 10**12),
+    # square factors, large and small, including perfect squares (m = 1)
+    st.builds(lambda k, m: k * k * m, st.integers(2, 10**4), st.integers(1, 10**4)),
+)
+multipliers = st.integers(-10**400, 10**400)
+
+
+def big_quads(d):
+    return quads(d=d, coeffs=big_rationals)
+
+
+@settings(deadline=None)
+@given(big_rationals, big_rationals, big_radicands, multipliers)
+def test_floor_matches_isqrt_oracle(a, b, d, k):
+    x = QuadraticReal(a, b, d) * k
+    den = math.lcm(a.denominator, b.denominator)
+    expected = floor_quadratic(
+        a.numerator * (den // a.denominator) * k, b.numerator * (den // b.denominator) * k, d, den
+    )
+    assert x.floor() == math.floor(x) == expected
+    m = x.mod1()
+    assert ZERO <= m < ONE
+    assert x - m == expected
+    assert x.sign() == (-1 if expected < 0 else 0 if x == 0 else 1)
+
+
+@settings(deadline=None)
+@given(big_radicands.flatmap(lambda d: st.tuples(big_quads(d), big_quads(d), big_quads(d))))
+def test_field_axioms_large(triple):
+    x, y, z = triple
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x - x == ZERO and x + (-x) == 0
+    if x != 0:
+        assert x * (1 / x) == ONE
+        assert (y / x) * x == y
+    # the integer form against the textbook formulas on a and b
+    d = x.d or y.d
+    assert (x + y).a == x.a + y.a and (x + y).b == x.b + y.b
+    assert (x * y).a == x.a * y.a + x.b * y.b * d
+    assert (x * y).b == x.a * y.b + x.b * y.a
+
+
+@given(st.integers(-10**50, 10**50).filter(bool), st.integers(2, 10**6), st.integers(1, 10**6))
+def test_square_factors_move_into_the_coefficient(k, m, j):
+    assert QuadraticReal(0, k, m * j * j) == QuadraticReal(0, k * j, m)
+
+
+@given(big_rationals, st.integers(0, 10**6))
+def test_rational_hash_matches_fraction(f, j):
+    assert hash(QuadraticReal(f)) == hash(f)
+    folded = QuadraticReal(f, 1, j * j)  # perfect-square radicand
+    assert folded == f + j
+    assert hash(folded) == hash(f + j)
+
+
+@settings(deadline=None)
+@given(big_radicands.flatmap(big_quads))
+def test_components_round_trip(x):
+    assert isinstance(x.a, Fraction) and isinstance(x.b, Fraction)
+    y = QuadraticReal(x.a, x.b, x.d)
+    assert y == x
+    assert (y.a, y.b, y.d) == (x.a, x.b, x.d)
+    assert hash(y) == hash(x)
