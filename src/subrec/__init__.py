@@ -6,6 +6,8 @@ and cross-validates everything against an exact model of the underlying
 circle rotation.
 """
 
+from types import ModuleType as _Module
+
 from .contfrac import (
     CFExpansion,
     Convergent,
@@ -70,7 +72,6 @@ from .rotation import (
     cylinder_measure,
     mu_tower_values,
     partition_points,
-    tau_interval,
     tau_length,
     tau_length_linear,
 )
@@ -79,7 +80,6 @@ from .words import (
     InsufficientWindow,
     PowerWitness,
     fractional_power,
-    max_fractional_power,
     max_power_witness,
     min_return_length,
     occurrences,
@@ -90,78 +90,9 @@ from . import presets
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CFExpansion",
-    "Convergent",
-    "CrossCheckReport",
-    "CrossCheckRow",
-    "DEFAULT_POLICY",
-    "EmptyPattern",
-    "FixedPointSource",
-    "FixedTextSource",
-    "InsufficientCoefficients",
-    "InsufficientWindow",
-    "IntervalAtom",
-    "KappaRuleSource",
-    "KappaSource",
-    "LRReport",
-    "Morphism",
-    "NonPeriodic",
-    "NotProlongable",
-    "ONE",
-    "PeriodicSource",
-    "PowerReport",
-    "PowerWitness",
-    "QuadraticReal",
-    "RateSeries",
-    "RotationCodingSource",
-    "RotationSpec",
-    "SequenceTooShort",
-    "ShiftedSource",
-    "StandardWordSource",
-    "SubInvarianceReport",
-    "TauResult",
-    "WindowCapExceeded",
-    "WindowPolicy",
-    "WordSource",
-    "ZERO",
-    "as_source",
-    "atom_lengths",
-    "atom_of",
-    "convergents",
-    "cross_check",
-    "cylinder_interval",
-    "cylinder_measure",
-    "fractional_power",
-    "gamma",
-    "kappa_image_lengths",
-    "kappa_images",
-    "kappa_prefix",
-    "length_ratio",
-    "lr_constant_estimate",
-    "max_fractional_power",
-    "max_power_witness",
-    "min_return_length",
-    "mu_tower_values",
-    "nearest_int_distance",
-    "occurrences",
-    "parse_cf",
-    "parse_kappa",
-    "partition_points",
-    "power_report",
-    "presets",
-    "quadratic_of_cf",
-    "rate_series",
-    "ReturnTableRow",
-    "return_table",
-    "return_words",
-    "rho",
-    "sturmian_source",
-    "sub_invariance_check",
-    "tau_cylinder",
-    "tau_interval",
-    "tau_length",
-    "tau_length_linear",
-    "thue_morse",
-    "word_counts",
-]
+# the public API: every name imported above, plus the presets module
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and (name == "presets" or not isinstance(value, _Module))
+)

@@ -9,13 +9,14 @@ clean. Exit codes: 0 success, 1 usage or input error, 2 degraded results
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import random
 import sys
 from fractions import Fraction
 
 from . import presets
-from .contfrac import CFExpansion, NonPeriodic, parse_cf
+from .contfrac import NonPeriodic, parse_cf
 from .generators import (
     KappaSource,
     SequenceTooShort,
@@ -82,8 +83,10 @@ def build_source(args):
 
 
 def window_policy(args) -> WindowPolicy:
-    base = getattr(args, "window_base", None) or DEFAULT_POLICY.base
-    cap = getattr(args, "window_cap", None) or DEFAULT_POLICY.cap
+    base = _fallback(args, "window_base", DEFAULT_POLICY.base)
+    cap = _fallback(args, "window_cap", DEFAULT_POLICY.cap)
+    if min(base, cap) < 1:
+        raise ValueError("--window-base and --window-cap must be >= 1")
     if cap < base:
         raise ValueError("window cap %d below initial window %d" % (cap, base))
     return WindowPolicy(base=base, cap=cap)
@@ -212,10 +215,12 @@ def cmd_xcheck(args) -> int:
 
 
 # ------------------------------------------------------------- verify suites
+# Each suite yields (check name, passed, detail) triples and keeps its
+# defaults in its signature; `subrec verify` and tests/test_acceptance.py
+# both run them, so every bound is written here only.
 
-def _suite_bounded_cf(args):
-    depth = args.depth or 500
-    series = rate_series(presets.get_preset("fibonacci"), depth, window_policy(args))
+def _suite_bounded_cf(depth=500, policy=DEFAULT_POLICY):
+    series = rate_series(presets.get_preset("fibonacci"), depth, policy)
     lo, hi = series.tail_min(), series.tail_max()
     stab = series.stabilized_fraction()
     yield "tail-min-below-1", lo < 1, "tail min %s" % frac(lo)
@@ -224,9 +229,8 @@ def _suite_bounded_cf(args):
     yield "stabilized-99pct", stab >= Fraction(99, 100), "stabilized %s" % frac(stab)
 
 
-def _suite_unbounded_cf(args):
-    depth = args.depth or 300
-    series = rate_series(presets.get_preset("unbounded"), depth, window_policy(args))
+def _suite_unbounded_cf(depth=300, policy=DEFAULT_POLICY):
+    series = rate_series(presets.get_preset("unbounded"), depth, policy)
     rm = series.running_min()
     mono = all(a >= b for a, b in zip(rm, rm[1:]))
     yield "running-min-nonincreasing", mono, "checked %d depths" % len(rm)
@@ -243,70 +247,54 @@ def _suite_unbounded_cf(args):
     )
 
 
-def _suite_morse_delta(args):
+def _suite_morse_delta(depth=500, window=4096, policy=DEFAULT_POLICY):
     tm = presets.get_preset("thue-morse")
-    rep = power_report(tm, args.window or 4096)
+    rep = power_report(tm, window)
     yield "max-power-exactly-2", rep.max_exponent == 2, (
         "max exponent %s, base %r at %d" % (frac(rep.max_exponent), rep.base, rep.position)
     )
-    depth = args.depth or 500
-    series = rate_series(tm, depth, window_policy(args))
-    lo = series.tail_min()
+    found = tm.prefix(window)[rep.position : rep.position + len(rep.factor)]
+    yield "witness-occurs", found == rep.factor, "factor %r at %d" % (found, rep.position)
+    lo = rate_series(tm, depth, policy).tail_min()
     yield "tail-min-at-least-1", lo >= 1, "tail min %s" % frac(lo)
 
 
-def _suite_xcheck_rotation(args):
-    cf = parse_cf(args.cf) if args.cf else CFExpansion((), (1,))
-    spec = RotationSpec.from_cf(cf)
-    report = cross_check(spec, args.depth or 200, window_policy(args))
-    detail = "alpha %s, depths 1..%d, %d mismatches" % (
-        report.alpha,
-        report.depth,
-        len(report.mismatches),
+def _suite_xcheck_rotation(depth=200, cf=presets.GOLDEN_CF, policy=DEFAULT_POLICY):
+    report = cross_check(RotationSpec.from_cf(cf), depth, policy)
+    yield "zero-mismatches", report.ok, "alpha %s, depths 1..%d, %d mismatches" % (
+        report.alpha, report.depth, len(report.mismatches)
     )
-    yield "zero-mismatches", report.ok, detail
 
 
-def _suite_kappa_ratio(args):
-    single_ok = all(
-        1 < Fraction(m + 2, m + 1) <= Fraction(3, 2) for m in range(1, 6)
+def _suite_kappa_ratio(seed=0):
+    steps = [step(m) for step in (rho, gamma) for m in range(1, 6)]
+    single = [Fraction(*kappa_image_lengths([s])[0]) for s in steps]
+    yield "single-step-ratio-bound", all(1 < r <= Fraction(3, 2) for r in single), (
+        "|k(0)|/|k(1)|: %s"
+        % ", ".join("%s %s" % (s.label, frac(r)) for s, r in zip(steps, single))
     )
-    yield "single-step-ratio-bound", single_ok, "|k(0)|/|k(1)| = (m+2)/(m+1), m=1..5"
 
     # Composed ratios leave [1, 3/2] exactly when gamma_1 occurs after the
     # first step (the update r -> (2r+1)/(r+1) exceeds 3/2 for every r > 1),
     # so this check is expected to fail on random towers.  It stays here
     # unweakened; see README.
-    seed = _fallback(args, "seed", 0)
     rng = random.Random(seed)
-    worst = Fraction(1)
-    count = 1000
-    bad = 0
-    witness = None
-    for _ in range(count):
+    worst, bad, witness = Fraction(1), 0, None
+    for _ in range(1000):
         steps = [
             (rho if rng.random() < 0.5 else gamma)(rng.randint(1, 5))
             for _ in range(rng.randint(1, 30))
         ]
-        tower_bad = False
-        for l0, l1 in kappa_image_lengths(steps):
-            r = Fraction(l0, l1)
-            if not (1 <= r <= Fraction(3, 2)):
-                tower_bad = True
-            worst = max(worst, r)
-        if tower_bad:
+        ratios = [Fraction(l0, l1) for l0, l1 in kappa_image_lengths(steps)]
+        worst = max(worst, *ratios)
+        if not all(1 <= r <= Fraction(3, 2) for r in ratios):
             bad += 1
             if witness is None or len(steps) < len(witness):
                 witness = steps
-    detail = "%d random towers, seed %d, max ratio %s" % (
-        count,
-        seed,
-        frac(worst),
-    )
+    detail = "1000 random towers, seed %d, max ratio %s" % (seed, frac(worst))
     if bad:
         detail += ", %d violations, smallest witness %s" % (
-            bad,
-            ",".join(s.label for s in witness),
+            bad, ",".join(s.label for s in witness)
         )
     yield "ratios-in-1-to-3/2", bad == 0, detail
 
@@ -321,8 +309,20 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
+    suite = SUITES[args.suite]
+    # a suite gets only what flags or the config file set, and owns the rest
+    windows_set = (args.window_base, args.window_cap) != (None, None)
+    given = {
+        "depth": args.depth,
+        "window": args.window,
+        "seed": args.seed,
+        "cf": None if args.cf is None else parse_cf(args.cf),
+        "policy": window_policy(args) if windows_set else None,
+    }
+    params = inspect.signature(suite).parameters
+    kwargs = {k: v for k, v in given.items() if k in params and v is not None}
     checks = []
-    for name, passed, detail in SUITES[args.suite](args):
+    for name, passed, detail in suite(**kwargs):
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
         print(
             "%s: %s (%s)" % (name, "PASS" if passed else "FAIL", detail),

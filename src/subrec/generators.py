@@ -45,9 +45,6 @@ class Morphism:
             raise ValueError("symbols outside domain: %s" % sorted(bad))
         return word.translate(self._table)
 
-    def image_length(self, sym: str) -> int:
-        return len(self.images[sym])
-
     @property
     def min_image_length(self) -> int:
         return min(len(w) for w in self.images.values())

@@ -11,33 +11,111 @@ field operations work on the integers alone, and floor is
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import gcd, isqrt, lcm
+
+
+# Trial division takes out every prime below _TRIAL. Larger prime factors
+# are split off by Pollard-Brent rho and certified by Miller-Rabin with the
+# first 13 prime bases, which is exact below _MR_EXACT (Sorenson and
+# Webster 2015); a cofactor rho cannot split within _RHO_BUDGET steps is
+# refused, never guessed squarefree.
+_TRIAL = 1000
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3_317_044_064_679_887_385_961_981
+_RHO_BUDGET = 1 << 21
 
 
 @lru_cache(maxsize=256)
 def _squarefree_part(d: int) -> tuple[int, int]:
     """(f, s) with d = f*f*s and s squarefree, for d >= 1.
 
-    Trial division stops once k**3 exceeds what is left: the cofactor then
-    has no prime factor below k, so at most two prime factors, and it is
-    squarefree unless it is a perfect square.
+    Trial division stops at _TRIAL or once k**3 exceeds what is left; in
+    the second case the cofactor has no prime factor below k, so at most
+    two prime factors, and it is squarefree unless it is a perfect square.
     """
-    f, s = 1, 1
+    primes = []
     k = 2
-    while k * k * k <= d:
-        e = 0
+    while k * k * k <= d and k < _TRIAL:
         while d % k == 0:
             d //= k
-            e += 1
-        f *= k ** (e // 2)
-        s *= k ** (e % 2)
+            primes.append(k)
         k += 1 if k == 2 else 2
-    root = isqrt(d)
-    if root * root == d:
-        return f * root, s
-    return f, s * d
+    if k * k * k > d:
+        root = isqrt(d)
+        primes += [root, root] if root * root == d else [d]
+    else:
+        primes += _large_primes(d)
+    f = s = 1
+    for p, e in Counter(primes).items():
+        f *= p ** (e // 2)
+        s *= p ** (e % 2)
+    return f, s
+
+
+def _large_primes(n: int) -> list[int]:
+    """Prime factors, with multiplicity, of n >= 1 free of primes below _TRIAL."""
+    if n == 1:
+        return []
+    if n < _TRIAL * _TRIAL or (n < _MR_EXACT and _is_prime(n)):
+        return [n]
+    root = isqrt(n)
+    if root * root == n:
+        return _large_primes(root) * 2
+    g = _rho_factor(n)
+    return _large_primes(g) + _large_primes(n // g)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for odd n > 41; exact for n < _MR_EXACT."""
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**r, d odd
+    d = (n - 1) >> r
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of n, which is neither prime nor a square
+    (Pollard-Brent rho with y -> y*y + c)."""
+    steps = 0
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            steps += 2 * r
+            r *= 2
+            if steps > _RHO_BUDGET:
+                raise ValueError("cannot reduce radicand: %d resists %d rho "
+                                 "steps" % (n, _RHO_BUDGET))
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 class QuadraticReal:

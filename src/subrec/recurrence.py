@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .generators import ShiftedSource, WordSource, as_source
-from .words import InsufficientWindow, max_power_witness, occurrences
+from .words import InsufficientWindow, factor_groups, max_power_witness, min_return_length
 
 
 class WindowCapExceeded(RuntimeError):
@@ -50,13 +50,6 @@ class TauResult:
         return Fraction(self.tau, self.n)
 
 
-def _min_gap(u: str, text: str) -> int | None:
-    occ = occurrences(u, text)
-    if len(occ) < 2:
-        return None
-    return min(q - p for p, q in zip(occ, occ[1:]))
-
-
 def tau_cylinder(x, n: int, policy: WindowPolicy = DEFAULT_POLICY) -> TauResult:
     """Recurrence time of the depth-n cylinder of x.
 
@@ -77,8 +70,15 @@ def tau_cylinder(x, n: int, policy: WindowPolicy = DEFAULT_POLICY) -> TauResult:
     while True:
         text = source.prefix(window)
         exhausted = len(text) < window
-        tau = _min_gap(u, text)
-        if tau is not None:
+        try:
+            tau = min_return_length(u, text)
+        except InsufficientWindow:
+            if exhausted or window >= policy.cap:
+                raise WindowCapExceeded(
+                    "prefix of depth %d of %s recurs less than twice in a %d-window"
+                    % (n, source.name, len(text))
+                ) from None
+        else:
             if exhausted:
                 return TauResult(n, tau, len(text), True)
             if tau == prev:
@@ -86,11 +86,6 @@ def tau_cylinder(x, n: int, policy: WindowPolicy = DEFAULT_POLICY) -> TauResult:
             if window >= policy.cap:
                 return TauResult(n, tau, window, False)
             prev = tau
-        elif exhausted or window >= policy.cap:
-            raise WindowCapExceeded(
-                "prefix of depth %d of %s recurs less than twice in a %d-window"
-                % (n, source.name, len(text))
-            )
         window = policy.grow(window)
 
 
@@ -201,45 +196,18 @@ class LRReport:
 
 
 def _factor_gap_extremes(text: str, length: int):
-    """Per distinct length-`length` factor: (min gap, max gap, position).
-
-    Groups all occurrences by packed integer code in one vectorized pass.
-    Factors occurring once come back with gaps None.
-    """
-    n = len(text)
-    symbols = sorted(set(text))
-    k = max(len(symbols), 2)
-    m = n - length + 1
-    if k**length >= 2**62:
-        # packed codes would overflow int64
-        groups: dict[str, list[int]] = {}
-        for i in range(m):
-            groups.setdefault(text[i : i + length], []).append(i)
-        out = []
-        for pos in groups.values():
-            if len(pos) < 2:
-                out.append((None, None, pos[0]))
-            else:
-                gaps = [q - p for p, q in zip(pos, pos[1:])]
-                out.append((min(gaps), max(gaps), pos[0]))
-        return out
-    code = {c: i for i, c in enumerate(symbols)}
-    arr = np.array([code[c] for c in text], dtype=np.int64)
-    vals = arr[:m].copy()
-    for j in range(1, length):
-        vals *= k
-        vals += arr[j : j + m]
-    order = np.argsort(vals, kind="stable")
-    sv = vals[order]
-    bounds = [0] + list(np.flatnonzero(sv[1:] != sv[:-1]) + 1) + [m]
+    """Per distinct length-`length` factor, in factor_groups order:
+    (min gap, max gap, first position); gaps are None for a factor
+    occurring once."""
+    order, bounds = factor_groups(text, length)
     out = []
     for lo, hi in zip(bounds, bounds[1:]):
-        pos = order[lo:hi]  # ascending: stable sort keeps original order
+        first = int(order[lo])
         if hi - lo < 2:
-            out.append((None, None, int(pos[0])))
+            out.append((None, None, first))
         else:
-            gaps = np.diff(pos)
-            out.append((int(gaps.min()), int(gaps.max()), int(pos[0])))
+            gaps = np.diff(order[lo:hi])
+            out.append((int(gaps.min()), int(gaps.max()), first))
     return out
 
 

@@ -22,7 +22,7 @@ class RotationSpec:
     """Rotation angle plus (optionally) its continued fraction.
 
     The expansion, when present, powers the best-approximation ladder in
-    tau_interval; without it the linear scan is used.
+    tau_length; without it the linear scan is used.
     """
 
     alpha: QuadraticReal
@@ -130,11 +130,6 @@ def tau_length_linear(spec: RotationSpec, length: QuadraticReal) -> int:
         frac = (frac + spec.alpha).mod1()
         if min(frac, ONE - frac) < length:
             return k
-
-
-def tau_interval(spec: RotationSpec, atom: IntervalAtom) -> int:
-    """Recurrence time of an interval under the rotation."""
-    return tau_length(spec, atom.length)
 
 
 # ------------------------------------------------------------------ measures
@@ -270,6 +265,8 @@ def cross_check(
     Geometric side: tau of the depth-n atom [0, min_{1<=j<=n} (-j*alpha)).
     The two must agree exactly at every depth.
     """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     source = RotationCodingSource(spec.alpha, 0, "rotation %s" % spec.description)
     rows = []
     point = ZERO

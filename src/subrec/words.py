@@ -117,42 +117,44 @@ def max_power_witness(text: str, cap: int | None = DEFAULT_POWER_CAP) -> PowerWi
     return PowerWitness(g, text[best_pos : best_pos + best_den], best_pos, n)
 
 
-def max_fractional_power(text: str, cap: int | None = DEFAULT_POWER_CAP) -> Fraction:
-    """Exact supremum of fractional exponents over factors of text."""
-    return max_power_witness(text, cap).exponent
+def factor_groups(text: str, length: int) -> tuple[np.ndarray, list[int]]:
+    """Start positions of the length-`length` factors of text, grouped.
+
+    Returns (order, bounds): the i-th distinct factor starts at each of
+    order[bounds[i]:bounds[i + 1]], ascending. Over k symbols, factors are
+    packed into int64 codes while k**length < 2**62 and groups come in
+    lexicographic order; longer factors are keyed, and grouped, by first
+    occurrence. Needs 1 <= length <= len(text).
+    """
+    m = len(text) - length + 1
+    symbols = sorted(set(text))
+    k = len(symbols)
+    if k**length < 2**62:
+        points = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+        arr = np.searchsorted(np.array([ord(c) for c in symbols]), points).astype(np.int64)
+        keys = arr[:m].copy()
+        for j in range(1, length):
+            keys *= k
+            keys += arr[j : j + m]
+    else:
+        first: dict[str, int] = {}
+        keys = np.array(
+            [first.setdefault(text[i : i + length], len(first)) for i in range(m)],
+            dtype=np.int64,
+        )
+    order = np.argsort(keys, kind="stable")
+    sk = keys[order]
+    return order, [0] + (np.flatnonzero(sk[1:] != sk[:-1]) + 1).tolist() + [m]
 
 
 def word_counts(text: str, length: int) -> dict[str, int]:
     """Occurrence counts of every length-`length` factor of text."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    n = len(text)
-    if n < length:
+    if len(text) < length:
         return {}
-    symbols = sorted(set(text))
-    k = len(symbols)
-    if k <= 1:
-        return {text[:length]: n - length + 1}
-    if k**length > 2**62:
-        # packed codes would overflow; plain slicing is fine at these sizes
-        out: dict[str, int] = {}
-        for i in range(n - length + 1):
-            w = text[i : i + length]
-            out[w] = out.get(w, 0) + 1
-        return out
-    code = {c: i for i, c in enumerate(symbols)}
-    arr = np.array([code[c] for c in text], dtype=np.int64)
-    vals = arr[: n - length + 1].copy()
-    for j in range(1, length):
-        vals *= k
-        vals += arr[j : j + n - length + 1]
-    counts = np.bincount(vals)
-    out = {}
-    for v in np.nonzero(counts)[0]:
-        digits = []
-        x = int(v)
-        for _ in range(length):
-            digits.append(symbols[x % k])
-            x //= k
-        out["".join(reversed(digits))] = int(counts[v])
-    return out
+    order, bounds = factor_groups(text, length)
+    return {
+        text[order[lo] : order[lo] + length]: hi - lo
+        for lo, hi in zip(bounds, bounds[1:])
+    }

@@ -22,6 +22,16 @@ def naive_min_gap(pattern: str, text: str):
     return min(b - a for a, b in zip(occ, occ[1:]))
 
 
+def naive_factor_stats(text: str, length: int) -> dict[str, tuple]:
+    """{factor: (count, min gap, max gap)}, gaps None for a lone factor."""
+    out = {}
+    for w in {text[i : i + length] for i in range(len(text) - length + 1)}:
+        occ = naive_occurrences(w, text)
+        gaps = [b - a for a, b in zip(occ, occ[1:])]
+        out[w] = (len(occ), min(gaps, default=None), max(gaps, default=None))
+    return out
+
+
 def naive_tau(text: str, n: int):
     """Recurrence time of the depth-n prefix cylinder, scanned in text."""
     return naive_min_gap(text[:n], text)

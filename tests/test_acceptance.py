@@ -1,30 +1,27 @@
 """Acceptance checks, one per numbered criterion, one report line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see every line.
+Criteria 1-4 and 6 run the `subrec verify` suites (`subrec.cli.SUITES`),
+so the CLI and this module share one definition of each bound.
 Three checks (3, 6, 8) encode target bounds the implemented systems
 provably miss; they print FAIL with the true values and then assert,
 on purpose.  The library is not bent to make them pass.
 """
 
-import random
-from fractions import Fraction
-
 import pytest
 
 from subrec import (
-    cross_check,
     cylinder_measure,
-    gamma,
-    kappa_image_lengths,
     lr_constant_estimate,
     mu_tower_values,
-    power_report,
     rate_series,
-    rho,
     sub_invariance_check,
     word_counts,
 )
+from subrec.cli import SUITES
 from subrec.presets import (
+    GOLDEN_CF,
+    SQRT2_CF,
     get_preset,
     golden_kappa_steps,
     preset_names,
@@ -32,7 +29,6 @@ from subrec.presets import (
 )
 
 GOLDEN = rotation_spec("fibonacci")
-SQRT2 = rotation_spec("sqrt2")
 
 
 def report(num: int, name: str, clauses: list[tuple[str, bool]]) -> bool:
@@ -44,74 +40,43 @@ def report(num: int, name: str, clauses: list[tuple[str, bool]]) -> bool:
     return ok
 
 
+def suite_clauses(suite: str, **params) -> list[tuple[str, bool]]:
+    """Clauses of one `subrec verify` suite, run in process."""
+    return [
+        ("%s (%s)" % (name, detail), passed)
+        for name, passed, detail in SUITES[suite](**params)
+    ]
+
+
 @pytest.fixture(scope="module")
 def golden_text_1m():
     return get_preset("golden-rotation").prefix(1_000_000)
 
 
-@pytest.fixture(scope="module")
-def fib_rates_500():
-    return rate_series(get_preset("fibonacci"), 500)
-
-
 def test_criterion_1_dual_oracle_tau():
-    clauses = []
-    for label, spec in (("golden", GOLDEN), ("sqrt2", SQRT2)):
-        rep = cross_check(spec, 200)
-        clauses.append(
-            ("%s depth 200 mismatches=%d" % (label, len(rep.mismatches)), rep.ok)
-        )
+    clauses = [
+        ("%s %s" % (label, text), ok)
+        for label, cf in (("golden", GOLDEN_CF), ("sqrt2", SQRT2_CF))
+        for text, ok in suite_clauses("xcheck-rotation", cf=cf)
+    ]
     assert report(1, "symbolic tau equals geometric tau exactly", clauses)
 
 
-def test_criterion_2_bounded_cf_dichotomy(fib_rates_500):
-    rs = fib_rates_500
-    lo, hi = rs.tail_min(), rs.tail_max()
-    stab = rs.stabilized_fraction()
-    clauses = [
-        ("tail min %s < 1" % lo, lo < 1),
-        ("tail max %s > 1" % hi, hi > 1),
-        ("tail max > 7/5", hi > Fraction(7, 5)),
-        ("stabilized %s >= 99%%" % stab, stab >= Fraction(99, 100)),
-    ]
-    assert report(2, "liminf below 1, limsup above 7/5 (tail proxy)", clauses)
+def test_criterion_2_bounded_cf_dichotomy():
+    clauses = suite_clauses("bounded-cf")
+    assert report(2, "liminf and limsup straddle one (tail proxy)", clauses)
 
 
 def test_criterion_3_unbounded_cf_trend():
-    rs = rate_series(get_preset("unbounded"), 300)
-    mins = rs.running_min()
-    monotone = all(a >= b for a, b in zip(mins, mins[1:]))
-    final = mins[-1]
-    k_unbounded = lr_constant_estimate(get_preset("unbounded"), 50, 100_000)
-    k_golden = lr_constant_estimate(get_preset("fibonacci"), 50, 100_000)
-    clauses = [
-        ("running min nonincreasing", monotone),
-        ("running min %s < 0.05 at n=300" % final, final < Fraction(1, 20)),
-        (
-            "K(unbounded,L=50)=%s > K(golden)=%s"
-            % (k_unbounded.k_estimate, k_golden.k_estimate),
-            k_unbounded.k_estimate > k_golden.k_estimate,
-        ),
-    ]
-    # the 0.05 clause needs depths near q_20 ~ 1e19; at n=300 the true
-    # running minimum is 43/224.  Finite-tail proxy, reported as such.
+    # the running-minimum clause needs depths near q_20 ~ 1e19; at n=300
+    # the true running minimum is 43/224.  Finite-tail proxy, reported as such.
+    clauses = suite_clauses("unbounded-cf")
     assert report(3, "unbounded-coefficient decay trend (finite proxy)", clauses)
 
 
 def test_criterion_4_morse_counterexample():
-    rep = power_report(get_preset("thue-morse"), 4096)
-    text = get_preset("thue-morse").prefix(4096)
-    found = text[rep.position : rep.position + len(rep.factor)] == rep.factor
-    rs = rate_series(get_preset("thue-morse"), 500)
-    clauses = [
-        ("max fractional power %s == 2" % rep.max_exponent, rep.max_exponent == 2),
-        (
-            "witness %r^%s at %d occurs" % (rep.base, rep.max_exponent, rep.position),
-            found,
-        ),
-        ("tail min ratio %s >= 1" % rs.tail_min(), rs.tail_min() >= 1),
-    ]
-    assert report(4, "Morse word: squares but nothing above exponent 2", clauses)
+    clauses = suite_clauses("morse-delta")
+    assert report(4, "Morse word: squares but no higher powers", clauses)
 
 
 def test_criterion_5_lr_sandwich():
@@ -131,32 +96,11 @@ def test_criterion_5_lr_sandwich():
 
 
 def test_criterion_6_kappa_ratio_bound():
-    rng = random.Random(0)
-    bad = 0
-    worst = Fraction(1)
-    witness = None
-    for _ in range(1000):
-        steps = [
-            (rho if rng.random() < 0.5 else gamma)(rng.randint(1, 5))
-            for _ in range(rng.randint(1, 30))
-        ]
-        ratios = [Fraction(a, b) for a, b in kappa_image_lengths(steps)]
-        worst = max(worst, max(ratios))
-        if any(not (1 <= r <= Fraction(3, 2)) for r in ratios):
-            bad += 1
-            if witness is None or len(steps) < len(witness):
-                witness = steps
-    clauses = [
-        (
-            "1000 random towers in [1,3/2], %d violations (max %s, e.g. %s)"
-            % (bad, worst, ",".join(s.label for s in witness or [])),
-            bad == 0,
-        )
-    ]
     # any gamma_1 after the first step provably pushes the exact length
-    # ratio past 3/2, and towers that generate the golden angle do exactly
-    # that, so this bound cannot hold over random towers.
-    assert report(6, "composed image length ratios within [1, 3/2]", clauses)
+    # ratio out of the interval, and towers that generate the golden angle
+    # do exactly that, so the bound cannot hold over random towers.
+    clauses = suite_clauses("kappa-ratio")
+    assert report(6, "composed image length ratios stay in the interval", clauses)
 
 
 def test_criterion_7_sub_invariance_all_presets():
@@ -181,13 +125,9 @@ def test_criterion_8_measure_identities(golden_text_1m):
         for w, c in counts.items():
             gap = abs(c / slots - float(cylinder_measure(GOLDEN, w)))
             worst_gap = max(worst_gap, gap)
-    sums_exact = all(
-        sum(mu_tower_values(GOLDEN, golden_kappa_steps(n))) == 1
-        for n in range(1, 9)
-    )
-    mu_min = min(
-        min(mu_tower_values(GOLDEN, golden_kappa_steps(n))) for n in range(1, 9)
-    )
+    towers = [mu_tower_values(GOLDEN, golden_kappa_steps(n)) for n in range(1, 9)]
+    sums_exact = all(sum(t) == 1 for t in towers)
+    mu_min = min(min(t) for t in towers)
     clauses = [
         ("freq vs measure gap %.2e <= 1e-3 for |w|<=10" % worst_gap, worst_gap <= 1e-3),
         ("mu_n(0)+mu_n(1) == 1 exactly for n<=8", sums_exact),

@@ -1,8 +1,11 @@
+import inspect
 import json
 import subprocess
 import sys
 
 import pytest
+
+from subrec.cli import SUITES
 
 PY = [sys.executable, "-m", "subrec.cli"]
 
@@ -128,6 +131,36 @@ def test_verify_kappa_ratio_fails_honestly():
     assert names["single-step-ratio-bound"] is True
     assert names["ratios-in-1-to-3/2"] is False
     assert "violations" in json.dumps(payload)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_reports_what_the_registry_yields(suite):
+    params = {"depth": 40} if "depth" in inspect.signature(SUITES[suite]).parameters else {}
+    want = [
+        {"name": name, "passed": bool(passed), "detail": detail}
+        for name, passed, detail in SUITES[suite](**params)
+    ]
+    r = run_cli("verify", suite, *(["-N", "40"] if params else []))
+    assert r.returncode == (0 if all(c["passed"] for c in want) else 3)
+    payload = json.loads(r.stdout)
+    assert payload["checks"] == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "bounded-cf", "-N", "0"],
+        ["verify", "xcheck-rotation", "-N", "0"],
+        ["verify", "morse-delta", "--window", "0"],
+        ["verify", "bounded-cf", "-N", "5", "--window-cap", "0"],
+        ["rates", "--preset", "periodic01", "-N", "5", "--window-base", "0"],
+        ["rates", "--preset", "periodic01", "-N", "5", "--window-cap", "-1"],
+    ],
+)
+def test_zero_is_refused_not_replaced_by_the_default(argv):
+    r = run_cli(*argv)
+    assert r.returncode == 1
+    assert "must be >=" in r.stderr
 
 
 def test_config_file_and_flag_override(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subrec import ONE, ZERO, CFExpansion, QuadraticReal, nearest_int_distance, quadratic_of_cf
+from subrec import quadratic
 from oracles import cf_value, floor_quadratic
 
 GOLDEN = QuadraticReal(Fraction(-1, 2), Fraction(1, 2), 5)
@@ -31,6 +32,7 @@ def test_radicand_reduction():
     p, q = 1000003, 1000033
     assert QuadraticReal(0, 1, 7 * p * p) == QuadraticReal(0, p, 7)
     assert QuadraticReal(0, 1, 4 * p * q).d == p * q
+    assert QuadraticReal(0, 1, p * p * q) == QuadraticReal(0, p, q)
     assert QuadraticReal(0, 1, p * p).is_rational
 
 
@@ -142,6 +144,24 @@ def test_long_period_radicand_is_fast():
         alpha = quadratic_of_cf(cf)
     assert alpha.d > 10**14
     assert float(alpha) == pytest.approx(float(cf_value(cf.coefficients(40))))
+
+
+def test_long_period_with_large_prime_factors_is_fast():
+    # the 30-digit radicand is 181 * 147229 * 121496491297 * 195626444821:
+    # trial division alone took seconds to reach the two 12-digit primes
+    with within(2):
+        alpha = quadratic_of_cf(CFExpansion((), tuple(range(1, 18))))
+    den = 89622746262146
+    assert (alpha.a, alpha.b) == (Fraction(-733314246835689, den), Fraction(1, den))
+    assert alpha.d == 181 * 147229 * 121496491297 * 195626444821
+
+
+def test_unsplit_radicand_is_refused(monkeypatch):
+    # 4 * 33381897457322573 * 557081824272174937: the cofactor lies beyond
+    # the exact Miller-Rabin range, so it is split or refused, never guessed
+    monkeypatch.setattr(quadratic, "_RHO_BUDGET", 1000)
+    with within(2), pytest.raises(ValueError, match="cannot reduce radicand"):
+        quadratic_of_cf(CFExpansion((), tuple(range(1, 20))))
 
 
 @pytest.mark.parametrize("e", [20, 30, 400])

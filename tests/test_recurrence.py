@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,11 @@ from subrec import (
     return_table,
     sub_invariance_check,
     tau_cylinder,
+    word_counts,
 )
 from subrec.presets import get_preset, golden_kappa_steps
-from oracles import naive_tau
+from subrec.recurrence import _factor_gap_extremes
+from oracles import naive_factor_stats, naive_tau
 
 
 def test_window_policy_schedule():
@@ -140,3 +143,25 @@ def test_return_table_fibonacci():
     assert rows[2].words == ("01011", "01011011")
     for r in rows:
         assert r.tau == len(r.words[0])
+
+
+@pytest.mark.parametrize("length", [61, 62, 63, 64, 65])
+def test_factor_gaps_and_counts_match_oracle(length):
+    # binary codes of length 61 pack into int64 and come in lexicographic
+    # order; from 62 on factors are keyed by first occurrence
+    rng = random.Random(length)
+    texts = [
+        get_preset("fibonacci").prefix(400),
+        get_preset("thue-morse").prefix(400),
+        "0" * 100,
+        "".join(rng.choice("01") for _ in range(40)) * 6,
+        "".join(rng.choice("01") for _ in range(200)),
+    ]
+    for text in texts:
+        want = naive_factor_stats(text, length)
+        assert word_counts(text, length) == {w: c for w, (c, _, _) in want.items()}
+        rows = _factor_gap_extremes(text, length)
+        assert len(rows) == len(want)
+        got = {text[p : p + length]: (lo, hi) for lo, hi, p in rows}
+        assert got == {w: (lo, hi) for w, (_, lo, hi) in want.items()}
+        assert list(got) == sorted(got, key=text.index if length > 61 else None)

@@ -16,7 +16,6 @@ from subrec import (
     partition_points,
     quadratic_of_cf,
     tau_cylinder,
-    tau_interval,
     tau_length,
     tau_length_linear,
 )
@@ -93,7 +92,7 @@ def test_tau_length_ladder_matches_linear_scan():
 
 def test_tau_interval_nondecreasing():
     taus = [
-        tau_interval(GOLDEN, atom_of(GOLDEN, QuadraticReal(0), n))
+        tau_length(GOLDEN, atom_of(GOLDEN, QuadraticReal(0), n).length)
         for n in range(1, 40)
     ]
     assert all(a <= b for a, b in zip(taus, taus[1:]))

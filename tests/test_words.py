@@ -9,7 +9,6 @@ from subrec import (
     FixedPointSource,
     InsufficientWindow,
     fractional_power,
-    max_fractional_power,
     max_power_witness,
     min_return_length,
     occurrences,
@@ -63,10 +62,10 @@ def test_fractional_power_frozen():
 
 
 def test_max_power_frozen():
-    assert max_fractional_power("0101") == 2
-    assert max_fractional_power("010") == Fraction(3, 2)
-    assert max_fractional_power("01") == 1
-    assert max_fractional_power(TM256) == 2
+    assert max_power_witness("0101").exponent == 2
+    assert max_power_witness("010").exponent == Fraction(3, 2)
+    assert max_power_witness("01").exponent == 1
+    assert max_power_witness(TM256).exponent == 2
 
 
 def test_max_power_witness_round_trip():
@@ -102,7 +101,7 @@ def test_return_words_match_oracle(pattern, text):
 @given(binary1)
 @settings(max_examples=60)
 def test_max_power_matches_oracle(text):
-    assert max_fractional_power(text, cap=None) == naive_max_power(text)
+    assert max_power_witness(text, cap=None).exponent == naive_max_power(text)
 
 
 @given(binary1, st.integers(min_value=1, max_value=4))
