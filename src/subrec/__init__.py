@@ -21,7 +21,6 @@ from .contfrac import (
 from .generators import (
     FixedPointSource,
     FixedTextSource,
-    KappaRuleSource,
     KappaSource,
     Morphism,
     NotProlongable,
@@ -36,7 +35,6 @@ from .generators import (
     kappa_image_lengths,
     kappa_images,
     kappa_prefix,
-    length_ratio,
     parse_kappa,
     rho,
     sturmian_source,

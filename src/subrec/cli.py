@@ -308,6 +308,15 @@ SUITES = {
 }
 
 
+_VERIFY_FLAGS = {
+    "depth": "-N/--depth",
+    "window": "--window",
+    "seed": "--seed",
+    "cf": "--cf",
+    "policy": "--window-base/--window-cap",
+}
+
+
 def cmd_verify(args) -> int:
     suite = SUITES[args.suite]
     # a suite gets only what flags or the config file set, and owns the rest
@@ -319,8 +328,18 @@ def cmd_verify(args) -> int:
         "cf": None if args.cf is None else parse_cf(args.cf),
         "policy": window_policy(args) if windows_set else None,
     }
+    kwargs = {k: v for k, v in given.items() if v is not None}
     params = inspect.signature(suite).parameters
-    kwargs = {k: v for k, v in given.items() if k in params and v is not None}
+    unused = [k for k in kwargs if k not in params]
+    if unused:
+        raise ValueError(
+            "suite %s does not take %s; it takes %s"
+            % (
+                args.suite,
+                ", ".join("%s (%s)" % (k, _VERIFY_FLAGS[k]) for k in unused),
+                ", ".join(_VERIFY_FLAGS[k] for k in params),
+            )
+        )
     checks = []
     for name, passed, detail in suite(**kwargs):
         checks.append({"name": name, "passed": bool(passed), "detail": detail})

@@ -8,7 +8,6 @@ extend it on demand from the state they carry.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .contfrac import CFExpansion, InsufficientCoefficients, quadratic_of_cf
@@ -45,10 +44,6 @@ class Morphism:
             raise ValueError("symbols outside domain: %s" % sorted(bad))
         return word.translate(self._table)
 
-    @property
-    def min_image_length(self) -> int:
-        return min(len(w) for w in self.images.values())
-
     def __repr__(self):
         return "Morphism(%s)" % self.label
 
@@ -73,69 +68,48 @@ def thue_morse() -> Morphism:
 
 # ---------------------------------------------------------------- kappa towers
 
-def _deeper_lengths(lengths: tuple[int, int], m: Morphism) -> tuple[int, int]:
-    """Image lengths of a tower after appending m as its innermost step."""
-    l0, l1 = lengths
-    return tuple(
-        sum(l0 if c == "0" else l1 for c in m.images[s]) for s in ("0", "1")
-    )
-
-
 def kappa_image_lengths(steps: list[Morphism]) -> list[tuple[int, int]]:
     """(|k_1..k_j(0)|, |k_1..k_j(1)|) for j = 1..len(steps).
 
     Lengths follow the symbol counts of each image, so no word is built.
     """
     out: list[tuple[int, int]] = []
-    vec = (1, 1)
+    l0, l1 = 1, 1
     for m in steps:
-        vec = _deeper_lengths(vec, m)
-        out.append(vec)
+        l0, l1 = (sum(l0 if c == "0" else l1 for c in m.images[s]) for s in "01")
+        out.append((l0, l1))
     return out
+
+
+def _fold(v: str, u: str, m: Morphism) -> tuple[str, str]:
+    """Images of '0' and '1' after appending m as the innermost step.
+
+    k_1..k_j(m(a)) is m(a) with 0 -> v = k_1..k_j(0) and 1 -> u = k_1..k_j(1).
+    """
+    blocks = {"0": v, "1": u}
+    return tuple("".join(blocks[c] for c in m.images[s]) for s in "01")
 
 
 def kappa_images(steps: list[Morphism]) -> tuple[str, str]:
     """Fully materialized words k_1..k_n(0) and k_1..k_n(1)."""
-    w0, w1 = "0", "1"
-    for m in reversed(steps):
-        w0, w1 = m.apply(w0), m.apply(w1)
-    return w0, w1
+    v, u = "0", "1"
+    for m in steps:
+        v, u = _fold(v, u, m)
+    return v, u
 
 
 def kappa_prefix(steps: list[Morphism], length: int) -> str:
-    """Prefix of k_1(k_2(...k_n("0"))), built lazily.
+    """Prefix of k_1(k_2(...k_n("0"))).
 
     Raises SequenceTooShort when the composed image of "0" is shorter than
     requested; more steps would be needed to pin those symbols down.
     """
-    if not steps:
-        raise SequenceTooShort("empty composition")
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    total = kappa_image_lengths(steps)[-1][0]
-    if length > total:
+    src = KappaSource(steps)
+    if length > src.max_length:
         raise SequenceTooShort(
-            "composed image of '0' has length %d < %d" % (total, length)
+            "composed image of '0' has length %d < %d" % (src.max_length, length)
         )
-    # how much of each intermediate word is needed
-    needs = [length]
-    for m in steps[:-1]:
-        prev = needs[-1]
-        needs.append(-(-prev // m.min_image_length))
-    w = "0"
-    for m, need in zip(reversed(steps), reversed(needs)):
-        w = m.apply(w)[:need]
-    return w[:length]
-
-
-def length_ratio(steps: list[Morphism], k: int | None = None) -> Fraction:
-    """|k_1..k_k(0)| / |k_1..k_k(1)| as an exact fraction."""
-    if not steps:
-        raise SequenceTooShort("empty composition")
-    lengths = kappa_image_lengths(steps)
-    k = len(steps) if k is None else k
-    l0, l1 = lengths[k - 1]
-    return Fraction(l0, l1)
+    return src.prefix(length)
 
 
 def parse_kappa(text: str) -> list[Morphism]:
@@ -295,38 +269,38 @@ class RotationCodingSource(WordSource):
 
 
 class KappaSource(WordSource):
-    """Finite composition tower; capped at the composed image of '0'."""
+    """Composition tower k_1 k_2 ...(0), grown one innermost step at a time.
 
-    def __init__(self, steps: list[Morphism], name: str | None = None):
+    steps is a list (a finite tower) or a rule i -> k_i for i >= 1 (an
+    endless one). Towers one step apart can differ in the last symbol of
+    the shorter image of '0', so the source hands out v = k_1..k_j(0)
+    without its last symbol until a finite tower has all its steps in, and
+    then all of v. It keeps only that word, the last symbol and
+    u = k_1..k_j(1).
+    """
+
+    def __init__(self, steps, name: str | None = None):
         super().__init__()
-        if not steps:
-            raise SequenceTooShort("empty composition")
-        self.steps = list(steps)
-        self.max_length = kappa_image_lengths(self.steps)[-1][0]
-        self.name = name or ("kappa [%s]" % ",".join(m.label for m in steps))
+        if callable(steps):
+            self.rule, self.depth = steps, None
+            self.name = name or "kappa rule %s" % getattr(steps, "__name__", steps)
+        else:
+            steps = list(steps)
+            if not steps:
+                raise SequenceTooShort("empty composition")
+            self.rule, self.depth = (lambda i: steps[i - 1]), len(steps)
+            self.max_length = kappa_image_lengths(steps)[-1][0]
+            self.name = name or ("kappa [%s]" % ",".join(m.label for m in steps))
+        self._j, self._last, self._u = 0, "0", "1"
 
     def _extend(self, n: int):
-        self._buf = kappa_prefix(self.steps, min(n, self.max_length))
-
-
-class KappaRuleSource(WordSource):
-    """Composition tower whose steps come from a rule, extended on demand."""
-
-    def __init__(self, rule, name: str):
-        super().__init__()
-        self.rule = rule
-        self.name = name
-        self._steps: list[Morphism] = []
-        self._lengths = (1, 1)  # image lengths of the tower built so far
-
-    def _extend(self, n: int):
-        # towers one step apart can differ in the last symbol of the shorter
-        # image of '0', so only a strictly longer image pins n symbols down
-        while self._lengths[0] <= n:
-            m = self.rule(len(self._steps) + 1)
-            self._steps.append(m)
-            self._lengths = _deeper_lengths(self._lengths, m)
-        self._buf = kappa_prefix(self._steps, n)
+        while len(self._buf) < n and self._j != self.depth:
+            v, self._u = _fold(self._buf + self._last, self._u, self.rule(self._j + 1))
+            self._j += 1
+            if self._j == self.depth:
+                self._buf, self._last = v, ""
+            else:
+                self._buf, self._last = v[:-1], v[-1]
 
 
 class FixedTextSource(WordSource):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from .contfrac import CFExpansion
 from .generators import (
     FixedPointSource,
-    KappaRuleSource,
+    KappaSource,
     Morphism,
     PeriodicSource,
     RotationCodingSource,
@@ -24,30 +24,34 @@ SQRT2_CF = CFExpansion((), (2,))
 UNBOUNDED_CF = CFExpansion(tuple(range(1, 31)))
 
 
-def golden_kappa_steps(n: int) -> list[Morphism]:
-    """Composition steps whose tower generates the golden-angle language.
+def _golden_rule(i: int) -> Morphism:
+    """Tower steps that generate the golden-angle language.
 
-    First step is 0->011/1->01, all later steps 1->100/1->10 style; the
+    First step is 0->011/1->01, all later steps 0->100/1->10; the
     factor-set tests pin this down against the rotation coding.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return [rho(1)] + [gamma(1)] * (n - 1)
-
-
-def sqrt2_kappa_steps(n: int) -> list[Morphism]:
-    """Tower steps for the sqrt(2)-1 angle (checked the same way)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return [gamma(1)] + [rho(1)] * (n - 1)
-
-
-def _golden_rule(i: int) -> Morphism:
     return rho(1) if i == 1 else gamma(1)
 
 
 def _sqrt2_rule(i: int) -> Morphism:
+    """Tower steps for the sqrt(2)-1 angle (checked the same way)."""
     return gamma(1) if i == 1 else rho(1)
+
+
+def _first_steps(rule, n: int) -> list[Morphism]:
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return [rule(i) for i in range(1, n + 1)]
+
+
+def golden_kappa_steps(n: int) -> list[Morphism]:
+    """The first n steps of the golden-angle tower."""
+    return _first_steps(_golden_rule, n)
+
+
+def sqrt2_kappa_steps(n: int) -> list[Morphism]:
+    """The first n steps of the sqrt(2)-1 tower."""
+    return _first_steps(_sqrt2_rule, n)
 
 
 _FACTORIES = {
@@ -62,8 +66,8 @@ _FACTORIES = {
     "sqrt2-rotation": lambda: RotationCodingSource(
         rotation_spec("sqrt2").alpha, 0, "sqrt2-rotation"
     ),
-    "golden-kappa": lambda: KappaRuleSource(_golden_rule, "golden-kappa"),
-    "sqrt2-kappa": lambda: KappaRuleSource(_sqrt2_rule, "sqrt2-kappa"),
+    "golden-kappa": lambda: KappaSource(_golden_rule, "golden-kappa"),
+    "sqrt2-kappa": lambda: KappaSource(_sqrt2_rule, "sqrt2-kappa"),
 }
 
 # presets with a continued fraction attached (usable for the geometric side)

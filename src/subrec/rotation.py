@@ -14,7 +14,6 @@ from .contfrac import CFExpansion, convergents, nearest_int_distance, quadratic_
 from .generators import RotationCodingSource, kappa_images
 from .quadratic import ONE, ZERO, QuadraticReal
 from .recurrence import DEFAULT_POLICY, WindowPolicy, tau_cylinder
-from .words import occurrences
 
 
 @dataclass(frozen=True)
@@ -183,9 +182,7 @@ def cylinder_measure(spec: RotationSpec, word: str) -> QuadraticReal:
     return total
 
 
-def mu_tower_values(
-    spec: RotationSpec, steps, empirical_text: str | None = None
-):
+def mu_tower_values(spec: RotationSpec, steps):
     """Weighted base measures of the composition tower at depth len(steps).
 
     The tower at depth n has two bases, reached by the composed images
@@ -194,23 +191,9 @@ def mu_tower_values(
     and both v and u are return words to u, so these aligned cylinders
     tile the space by Kac's theorem). Returns (value_0, value_1) with
     value_a = |image_a| * measure(aligned cylinder of a).
-
-    With empirical_text the measures are occurrence frequencies in that
-    text instead of exact lengths, and floats come back.
     """
     v, u = kappa_images(list(steps))
-    out = []
-    for w in (v, u):
-        pattern = w + u
-        if empirical_text is None:
-            out.append(len(w) * cylinder_measure(spec, pattern))
-        else:
-            positions = len(occurrences(pattern, empirical_text))
-            slots = len(empirical_text) - len(pattern) + 1
-            if slots <= 0:
-                raise ValueError("text shorter than the aligned pattern")
-            out.append(len(w) * positions / slots)
-    return out[0], out[1]
+    return len(v) * cylinder_measure(spec, v + u), len(u) * cylinder_measure(spec, u + u)
 
 
 # --------------------------------------------------------------- cross-check

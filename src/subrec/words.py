@@ -121,10 +121,10 @@ def factor_groups(text: str, length: int) -> tuple[np.ndarray, list[int]]:
     """Start positions of the length-`length` factors of text, grouped.
 
     Returns (order, bounds): the i-th distinct factor starts at each of
-    order[bounds[i]:bounds[i + 1]], ascending. Over k symbols, factors are
-    packed into int64 codes while k**length < 2**62 and groups come in
-    lexicographic order; longer factors are keyed, and grouped, by first
-    occurrence. Needs 1 <= length <= len(text).
+    order[bounds[i]:bounds[i + 1]], ascending, and groups come in
+    lexicographic order. Over k symbols, factors are packed into int64
+    codes while k**length < 2**62; longer factors are keyed by their rank
+    among the sorted distinct factors. Needs 1 <= length <= len(text).
     """
     m = len(text) - length + 1
     symbols = sorted(set(text))
@@ -137,11 +137,9 @@ def factor_groups(text: str, length: int) -> tuple[np.ndarray, list[int]]:
             keys *= k
             keys += arr[j : j + m]
     else:
-        first: dict[str, int] = {}
-        keys = np.array(
-            [first.setdefault(text[i : i + length], len(first)) for i in range(m)],
-            dtype=np.int64,
-        )
+        factors = [text[i : i + length] for i in range(m)]
+        rank = {w: r for r, w in enumerate(sorted(set(factors)))}
+        keys = np.array([rank[w] for w in factors], dtype=np.int64)
     order = np.argsort(keys, kind="stable")
     sk = keys[order]
     return order, [0] + (np.flatnonzero(sk[1:] != sk[:-1]) + 1).tolist() + [m]

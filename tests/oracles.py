@@ -93,6 +93,15 @@ def naive_standard_word(digits: list[int], length: int) -> str:
     return ("0" + cur)[:length]
 
 
+def naive_kappa_word(steps, seed: str = "0") -> str:
+    """k_1(k_2(...k_n(seed))) in full, substituting symbol by symbol from
+    the innermost step out; each step needs only an `images` dict."""
+    w = seed
+    for m in reversed(steps):
+        w = "".join(m.images[c] for c in w)
+    return w
+
+
 def naive_thue_morse(length: int) -> str:
     """Thue-Morse word: symbol k is the parity of the binary digit sum of k."""
     return "".join(str(bin(k).count("1") % 2) for k in range(length))

@@ -163,6 +163,34 @@ def test_zero_is_refused_not_replaced_by_the_default(argv):
     assert "must be >=" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["verify", "kappa-ratio", "-N", "5"], "depth (-N/--depth)"),
+        (["verify", "bounded-cf", "--seed", "3"], "seed (--seed)"),
+        (["verify", "kappa-ratio", "--window-base", "5"], "policy (--window-base/--window-cap)"),
+        (["verify", "xcheck-rotation", "--window", "64"], "window (--window)"),
+        (["verify", "morse-delta", "--cf", "[0;(2)]"], "cf (--cf)"),
+    ],
+)
+def test_verify_refuses_a_value_its_suite_does_not_take(argv, named):
+    r = run_cli(*argv)
+    assert r.returncode == 1
+    assert "does not take %s" % named in r.stderr
+    assert r.stdout == ""
+
+
+def test_verify_refuses_a_config_value_its_suite_does_not_take(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=3\n")
+    r = run_cli("verify", "bounded-cf", "--config", str(cfg))
+    assert r.returncode == 1
+    assert "does not take seed (--seed)" in r.stderr
+    cfg.write_text("depth=40\n")
+    r = run_cli("verify", "bounded-cf", "--config", str(cfg))
+    assert r.returncode == 0
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# defaults\npreset=periodic01\nlength=10\n")

@@ -21,7 +21,6 @@ from subrec import (
     kappa_image_lengths,
     kappa_images,
     kappa_prefix,
-    length_ratio,
     parse_kappa,
     quadratic_of_cf,
     rho,
@@ -30,7 +29,7 @@ from subrec import (
     thue_morse,
 )
 from subrec.presets import get_preset, golden_kappa_steps, preset_names, sqrt2_kappa_steps
-from oracles import beatty_coding, naive_standard_word, naive_thue_morse
+from oracles import beatty_coding, naive_kappa_word, naive_standard_word, naive_thue_morse
 
 GOLDEN_CF = CFExpansion((), (1,))
 SQRT2_CF = CFExpansion((), (2,))
@@ -53,7 +52,6 @@ def test_morphism_tables():
     assert gamma(1).images == {"0": "100", "1": "10"}
     assert gamma(3).images == {"0": "10000", "1": "1000"}
     assert rho(1).label == "r1" and gamma(3).label == "g3"
-    assert gamma(2).min_image_length == 3
     with pytest.raises(ValueError):
         rho(0)
 
@@ -100,14 +98,16 @@ def test_kappa_prefix_frozen():
 
 
 def test_length_ratio_frozen():
-    assert length_ratio([rho(1)]) == Fraction(3, 2)
-    assert length_ratio([rho(1), gamma(1)], 2) == Fraction(8, 5)
-    assert length_ratio([gamma(2), gamma(1)], 2) == Fraction(11, 7)
-    golden = golden_kappa_steps(20)
-    assert length_ratio(golden, 20) == Fraction(267914296, 165580141)
+    def ratio(steps, k):
+        return Fraction(*kappa_image_lengths(steps)[k - 1])
+
+    assert ratio([rho(1)], 1) == Fraction(3, 2)
+    assert ratio([rho(1), gamma(1)], 2) == Fraction(8, 5)
+    assert ratio([gamma(2), gamma(1)], 2) == Fraction(11, 7)
+    assert ratio(golden_kappa_steps(20), 20) == Fraction(267914296, 165580141)
     for m in range(1, 6):
-        assert length_ratio([rho(m)]) == Fraction(m + 2, m + 1)
-        assert length_ratio([gamma(m)]) == Fraction(m + 2, m + 1)
+        assert ratio([rho(m)], 1) == Fraction(m + 2, m + 1)
+        assert ratio([gamma(m)], 1) == Fraction(m + 2, m + 1)
 
 
 def test_parse_kappa():
@@ -216,6 +216,15 @@ def test_golden_kappa_short_prefix_is_stable():
     assert tau_cylinder(get_preset("golden-kappa"), 8).tau == 13
 
 
+def rule_word(steps, n):
+    """First n symbols of an endless tower: the first image of '0' that is
+    longer than n pins them down."""
+    k = 1
+    while len(naive_kappa_word(steps(k))) <= n:
+        k += 1
+    return naive_kappa_word(steps(k))[:n]
+
+
 SOURCE_ORACLES = {
     "golden-rotation": lambda n: beatty_coding(*integer_form(quadratic_of_cf(GOLDEN_CF)), n),
     "sqrt2-rotation": lambda n: beatty_coding(*integer_form(quadratic_of_cf(SQRT2_CF)), n),
@@ -223,6 +232,8 @@ SOURCE_ORACLES = {
     "sqrt2": lambda n: naive_standard_word([2] * 30, n),
     "unbounded": lambda n: naive_standard_word(list(range(1, 31)), n),
     "thue-morse": naive_thue_morse,
+    "golden-kappa": lambda n: rule_word(golden_kappa_steps, n),
+    "sqrt2-kappa": lambda n: rule_word(sqrt2_kappa_steps, n),
 }
 
 
@@ -279,6 +290,42 @@ def test_standard_source_on_finite_expansion():
 
     t = tau_cylinder(StandardWordSource(CFExpansion((1, 2, 3))), 2)
     assert (t.tau, t.window, t.stabilized) == (3, 11, True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kappa_steps, st.lists(st.integers(0, 25000), min_size=1, max_size=8))
+def test_finite_tower_matches_oracle_and_fresh_source(steps, lengths):
+    word = naive_kappa_word(steps)
+    src = KappaSource(steps)
+    assert src.max_length == len(word)
+    for n in lengths:
+        got = src.prefix(n)
+        assert got == word[:n]
+        assert got == KappaSource(steps).prefix(n)
+    assert kappa_images(steps) == (word, naive_kappa_word(steps, "1"))
+
+
+def test_tower_rule_is_asked_each_index_once():
+    asked = []
+
+    def rule(i):
+        asked.append(i)
+        return rho(1) if i == 1 else gamma(1)
+
+    src = KappaSource(rule, "counting")
+    for n in (5, 50, 20, 500, 5000, 100, 0, 20000):
+        assert src.prefix(n) == rule_word(golden_kappa_steps, n)
+    # each extension folds the next step into the pair it keeps instead of
+    # composing the tower again from its first step
+    assert asked == list(range(1, max(asked) + 1))
+
+
+def test_tower_source_keeps_the_pinned_word_and_u_only():
+    src = get_preset("golden-kappa")
+    src.prefix(100000)
+    held = {k: len(v) for k, v in vars(src).items() if isinstance(v, str) and k != "name"}
+    assert sum(held.values()) <= len(src._buf) + len(src._u) + 1
+    assert len(src._u) < len(src._buf)
 
 
 def test_kappa_sources_share_language_with_rotation():

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subrec import (
     CFExpansion,
@@ -12,7 +14,9 @@ from subrec import (
     cross_check,
     cylinder_interval,
     cylinder_measure,
+    kappa_images,
     mu_tower_values,
+    occurrences,
     partition_points,
     quadratic_of_cf,
     tau_cylinder,
@@ -56,10 +60,24 @@ def test_atom_lengths_sum_to_one_exactly():
             assert total == 1
 
 
-def test_three_distance():
-    for spec in (GOLDEN, SQRT2):
-        for n in (5, 10, 50, 143):
-            assert len(set(atom_lengths(spec, n))) <= 3
+periodic_cfs = st.tuples(
+    st.lists(st.integers(1, 6), max_size=3),
+    st.lists(st.integers(1, 6), min_size=1, max_size=3),
+).map(lambda t: CFExpansion(tuple(t[0]), tuple(t[1])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(periodic_cfs, st.integers(1, 300))
+@example(GOLDEN_CF, 143)
+@example(SQRT2_CF, 50)
+@example(SQRT2_CF, 5)
+def test_three_distance(cf, n):
+    # Sos (1958): the n points {-j alpha} cut the circle into arcs of at
+    # most three lengths, and with three the largest is the sum of the others
+    lengths = sorted(set(atom_lengths(RotationSpec.from_cf(cf), n)))
+    assert len(lengths) <= 3
+    if len(lengths) == 3:
+        assert lengths[2] == lengths[0] + lengths[1]
 
 
 def test_atom_of_zero_shrinks():
@@ -144,12 +162,16 @@ def test_mu_tower_golden_depth_one_frozen():
 
 
 def test_mu_tower_empirical_close_to_exact():
+    # occurrence frequencies of the aligned cylinders in a long coding
+    # approach their exact measures
     text = get_preset("golden-rotation").prefix(200_000)
     for n in (1, 2, 3):
-        e0, e1 = mu_tower_values(GOLDEN, golden_kappa_steps(n), text)
-        m0, m1 = mu_tower_values(GOLDEN, golden_kappa_steps(n))
-        assert abs(e0 - float(m0)) < 1e-3
-        assert abs(e1 - float(m1)) < 1e-3
+        v, u = kappa_images(golden_kappa_steps(n))
+        exact = mu_tower_values(GOLDEN, golden_kappa_steps(n))
+        for w, value in zip((v, u), exact):
+            pattern = w + u
+            freq = len(occurrences(pattern, text)) / (len(text) - len(pattern) + 1)
+            assert abs(len(w) * freq - float(value)) < 1e-3
 
 
 def test_cross_check_golden():

@@ -1,13 +1,16 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subrec import (
+    CFExpansion,
     EmptyPattern,
     FixedPointSource,
     InsufficientWindow,
+    StandardWordSource,
     fractional_power,
     max_power_witness,
     min_return_length,
@@ -16,6 +19,7 @@ from subrec import (
     thue_morse,
     word_counts,
 )
+from subrec.presets import GOLDEN_CF, SQRT2_CF
 from oracles import (
     naive_max_power,
     naive_min_gap,
@@ -118,3 +122,50 @@ def test_word_counts_total(text, length):
     assert sum(counts.values()) == expected
     for w, c in counts.items():
         assert len(occurrences(w, text)) == c
+
+
+def return_word_counts(text: str, max_len: int) -> dict[str, int]:
+    """{factor: number of distinct return words in text}, lengths 1..max_len.
+
+    The occurrences of the length-n factors split those of length n - 1 by
+    their n-th symbol, so each length costs one numpy pass over the text.
+    """
+    arr = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    groups = [np.arange(len(arr))]
+    out = {}
+    for n in range(1, max_len + 1):
+        groups = [g[g + n <= len(arr)] for g in groups]
+        groups = [g[arr[g + n - 1] == s] for g in groups for s in b"01"]
+        groups = [g for g in groups if len(g)]
+        for pos in groups:
+            starts, gaps = pos[:-1], np.diff(pos)
+            count = 0
+            for gap in np.unique(gaps):
+                rows = arr[starts[gaps == gap][:, None] + np.arange(gap)]
+                count += 1 if (rows == rows[0]).all() else len({r.tobytes() for r in rows})
+            out[text[pos[0] : pos[0] + n]] = count
+    return out
+
+
+periodic_cfs = st.tuples(
+    st.lists(st.integers(1, 5), max_size=3),
+    st.lists(st.integers(1, 5), min_size=1, max_size=3),
+).map(lambda t: CFExpansion(tuple(t[0]), tuple(t[1])))
+
+
+@settings(max_examples=8, deadline=None)
+@given(periodic_cfs)
+@example(GOLDEN_CF)
+@example(SQRT2_CF)
+def test_sturmian_factors_have_exactly_two_return_words(cf):
+    # Vuillon (2001): a binary word is Sturmian iff every factor has
+    # exactly two return words
+    text = StandardWordSource(cf).prefix(100_000)
+    head = text[:2000]
+    counts = return_word_counts(text, 20)
+    for n in range(1, 21):
+        factors = {head[i : i + n] for i in range(len(head) - n + 1)}
+        assert len(factors) == n + 1
+        assert all(counts[u] == 2 for u in factors)
+    for u in (head[:1], head[:7], head[5:25]):
+        assert len(return_words(u, text)) == counts[u]
