@@ -11,12 +11,12 @@ from subrec import max_power_witness, power_report
 from subrec.presets import get_preset
 
 rep = power_report(get_preset("thue-morse"), 4096)
-print("thue-morse window      :", rep.window)
-print("thue-morse max exponent:", rep.max_exponent)
+print("thue-morse window      :", rep.analyzed_length)
+print("thue-morse max exponent:", rep.exponent)
 print("witness                : %r at position %d" % (rep.factor, rep.position))
 
 rep = power_report(get_preset("fibonacci"), 4096)
-print("\nfibonacci max exponent :", rep.max_exponent, "=", float(rep.max_exponent))
+print("\nfibonacci max exponent :", rep.exponent, "=", float(rep.exponent))
 print("witness base length    :", len(rep.base))
 
 # the witness finder works on any plain string too

@@ -44,7 +44,6 @@ from .quadratic import ONE, ZERO, QuadraticReal
 from .recurrence import (
     DEFAULT_POLICY,
     LRReport,
-    PowerReport,
     RateSeries,
     ReturnTableRow,
     SubInvarianceReport,

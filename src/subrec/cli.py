@@ -20,7 +20,6 @@ from .contfrac import NonPeriodic, parse_cf
 from .generators import (
     KappaSource,
     SequenceTooShort,
-    as_source,
     gamma,
     kappa_image_lengths,
     parse_kappa,
@@ -168,8 +167,8 @@ def cmd_returns(args) -> int:
 def cmd_power(args) -> int:
     source = build_source(args)
     rep = power_report(source, _fallback(args, "window", 4096))
-    print("window=%d" % rep.window)
-    print("max_exponent=%s" % frac(rep.max_exponent))
+    print("window=%d" % rep.analyzed_length)
+    print("max_exponent=%s" % frac(rep.exponent))
     print("base=%s" % rep.base)
     print("position=%d" % rep.position)
     print("factor=%s" % rep.factor)
@@ -250,8 +249,8 @@ def _suite_unbounded_cf(depth=300, policy=DEFAULT_POLICY):
 def _suite_morse_delta(depth=500, window=4096, policy=DEFAULT_POLICY):
     tm = presets.get_preset("thue-morse")
     rep = power_report(tm, window)
-    yield "max-power-exactly-2", rep.max_exponent == 2, (
-        "max exponent %s, base %r at %d" % (frac(rep.max_exponent), rep.base, rep.position)
+    yield "max-power-exactly-2", rep.exponent == 2, (
+        "max exponent %s, base %r at %d" % (frac(rep.exponent), rep.base, rep.position)
     )
     found = tm.prefix(window)[rep.position : rep.position + len(rep.factor)]
     yield "witness-occurs", found == rep.factor, "factor %r at %d" % (found, rep.position)

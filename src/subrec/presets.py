@@ -95,11 +95,9 @@ def get_preset(name: str) -> WordSource:
         ) from None
 
 
-def rotation_spec(name_or_cf) -> RotationSpec:
-    """RotationSpec for a preset name or a CFExpansion (must be periodic)."""
-    if isinstance(name_or_cf, CFExpansion):
-        return RotationSpec.from_cf(name_or_cf)
-    cf = PRESET_CF.get(name_or_cf)
+def rotation_spec(name: str) -> RotationSpec:
+    """RotationSpec of a preset whose expansion is periodic."""
+    cf = PRESET_CF.get(name)
     if cf is None or not cf.is_periodic:
-        raise ValueError("no exact rotation model for %r" % (name_or_cf,))
+        raise ValueError("no exact rotation model for %r" % (name,))
     return RotationSpec.from_cf(cf)

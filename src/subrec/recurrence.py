@@ -13,8 +13,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .generators import ShiftedSource, WordSource, as_source
-from .words import InsufficientWindow, factor_groups, max_power_witness, min_return_length
+from .generators import ShiftedSource, as_source
+from .words import (
+    InsufficientWindow,
+    PowerWitness,
+    factor_groups,
+    max_power_witness,
+    min_return_length,
+    return_words,
+)
 
 
 class WindowCapExceeded(RuntimeError):
@@ -23,16 +30,17 @@ class WindowCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class WindowPolicy:
+    """The first window is max(base, 50 n) symbols for depth n; each
+    round doubles it, never past cap."""
+
     base: int = 10_000
-    per_n: int = 50
     cap: int = 10_000_000
-    factor: int = 2
 
     def initial(self, n: int) -> int:
-        return min(max(self.base, self.per_n * n), self.cap)
+        return min(max(self.base, 50 * n), self.cap)
 
     def grow(self, window: int) -> int:
-        return min(window * self.factor, self.cap)
+        return min(2 * window, self.cap)
 
 
 DEFAULT_POLICY = WindowPolicy()
@@ -246,21 +254,7 @@ def lr_constant_estimate(x, max_len: int, window: int) -> LRReport:
     return LRReport(max_len, len(text), k_est, k_low, k_wit, gap_wit)
 
 
-@dataclass(frozen=True)
-class PowerReport:
-    window: int
-    max_exponent: Fraction
-    base: str
-    position: int
-
-    @property
-    def factor(self) -> str:
-        from .words import fractional_power
-
-        return fractional_power(self.base, self.max_exponent)
-
-
-def power_report(x, window: int) -> PowerReport:
+def power_report(x, window: int) -> PowerWitness:
     """Largest fractional power among factors of the window, verified."""
     if window < 16:
         raise ValueError("window must be >= 16")
@@ -269,7 +263,7 @@ def power_report(x, window: int) -> PowerReport:
     w = max_power_witness(text, cap=None)
     got = w.factor
     assert text[w.position : w.position + len(got)] == got, "witness must round-trip"
-    return PowerReport(len(text), w.exponent, w.base, w.position)
+    return w
 
 
 @dataclass(frozen=True)
@@ -282,8 +276,8 @@ class ReturnTableRow:
 
 def return_table(x, depth: int, window: int) -> list[ReturnTableRow]:
     """Return words to each prefix x[0:n], n = 1..depth, from one window."""
-    from .words import return_words
-
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     source = as_source(x)
     text = source.prefix(window)
     rows = []

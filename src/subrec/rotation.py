@@ -8,38 +8,33 @@ exact. This is the independent oracle for the symbolic computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import count, islice
 
-from .contfrac import CFExpansion, convergents, nearest_int_distance, quadratic_of_cf
-from .generators import RotationCodingSource, kappa_images
+from .contfrac import CFExpansion, quadratic_of_cf
+from .generators import kappa_images, sturmian_source
 from .quadratic import ONE, ZERO, QuadraticReal
-from .recurrence import DEFAULT_POLICY, WindowPolicy, tau_cylinder
+from .recurrence import DEFAULT_POLICY, WindowPolicy, rate_series
 
 
 @dataclass(frozen=True)
 class RotationSpec:
-    """Rotation angle plus (optionally) its continued fraction.
+    """Rotation by the angle of a periodic continued fraction.
 
-    The expansion, when present, powers the best-approximation ladder in
-    tau_length; without it the linear scan is used.
+    alpha is the exact value of cf. quadratic_of_cf refuses expansions with
+    no period or a value outside (0, 1), so alpha is an irrational angle
+    and its convergents drive tau_length.
     """
 
-    alpha: QuadraticReal
-    cf: CFExpansion | None = None
+    cf: CFExpansion
+    alpha: QuadraticReal = field(init=False)
 
     def __post_init__(self):
-        if self.alpha.is_rational:
-            raise ValueError("rotation angle must be irrational")
-        if not (ZERO < self.alpha < ONE):
-            raise ValueError("rotation angle must lie in (0, 1)")
+        object.__setattr__(self, "alpha", quadratic_of_cf(self.cf))
 
     @classmethod
     def from_cf(cls, cf: CFExpansion) -> "RotationSpec":
-        return cls(quadratic_of_cf(cf), cf)
-
-    @property
-    def description(self) -> str:
-        return str(self.cf) if self.cf is not None else str(self.alpha)
+        return cls(cf)
 
 
 @dataclass(frozen=True)
@@ -72,22 +67,29 @@ def atom_lengths(spec: RotationSpec, n: int) -> list[QuadraticReal]:
     return out
 
 
+def _atom_sweep(spec: RotationSpec, t: QuadraticReal):
+    """The atom [l, r) containing t at depths 0, 1, 2, ...
+
+    Depth n adds the single endpoint p = {-n*alpha}, which cuts the atom
+    of t only if it falls inside: l < p <= t moves l, t < p < r moves r.
+    """
+    left, right, p = ZERO, ONE, ZERO
+    for n in count():
+        yield IntervalAtom(left, right, n)
+        p = (p - spec.alpha).mod1()
+        if p <= t:
+            left = max(left, p)
+        elif p < right:
+            right = p
+
+
 def atom_of(spec: RotationSpec, t: QuadraticReal, n: int) -> IntervalAtom:
     """The depth-n atom [l, r) containing t."""
     if not isinstance(t, QuadraticReal):
         t = QuadraticReal(t)
     if not (ZERO <= t < ONE):
         raise ValueError("t must lie in [0, 1)")
-    pts = partition_points(spec, n)
-    left = ZERO
-    right = ONE
-    for p in pts:
-        if p <= t:
-            left = p
-        else:
-            right = p
-            break
-    return IntervalAtom(left, right, n)
+    return next(islice(_atom_sweep(spec, t), n, None))
 
 
 def _abs(x: QuadraticReal) -> QuadraticReal:
@@ -98,30 +100,26 @@ def tau_length(spec: RotationSpec, length: QuadraticReal) -> int:
     """min{k >= 1 : ||k*alpha|| < length}, i.e. when the shifted interval
     first overlaps itself.
 
-    With the expansion available only convergent denominators are tested
-    (no smaller k can beat the previous convergent's distance); otherwise
-    k is scanned linearly.
+    Only convergent denominators are tested, from q_0 = 1 up: the least
+    k is a best approximation of alpha, hence some q_i, and
+    |q_i*alpha - p_i| shrinks along the ladder. That is ||q_i*alpha|| except at q_0 when
+    alpha > 1/2; then a_1 = 1, and q_1 = 1 tests 1 - alpha next.
     """
     if length.sign() <= 0:
         raise ValueError("interval length must be positive")
-    if spec.cf is not None:
-        if nearest_int_distance(spec.alpha, 1) < length:
-            return 1
-        i = 1
-        p_prev, q_prev = 1, 0
-        p, q = 0, 1
-        while True:
-            a = spec.cf.coefficient(i)  # finite expansions may raise here
-            p, p_prev = a * p + p_prev, p
-            q, q_prev = a * q + q_prev, q
-            # ||q*alpha|| = |q*alpha - p| exactly
-            if _abs(spec.alpha * q - p) < length:
-                return q
-            i += 1
-    return tau_length_linear(spec, length)
+    p_prev, q_prev = 1, 0
+    p, q = 0, 1
+    for i in count(1):
+        if _abs(spec.alpha * q - p) < length:
+            return q
+        a = spec.cf.coefficient(i)
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
 
 
 def tau_length_linear(spec: RotationSpec, length: QuadraticReal) -> int:
+    """tau_length by scanning k = 1, 2, ...; the reference the ladder is
+    tested and benchmarked against, never called by the library."""
     frac = ZERO
     k = 0
     while True:
@@ -245,20 +243,13 @@ def cross_check(
     """Symbolic vs geometric recurrence times at t = 0, depths 1..depth.
 
     Symbolic side: tau of the depth-n cylinder of the coding of 0.
-    Geometric side: tau of the depth-n atom [0, min_{1<=j<=n} (-j*alpha)).
+    Geometric side: tau of the depth-n atom of 0.
     The two must agree exactly at every depth.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    source = RotationCodingSource(spec.alpha, 0, "rotation %s" % spec.description)
+    series = rate_series(sturmian_source(spec.cf, "rotation"), depth, policy)
     rows = []
-    point = ZERO
-    m = None
-    for n in range(1, depth + 1):
-        point = (point - spec.alpha).mod1()
-        if m is None or point < m:
-            m = point
-        geo = tau_length(spec, m)
-        sym = tau_cylinder(source, n, policy).tau
-        rows.append(CrossCheckRow(n, sym, geo, m, sym == geo))
-    return CrossCheckReport(spec.description, depth, rows)
+    for entry, atom in zip(series.entries, islice(_atom_sweep(spec, ZERO), 1, None)):
+        length = atom.length
+        geo = tau_length(spec, length)
+        rows.append(CrossCheckRow(entry.n, entry.tau, geo, length, entry.tau == geo))
+    return CrossCheckReport(str(spec.cf), depth, rows)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 
 
 def naive_occurrences(pattern: str, text: str) -> list[int]:
@@ -66,6 +67,45 @@ def floor_quadratic(a: int, b: int, d: int, den: int) -> int:
         # floor of the negative part; one lower unless it is an integer
         s = -s if s * s == t else -s - 1
     return (a + s) // den
+
+
+def _sign(x: Fraction, y: Fraction, d: int) -> int:
+    """Sign of x + y*sqrt(d) for rationals x, y and a non-square d > 1."""
+    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+    if sy == 0 or sx == sy:
+        return sx
+    if sx == 0:
+        return sy
+    return sx if x * x > y * y * d else sy
+
+
+def naive_atom(alpha, t, n: int):
+    """The depth-n atom [l, r) containing t, read off the sorted endpoints
+    {-j*alpha}, 0 <= j <= n.
+
+    alpha = (x, y, d) stands for x + y*sqrt(d); t and the returned l, r
+    are pairs (x, y) in the same field, with Fraction parts.
+    """
+    ax, ay, d = (Fraction(alpha[0]), Fraction(alpha[1]), alpha[2])
+
+    def frac_part(x, y):
+        den = math.lcm(x.denominator, y.denominator)
+        return x - floor_quadratic(int(x * den), int(y * den), d, den), y
+
+    def cmp(u, v):
+        return _sign(u[0] - v[0], u[1] - v[1], d)
+
+    points = sorted(
+        (frac_part(-j * ax, -j * ay) for j in range(n + 1)), key=cmp_to_key(cmp)
+    )
+    left, right = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    for p in points:
+        if cmp(p, t) <= 0:
+            left = p
+        else:
+            right = p
+            break
+    return left, right
 
 
 def beatty_coding(a: int, b: int, d: int, den: int, length: int) -> str:

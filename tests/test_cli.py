@@ -155,6 +155,8 @@ def test_verify_reports_what_the_registry_yields(suite):
         ["verify", "bounded-cf", "-N", "5", "--window-cap", "0"],
         ["rates", "--preset", "periodic01", "-N", "5", "--window-base", "0"],
         ["rates", "--preset", "periodic01", "-N", "5", "--window-cap", "-1"],
+        ["returns", "--preset", "periodic01", "-N", "0"],
+        ["returns", "--preset", "periodic01", "-N", "-3"],
     ],
 )
 def test_zero_is_refused_not_replaced_by_the_default(argv):

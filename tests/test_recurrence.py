@@ -23,7 +23,7 @@ from oracles import naive_factor_stats, naive_tau
 
 
 def test_window_policy_schedule():
-    pol = WindowPolicy(base=10_000, per_n=50, cap=1_000_000)
+    pol = WindowPolicy(base=10_000, cap=1_000_000)
     assert pol.initial(1) == 10_000
     assert pol.initial(300) == 15_000
     assert pol.initial(100_000) == 1_000_000
@@ -128,7 +128,8 @@ def test_lr_estimate_fibonacci():
 
 def test_power_report_periodic():
     rep = power_report(PeriodicSource("01"), 64)
-    assert rep.max_exponent == 32
+    assert rep.exponent == 32
+    assert rep.analyzed_length == 64
     assert rep.base == "01"
     assert rep.position == 0
     assert rep.factor == "01" * 32

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import strategies as st
 
 from subrec import (
     CFExpansion,
+    NonPeriodic,
     QuadraticReal,
     RotationSpec,
     atom_lengths,
@@ -31,6 +31,7 @@ from subrec.presets import (
     rotation_spec,
     sqrt2_kappa_steps,
 )
+from oracles import naive_atom
 
 GOLDEN = rotation_spec("fibonacci")
 SQRT2 = rotation_spec("sqrt2")
@@ -38,11 +39,13 @@ ALPHA = GOLDEN.alpha  # (sqrt(5)-1)/2
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        RotationSpec(QuadraticReal(Fraction(1, 3)))  # rational angle
-    with pytest.raises(ValueError):
-        RotationSpec(QuadraticReal(2, 1, 2))  # outside (0,1)
+    with pytest.raises(NonPeriodic):
+        RotationSpec(CFExpansion((3,)))  # finite expansion, rational angle
+    with pytest.raises(TypeError):
+        RotationSpec(SQRT2_CF, QuadraticReal(-1, 1, 2))  # alpha is derived
     spec = RotationSpec.from_cf(SQRT2_CF)
+    assert spec == RotationSpec(SQRT2_CF)
+    assert spec.cf == SQRT2_CF
     assert spec.alpha == QuadraticReal(-1, 1, 2)
 
 
@@ -60,14 +63,17 @@ def test_atom_lengths_sum_to_one_exactly():
             assert total == 1
 
 
-periodic_cfs = st.tuples(
-    st.lists(st.integers(1, 6), max_size=3),
-    st.lists(st.integers(1, 6), min_size=1, max_size=3),
-).map(lambda t: CFExpansion(tuple(t[0]), tuple(t[1])))
+def periodic_cfs(top: int = 6):
+    """Expansions with preperiod <= 3, period 1..3 and digits 1..top;
+    a_1 = 1 puts alpha above 1/2, any other first digit below it."""
+    digits = st.integers(1, top)
+    return st.tuples(
+        st.lists(digits, max_size=3), st.lists(digits, min_size=1, max_size=3)
+    ).map(lambda t: CFExpansion(tuple(t[0]), tuple(t[1])))
 
 
 @settings(max_examples=60, deadline=None)
-@given(periodic_cfs, st.integers(1, 300))
+@given(periodic_cfs(), st.integers(1, 300))
 @example(GOLDEN_CF, 143)
 @example(SQRT2_CF, 50)
 @example(SQRT2_CF, 5)
@@ -101,11 +107,54 @@ def test_tau_length_golden_frozen():
     assert tau_length(GOLDEN, gap3) == 5
 
 
-def test_tau_length_ladder_matches_linear_scan():
-    for spec in (GOLDEN, SQRT2):
-        for den in (3, 7, 50, 333, 1001, 4096):
-            length = QuadraticReal(Fraction(1, den))
-            assert tau_length(spec, length) == tau_length_linear(spec, length)
+@settings(max_examples=60, deadline=None)
+@given(periodic_cfs(9), st.integers(1, 200), st.integers(1, 2000))
+@example(GOLDEN_CF, 143, 4096)
+@example(SQRT2_CF, 50, 1001)
+def test_tau_length_ladder_matches_linear_scan(cf, n, k):
+    # atoms take at most three lengths (three-distance theorem), so the
+    # distinct ones cover every atom
+    spec = RotationSpec.from_cf(cf)
+    lengths = set(atom_lengths(spec, n)) | {QuadraticReal(Fraction(1, k))}
+    for length in lengths:
+        assert tau_length(spec, length) == tau_length_linear(spec, length)
+
+
+def _pair(x: QuadraticReal):
+    return x.a, x.b
+
+
+@st.composite
+def atom_queries(draw):
+    """(cf, t, n) with t = 0, {k alpha}, a rational, or an endpoint {-j alpha}."""
+    cf = draw(periodic_cfs())
+    alpha = quadratic_of_cf(cf)
+    n = draw(st.integers(0, 150))
+    kind = draw(st.sampled_from(["zero", "orbit", "rational", "endpoint"]))
+    if kind == "zero":
+        t = QuadraticReal(0)
+    elif kind == "orbit":
+        t = (alpha * draw(st.integers(1, 300))).mod1()
+    elif kind == "rational":
+        q = draw(st.integers(1, 1000))
+        t = QuadraticReal(Fraction(draw(st.integers(0, q - 1)), q))
+    else:
+        t = (-alpha * draw(st.integers(0, n + 5))).mod1()
+    return cf, t, n
+
+
+@settings(max_examples=80, deadline=None)
+@given(atom_queries())
+@example((SQRT2_CF, QuadraticReal(0), 0))
+@example((GOLDEN_CF, (-GOLDEN.alpha * 5).mod1(), 5))
+def test_atom_of_matches_sorted_partition(query):
+    cf, t, n = query
+    spec = RotationSpec.from_cf(cf)
+    atom = atom_of(spec, t, n)
+    alpha = (spec.alpha.a, spec.alpha.b, spec.alpha.d)
+    assert (_pair(atom.left), _pair(atom.right)) == naive_atom(alpha, _pair(t), n)
+    assert atom.left <= t < atom.right
+    assert atom.depth == n
 
 
 def test_tau_interval_nondecreasing():
@@ -190,5 +239,6 @@ def test_cross_check_row_agrees_with_tau_cylinder():
     report = cross_check(SQRT2, 30)
     assert report.ok
     src = get_preset("sqrt2-rotation")
-    for row in report.rows[:10]:
+    assert [r.n for r in report.rows] == list(range(1, 31))
+    for row in report.rows:
         assert row.tau_symbolic == tau_cylinder(src, row.n).tau
