@@ -4,6 +4,11 @@ tau of the depth-n cylinder is the length of the shortest return word to
 the length-n prefix, read off as the minimum gap between consecutive
 occurrences inside a finite window. Windows grow until the value stops
 changing; a value is only trusted once it survives one doubling.
+
+Every depth comes from one sweep over one encoded text: the occurrences of
+the depth-n prefix are those of depth n - 1 whose symbol at offset n - 1
+matches, so a single sorted position array is filtered once per depth, and
+the occurrences inside any window are a prefix of it.
 """
 
 from __future__ import annotations
@@ -17,9 +22,9 @@ from .generators import ShiftedSource, as_source
 from .words import (
     InsufficientWindow,
     PowerWitness,
+    _codes,
     factor_groups,
     max_power_witness,
-    min_return_length,
     return_words,
 )
 
@@ -58,6 +63,66 @@ class TauResult:
         return Fraction(self.tau, self.n)
 
 
+def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
+    """TauResult for each depth first..last, in order, as tau_cylinder
+    defines it.
+
+    occ holds the start positions p <= len(arr) - n of the depth-n prefix,
+    ascending, so the occurrences inside a window of w symbols are occ[:k]
+    with k = #(p <= w - n). The text grows geometrically up to the cap when
+    a window outruns it, and only the new start positions are checked.
+    """
+    target = max(last, policy.grow(policy.initial(last)))
+    arr = _codes(source.prefix(target))
+    done = len(arr) < target
+    index = np.int32 if max(target, policy.cap) < 2**31 else np.int64
+    occ = np.arange(len(arr), dtype=index)
+    for n in range(1, last + 1):
+        if len(arr) < max(n, first):
+            raise WindowCapExceeded(
+                "source %s ends after %d symbols, cylinder depth %d unreachable"
+                % (source.name, len(arr), max(n, first))
+            )
+        occ = occ[: np.searchsorted(occ, len(arr) - n, "right")]
+        occ = occ[arr[occ + (n - 1)] == arr[n - 1]]
+        if n < first:
+            continue
+        window = policy.initial(n)
+        prev: int | None = None
+        while True:
+            if window > len(arr) and not done:
+                size = min(max(window, 2 * len(arr)), policy.cap)
+                text = source.prefix(size)
+                done = len(text) < size
+                new = np.arange(len(arr) - n + 1, len(text) - n + 1, dtype=index)
+                arr = np.concatenate((arr, _codes(text[len(arr) :])))
+                for j in range(n):
+                    new = new[arr[new + j] == arr[j]]
+                occ = np.concatenate((occ, new))
+            avail = min(window, len(arr))
+            exhausted = avail < window
+            k = int(np.searchsorted(occ, avail - n, "right"))
+            if k < 2:
+                if exhausted or window >= policy.cap:
+                    raise WindowCapExceeded(
+                        "prefix of depth %d of %s recurs less than twice in a %d-window"
+                        % (n, source.name, avail)
+                    )
+            else:
+                tau = int(np.diff(occ[:k]).min())
+                if exhausted:
+                    yield TauResult(n, tau, avail, True)
+                    break
+                if tau == prev:
+                    yield TauResult(n, tau, window, True)
+                    break
+                if window >= policy.cap:
+                    yield TauResult(n, tau, window, False)
+                    break
+                prev = tau
+            window = policy.grow(window)
+
+
 def tau_cylinder(x, n: int, policy: WindowPolicy = DEFAULT_POLICY) -> TauResult:
     """Recurrence time of the depth-n cylinder of x.
 
@@ -66,35 +131,7 @@ def tau_cylinder(x, n: int, policy: WindowPolicy = DEFAULT_POLICY) -> TauResult:
     """
     if n < 1:
         raise ValueError("cylinder depth must be >= 1")
-    source = as_source(x)
-    u = source.prefix(n)
-    if len(u) < n:
-        raise WindowCapExceeded(
-            "source %s ends after %d symbols, cylinder depth %d unreachable"
-            % (source.name, len(u), n)
-        )
-    window = policy.initial(n)
-    prev: int | None = None
-    while True:
-        text = source.prefix(window)
-        exhausted = len(text) < window
-        try:
-            tau = min_return_length(u, text)
-        except InsufficientWindow:
-            if exhausted or window >= policy.cap:
-                raise WindowCapExceeded(
-                    "prefix of depth %d of %s recurs less than twice in a %d-window"
-                    % (n, source.name, len(text))
-                ) from None
-        else:
-            if exhausted:
-                return TauResult(n, tau, len(text), True)
-            if tau == prev:
-                return TauResult(n, tau, window, True)
-            if window >= policy.cap:
-                return TauResult(n, tau, window, False)
-            prev = tau
-        window = policy.grow(window)
+    return next(_tau_sweep(as_source(x), n, n, policy))
 
 
 @dataclass
@@ -154,10 +191,7 @@ def rate_series(x, depth: int, policy: WindowPolicy = DEFAULT_POLICY) -> RateSer
     if depth < 1:
         raise ValueError("depth must be >= 1")
     source = as_source(x)
-    # one extension up front rather than one per depth as windows grow
-    source.prefix(policy.initial(depth))
-    entries = [tau_cylinder(source, n, policy) for n in range(1, depth + 1)]
-    return RateSeries(source.name, depth, entries)
+    return RateSeries(source.name, depth, list(_tau_sweep(source, 1, depth, policy)))
 
 
 @dataclass(frozen=True)
@@ -179,17 +213,19 @@ def sub_invariance_check(
     if depth < 2:
         raise ValueError("need depth >= 2")
     source = as_source(x)
-    shifted = ShiftedSource(source)
+    # zip asks the right side first at each n, so errors surface in order
+    pairs = zip(
+        _tau_sweep(source, 2, depth, policy),
+        _tau_sweep(ShiftedSource(source), 1, depth - 1, policy),
+    )
     checked = skipped = 0
-    for n in range(2, depth + 1):
-        right = tau_cylinder(source, n, policy)
-        left = tau_cylinder(shifted, n - 1, policy)
+    for right, left in pairs:
         if not (left.stabilized and right.stabilized):
             skipped += 1
             continue
         checked += 1
         if left.tau > right.tau:
-            return SubInvarianceReport(False, checked, skipped, (n, left.tau, right.tau))
+            return SubInvarianceReport(False, checked, skipped, (right.n, left.tau, right.tau))
     return SubInvarianceReport(True, checked, skipped, None)
 
 

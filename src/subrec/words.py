@@ -20,6 +20,14 @@ class InsufficientWindow(ValueError):
     """The analyzed window is too short to answer the query."""
 
 
+def _codes(text: str) -> np.ndarray:
+    """Symbols of text as integers, one byte each when they fit."""
+    try:
+        return np.frombuffer(text.encode("latin-1"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+
+
 def occurrences(pattern: str, text: str) -> list[int]:
     """All start positions of pattern in text, overlaps included."""
     if not pattern:
@@ -89,7 +97,9 @@ def max_power_witness(text: str, cap: int | None = DEFAULT_POWER_CAP) -> PowerWi
     Scans every period p: the factor starting at i with period p extends to
     length p + lce(i, i+p), giving exponent (p + ext)/p. Analysis is capped
     at `cap` symbols (None disables the cap); ties prefer the smallest
-    period, then the leftmost position.
+    period, then the leftmost position. A period p allows at most n/p, so
+    the scan stops at the first p with n/p <= best: no later period can
+    beat the best strictly.
     """
     if not text:
         raise EmptyPattern("empty text")
@@ -99,9 +109,11 @@ def max_power_witness(text: str, cap: int | None = DEFAULT_POWER_CAP) -> PowerWi
     if n == 1:
         return PowerWitness(Fraction(1), text, 0, n)
 
-    arr = np.frombuffer(text.encode("latin-1"), dtype=np.uint8)
+    arr = _codes(text)
     best_num, best_den, best_pos = 1, 1, 0
     for p in range(1, n):
+        if n * best_den <= best_num * p:
+            break
         m = arr[:-p] == arr[p:]
         size = m.size
         idx = np.arange(size)

@@ -23,6 +23,44 @@ def naive_min_gap(pattern: str, text: str):
     return min(b - a for a, b in zip(occ, occ[1:]))
 
 
+class NaiveWindowError(RuntimeError):
+    """The naive window loop gave up; the text matches the library's."""
+
+
+def naive_windowed_tau(prefix, name: str, n: int, base: int, cap: int):
+    """(tau, window, stabilized) of the depth-n prefix cylinder by the
+    window schedule: first window min(max(base, 50 n), cap), doubled up to
+    cap until two windows agree or the word ends. prefix(m) returns the
+    first m symbols of the word (fewer if it ends)."""
+    u = prefix(n)
+    if len(u) < n:
+        raise NaiveWindowError(
+            "source %s ends after %d symbols, cylinder depth %d unreachable"
+            % (name, len(u), n)
+        )
+    window = min(max(base, 50 * n), cap)
+    prev = None
+    while True:
+        text = prefix(window)
+        exhausted = len(text) < window
+        tau = naive_min_gap(u, text)
+        if tau is None:
+            if exhausted or window >= cap:
+                raise NaiveWindowError(
+                    "prefix of depth %d of %s recurs less than twice in a %d-window"
+                    % (n, name, len(text))
+                )
+        elif exhausted:
+            return tau, len(text), True
+        elif tau == prev:
+            return tau, window, True
+        elif window >= cap:
+            return tau, window, False
+        else:
+            prev = tau
+        window = min(2 * window, cap)
+
+
 def naive_factor_stats(text: str, length: int) -> dict[str, tuple]:
     """{factor: (count, min gap, max gap)}, gaps None for a lone factor."""
     out = {}
@@ -55,6 +93,23 @@ def naive_max_power(text: str) -> Fraction:
                 run += 1
             if run:
                 best = max(best, Fraction(period + run, period))
+    return best
+
+
+def naive_max_power_witness(text: str) -> tuple[Fraction, str, int]:
+    """(exponent, base, position) of the largest fractional power, by the
+    same cubic scan; ties go to the smallest period, then the leftmost
+    position, and with no repetition at all to text[0] at 0."""
+    n = len(text)
+    best = (Fraction(1), text[:1], 0)
+    for period in range(1, n):
+        for i in range(n - period):
+            run = 0
+            while i + period + run < n and text[i + run] == text[i + period + run]:
+                run += 1
+            e = Fraction(period + run, period)
+            if e > best[0]:
+                best = (e, text[i : i + period], i)
     return best
 
 

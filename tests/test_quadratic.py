@@ -1,7 +1,4 @@
 import math
-import signal
-import time
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -10,6 +7,7 @@ from hypothesis import strategies as st
 
 from subrec import ONE, ZERO, CFExpansion, QuadraticReal, nearest_int_distance, quadratic_of_cf
 from subrec import quadratic
+from guards import within
 from oracles import cf_value, floor_quadratic
 
 GOLDEN = QuadraticReal(Fraction(-1, 2), Fraction(1, 2), 5)
@@ -119,23 +117,6 @@ def test_float_agrees_with_exact_comparison(pair):
     fx, fy = float(x), float(y)
     if abs(fx - fy) > 1e-9:
         assert (x < y) == (fx < fy)
-
-
-@contextmanager
-def within(seconds):
-    """Fail, rather than hang, when the block runs longer than seconds."""
-    def expire(signum, frame):
-        raise TimeoutError("still running after %s s" % seconds)
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-    assert time.perf_counter() - start < seconds
 
 
 def test_long_period_radicand_is_fast():

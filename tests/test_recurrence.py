@@ -2,11 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subrec import (
+    CFExpansion,
     FixedTextSource,
     KappaSource,
     PeriodicSource,
+    ShiftedSource,
+    StandardWordSource,
+    TauResult,
     WindowCapExceeded,
     WindowPolicy,
     lr_constant_estimate,
@@ -17,9 +23,11 @@ from subrec import (
     tau_cylinder,
     word_counts,
 )
-from subrec.presets import get_preset, golden_kappa_steps
-from subrec.recurrence import _factor_gap_extremes
-from oracles import naive_factor_stats, naive_tau
+from subrec.generators import gamma, rho
+from subrec.presets import get_preset, golden_kappa_steps, preset_names
+from subrec.recurrence import SubInvarianceReport, _factor_gap_extremes
+from guards import within
+from oracles import NaiveWindowError, naive_factor_stats, naive_tau, naive_windowed_tau
 
 
 def test_window_policy_schedule():
@@ -166,3 +174,155 @@ def test_factor_gaps_and_counts_match_oracle(length):
         got = {text[p : p + length]: (lo, hi) for lo, hi, p in rows}
         assert got == {w: (lo, hi) for w, (_, lo, hi) in want.items()}
         assert list(got) == sorted(got)
+
+
+# A word is drawn as a spec, so a failing example prints readably; build()
+# makes a fresh source from it for each side of a comparison.
+source_specs = st.one_of(
+    st.tuples(
+        st.just("periodic"),
+        # a sparse block recurs late, so windows outgrow the text read up front
+        st.text(alphabet="01", min_size=1, max_size=6)
+        | st.integers(1, 150).map(lambda k: "1" + "0" * k),
+    ),
+    # "é" is one byte in latin-1 and "€" is not, so both encodings are reached
+    st.tuples(
+        st.just("text"),
+        st.text(alphabet="01", max_size=300) | st.text(alphabet="aé€", max_size=120),
+    ),
+    st.tuples(
+        st.just("kappa"),
+        st.lists(st.tuples(st.sampled_from("rg"), st.integers(1, 3)), min_size=1, max_size=5),
+    ),
+    st.tuples(st.just("cf"), st.lists(st.integers(1, 5), min_size=1, max_size=6)),
+    st.tuples(st.just("preset"), st.sampled_from(preset_names())),
+)
+
+# small caps stop the doubling early, large ones let windows agree
+caps = st.integers(1, 400) | st.integers(400, 3000)
+
+
+def build(spec):
+    kind, arg = spec
+    if kind == "periodic":
+        return PeriodicSource(arg)
+    if kind == "text":
+        return FixedTextSource(arg)
+    if kind == "kappa":
+        return KappaSource([(rho if r == "r" else gamma)(i) for r, i in arg])
+    if kind == "cf":
+        return StandardWordSource(CFExpansion(tuple(arg)))
+    return get_preset(arg)
+
+
+def naive_taus(spec, base, cap, depth, shift=False):
+    """The naive window loop at depths 1..depth: a TauResult, or the text of
+    the error it stops with."""
+    src = build(spec)
+    if shift:
+        src = ShiftedSource(src)
+    out = []
+    for n in range(1, depth + 1):
+        try:
+            out.append(TauResult(n, *naive_windowed_tau(src.prefix, src.name, n, base, cap)))
+        except NaiveWindowError as exc:
+            out.append(str(exc))
+    return out
+
+
+def expect_series(got, want):
+    """got() returns a list of TauResults or raises WindowCapExceeded; it
+    must match want up to and including its first error."""
+    failure = next((w for w in want if isinstance(w, str)), None)
+    if failure is None:
+        assert got() == want
+    else:
+        with pytest.raises(WindowCapExceeded) as info:
+            got()
+        assert str(info.value) == failure
+
+
+# one example per branch of the window loop and of the sub-invariance check
+EXHAUSTED = (("text", "0110" * 30), 300, 2000, 10)
+UNSTABILIZED_THEN_NO_RETURN = (("preset", "fibonacci"), 64, 64, 32)
+ENDS_BEFORE_DEPTH = (("text", "000"), 5, 100, 5)
+GROWS_PAST_FIRST_READ = (("periodic", "1" + "0" * 150), 1, 3000, 3)
+# the sweep reads 100 symbols first; the closest pair starts at 100, the
+# first start position it checks after growing
+GAP_AT_FIRST_NEW_POSITION = (("text", "1" + "0" * 59 + "1" + "0" * 39 + "11" + "0" * 48), 1, 3000, 1)
+# the shifted word stabilizes at window 100 on 30; the word itself only
+# meets its gap of 5 at window 200, so the finite-window check fails
+LATE_SHORT_GAP = (("text", "01" + "0" * 28 + "01" + "0" * 88 + "01000" + "01" + "0" * 873), 1, 3000, 2)
+
+
+def test_examples_reach_every_window_branch():
+    exhausted = naive_taus(*EXHAUSTED)
+    assert all(r.stabilized and r.window == 120 for r in exhausted)
+    capped = naive_taus(*UNSTABILIZED_THEN_NO_RETURN)
+    assert not capped[0].stabilized
+    assert capped[-1] == "prefix of depth 32 of fibonacci recurs less than twice in a 64-window"
+    short = naive_taus(*ENDS_BEFORE_DEPTH)
+    assert short[2] == "prefix of depth 3 of text recurs less than twice in a 3-window"
+    assert short[3] == "source text ends after 3 symbols, cylinder depth 4 unreachable"
+    # the sweep first reads 2 * 50 * depth symbols, 300 here; the series
+    # needs 400 at depth 1, and tau_cylinder at depth 3 alone needs 600
+    sparse = naive_taus(*GROWS_PAST_FIRST_READ)
+    assert [(r.tau, r.window) for r in sparse] == [(151, 400), (151, 400), (151, 600)]
+    assert naive_taus(*GAP_AT_FIRST_NEW_POSITION) == [TauResult(1, 1, 150, True)]
+    assert naive_taus(*LATE_SHORT_GAP)[1] == TauResult(2, 5, 400, True)
+    assert naive_taus(*LATE_SHORT_GAP[:3], 1, shift=True) == [TauResult(1, 30, 100, True)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(source_specs, st.integers(1, 300), caps, st.integers(1, 16))
+@example(*EXHAUSTED)
+@example(*UNSTABILIZED_THEN_NO_RETURN)
+@example(*ENDS_BEFORE_DEPTH)
+@example(*GROWS_PAST_FIRST_READ)
+@example(*GAP_AT_FIRST_NEW_POSITION)
+def test_sweep_matches_naive_window_loop(spec, base, cap, depth):
+    policy = WindowPolicy(base, cap)
+    want = naive_taus(spec, base, cap, depth)
+    expect_series(lambda: rate_series(build(spec), depth, policy).entries, want)
+    for n, w in enumerate(want, 1):
+        expect_series(lambda: [tau_cylinder(build(spec), n, policy)], [w])
+
+
+@settings(max_examples=25, deadline=None)
+@given(source_specs, st.integers(1, 300), caps, st.integers(2, 12))
+@example(*UNSTABILIZED_THEN_NO_RETURN)
+@example(*LATE_SHORT_GAP)
+def test_sub_invariance_matches_naive_window_loop(spec, base, cap, depth):
+    right = naive_taus(spec, base, cap, depth)[1:]
+    left = naive_taus(spec, base, cap, depth - 1, shift=True)
+
+    def naive():
+        checked = skipped = 0
+        for r, lt in zip(right, left):
+            for w in (r, lt):
+                if isinstance(w, str):
+                    raise WindowCapExceeded(w)
+            if not (lt.stabilized and r.stabilized):
+                skipped += 1
+            elif lt.tau > r.tau:
+                return [SubInvarianceReport(False, checked + 1, skipped, (r.n, lt.tau, r.tau))]
+            else:
+                checked += 1
+        return [SubInvarianceReport(True, checked, skipped, None)]
+
+    try:
+        want = naive()
+    except WindowCapExceeded as exc:
+        want = [str(exc)]
+    policy = WindowPolicy(base, cap)
+    expect_series(lambda: [sub_invariance_check(build(spec), depth, policy)], want)
+
+
+def test_dense_periodic_word_finishes_fast():
+    # every position of a periodic word is an occurrence at every depth
+    with within(2):
+        rs = rate_series(PeriodicSource("01"), 1000)
+        rep = sub_invariance_check(get_preset("periodic01"), 500)
+    assert [e.tau for e in rs.entries] == [2] * 1000
+    assert all(e.stabilized for e in rs.entries)
+    assert (rep.ok, rep.checked, rep.skipped) == (True, 499, 0)

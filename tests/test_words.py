@@ -22,6 +22,7 @@ from subrec import (
 from subrec.presets import GOLDEN_CF, SQRT2_CF
 from oracles import (
     naive_max_power,
+    naive_max_power_witness,
     naive_min_gap,
     naive_occurrences,
     naive_return_words,
@@ -106,6 +107,20 @@ def test_return_words_match_oracle(pattern, text):
 @settings(max_examples=60)
 def test_max_power_matches_oracle(text):
     assert max_power_witness(text, cap=None).exponent == naive_max_power(text)
+
+
+@settings(max_examples=150)
+@given(binary1 | st.text(alphabet="abé€", min_size=1, max_size=40))
+@example("0" * 40)
+@example("01" * 20 + "0")
+@example("0110110")
+@example("a€a€a")
+def test_max_power_witness_matches_oracle(text):
+    # the early exit must keep the exponent and the tie rule: smallest
+    # period, then leftmost position
+    w = max_power_witness(text, cap=None)
+    assert (w.exponent, w.base, w.position) == naive_max_power_witness(text)
+    assert w.analyzed_length == len(text)
 
 
 @given(binary1, st.integers(min_value=1, max_value=4))
