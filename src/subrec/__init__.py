@@ -78,7 +78,6 @@ from .words import (
     PowerWitness,
     fractional_power,
     max_power_witness,
-    min_return_length,
     occurrences,
     return_words,
     word_counts,

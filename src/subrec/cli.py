@@ -370,7 +370,6 @@ CONFIG_KEYS = {
     "max_len": int,
     "seed": int,
     "out": str,
-    "suite": str,
 }
 
 

@@ -15,17 +15,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import pairwise
 
 import numpy as np
 
 from .generators import ShiftedSource, as_source
 from .words import (
+    EmptyPattern,
     InsufficientWindow,
     PowerWitness,
     _codes,
-    factor_groups,
+    factor_keys,
     max_power_witness,
-    return_words,
 )
 
 
@@ -63,6 +64,16 @@ class TauResult:
         return Fraction(self.tau, self.n)
 
 
+def _narrow(arr: np.ndarray, occ: np.ndarray, depth: int, n: int) -> np.ndarray:
+    """The starts of the depth-n prefix of arr among occ, all starts of its
+    depth-`depth` prefix: those that fit and match at offsets depth..n-1,
+    ascending. The one prefix filter of _tau_sweep and return_table."""
+    occ = occ[: np.searchsorted(occ, len(arr) - n, "right")]
+    for j in range(depth, n):
+        occ = occ[arr[occ + j] == arr[j]]
+    return occ
+
+
 def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
     """TauResult for each depth first..last, in order, as tau_cylinder
     defines it.
@@ -83,8 +94,7 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
                 "source %s ends after %d symbols, cylinder depth %d unreachable"
                 % (source.name, len(arr), max(n, first))
             )
-        occ = occ[: np.searchsorted(occ, len(arr) - n, "right")]
-        occ = occ[arr[occ + (n - 1)] == arr[n - 1]]
+        occ = _narrow(arr, occ, n - 1, n)
         if n < first:
             continue
         window = policy.initial(n)
@@ -94,11 +104,9 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
                 size = min(max(window, 2 * len(arr)), policy.cap)
                 text = source.prefix(size)
                 done = len(text) < size
-                new = np.arange(len(arr) - n + 1, len(text) - n + 1, dtype=index)
+                new = np.arange(len(arr) - n + 1, len(text), dtype=index)
                 arr = np.concatenate((arr, _codes(text[len(arr) :])))
-                for j in range(n):
-                    new = new[arr[new + j] == arr[j]]
-                occ = np.concatenate((occ, new))
+                occ = np.concatenate((occ, _narrow(arr, new, 0, n)))
             avail = min(window, len(arr))
             exhausted = avail < window
             k = int(np.searchsorted(occ, avail - n, "right"))
@@ -239,20 +247,31 @@ class LRReport:
     gap_witness: str           # factor achieving k_lower_gap
 
 
-def _factor_gap_extremes(text: str, length: int):
-    """Per distinct length-`length` factor, in factor_groups order:
-    (min gap, max gap, first position); gaps are None for a factor
-    occurring once."""
-    order, bounds = factor_groups(text, length)
-    out = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        first = int(order[lo])
-        if hi - lo < 2:
-            out.append((None, None, first))
-        else:
-            gaps = np.diff(order[lo:hi])
-            out.append((int(gaps.min()), int(gaps.max()), first))
-    return out
+def _gap_extremes(text: str, length: int, keys: np.ndarray):
+    """(greatest gap / length, its factor, least gap / length, its factor)
+    over the gaps between consecutive starts of one length-`length` factor,
+    with keys from factor_keys; the lexicographically first factor wins a
+    tie. A function of its own, so each level's arrays die with it."""
+    order = np.argsort(keys, kind="stable")
+    head = np.r_[True, np.diff(keys[order]) != 0, True]  # a factor starts here
+    lone = head[:-1] & head[1:]
+    if lone.any():
+        pos = order[np.argmax(lone)]  # the first factor seen once
+        raise InsufficientWindow(
+            "factor %r occurs only once in a %d-window; enlarge it"
+            % (text[pos : pos + length], len(text))
+        )
+    between = head[1:-1]  # gaps between two factors never win
+    gaps = np.diff(order)
+    gaps[between] = 0
+    g = int(np.argmax(gaps))
+    most = int(gaps[g])
+    gaps[between] = len(text)
+    h = int(np.argmin(gaps))
+    return (
+        Fraction(most, length), text[order[g] : order[g] + length],
+        Fraction(int(gaps[h]), length), text[order[h] : order[h] + length],
+    )
 
 
 def lr_constant_estimate(x, max_len: int, window: int) -> LRReport:
@@ -264,29 +283,20 @@ def lr_constant_estimate(x, max_len: int, window: int) -> LRReport:
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    source = as_source(x)
-    text = source.prefix(window)
+    text = as_source(x).prefix(window)
     if len(text) <= max_len:
         raise InsufficientWindow(
             "window of %d symbols cannot host factors of length %d"
             % (len(text), max_len)
         )
-    k_est = None
-    k_low = None
+    k_est = k_low = None
     k_wit = gap_wit = ""
-    for length in range(1, max_len + 1):
-        for min_gap, max_gap, pos in _factor_gap_extremes(text, length):
-            if min_gap is None:
-                raise InsufficientWindow(
-                    "factor %r occurs only once in a %d-window; enlarge it"
-                    % (text[pos : pos + length], len(text))
-                )
-            hi = Fraction(max_gap, length)
-            lo = Fraction(min_gap, length)
-            if k_est is None or hi > k_est:
-                k_est, k_wit = hi, text[pos : pos + length]
-            if k_low is None or lo < k_low:
-                k_low, gap_wit = lo, text[pos : pos + length]
+    for length, keys in enumerate(factor_keys(text, max_len), 1):
+        top, top_wit, low, low_wit = _gap_extremes(text, length, keys)
+        if k_est is None or top > k_est:
+            k_est, k_wit = top, top_wit
+        if k_low is None or low < k_low:
+            k_low, gap_wit = low, low_wit
     return LRReport(max_len, len(text), k_est, k_low, k_wit, gap_wit)
 
 
@@ -294,11 +304,10 @@ def power_report(x, window: int) -> PowerWitness:
     """Largest fractional power among factors of the window, verified."""
     if window < 16:
         raise ValueError("window must be >= 16")
-    source = as_source(x)
-    text = source.prefix(window)
+    text = as_source(x).prefix(window)
     w = max_power_witness(text, cap=None)
-    got = w.factor
-    assert text[w.position : w.position + len(got)] == got, "witness must round-trip"
+    if text[w.position : w.position + len(w.factor)] != w.factor:
+        raise RuntimeError("power witness %r at %d is not in the window" % (w.factor, w.position))
     return w
 
 
@@ -314,11 +323,17 @@ def return_table(x, depth: int, window: int) -> list[ReturnTableRow]:
     """Return words to each prefix x[0:n], n = 1..depth, from one window."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    source = as_source(x)
-    text = source.prefix(window)
+    text = as_source(x).prefix(window)
+    if not text:
+        raise EmptyPattern("empty pattern")
+    arr, occ = _codes(text), np.arange(len(text))
     rows = []
     for n in range(1, depth + 1):
-        u = text[:n]
-        ws = sorted(return_words(u, text), key=lambda w: (len(w), w))
-        rows.append(ReturnTableRow(n, u, len(ws[0]), tuple(ws)))
+        occ = _narrow(arr, occ, n - 1, n)
+        if len(occ) < 2:
+            raise InsufficientWindow(
+                "need at least 2 occurrences of %r, found %d" % (text[:n], len(occ))
+            )
+        ws = sorted({text[p:q] for p, q in pairwise(occ.tolist())}, key=lambda w: (len(w), w))
+        rows.append(ReturnTableRow(n, text[:n], len(ws[0]), tuple(ws)))
     return rows

@@ -1,4 +1,4 @@
-"""Finite-word primitives: occurrences, return words, fractional powers.
+"""Finite-word primitives: occurrences, return words, powers, factor keys.
 
 Words are plain strings. Occurrence counting includes overlaps throughout,
 exponents and length ratios are exact fractions.
@@ -52,16 +52,6 @@ def return_words(u: str, text: str) -> set[str]:
             "need at least 2 occurrences of %r, found %d" % (u, len(occ))
         )
     return {text[p:q] for p, q in zip(occ, occ[1:])}
-
-
-def min_return_length(u: str, text: str) -> int:
-    """Length of the shortest return word of u seen in text."""
-    occ = occurrences(u, text)
-    if len(occ) < 2:
-        raise InsufficientWindow(
-            "need at least 2 occurrences of %r, found %d" % (u, len(occ))
-        )
-    return min(q - p for p, q in zip(occ, occ[1:]))
 
 
 def fractional_power(u: str, exponent) -> str:
@@ -129,32 +119,29 @@ def max_power_witness(text: str, cap: int | None = DEFAULT_POWER_CAP) -> PowerWi
     return PowerWitness(g, text[best_pos : best_pos + best_den], best_pos, n)
 
 
-def factor_groups(text: str, length: int) -> tuple[np.ndarray, list[int]]:
-    """Start positions of the length-`length` factors of text, grouped.
+def factor_keys(text: str, max_len: int):
+    """Integer keys of the factors of nonempty text, one array per length
+    1..min(max_len, len(text)); the length-1 array comes first in any case.
 
-    Returns (order, bounds): the i-th distinct factor starts at each of
-    order[bounds[i]:bounds[i + 1]], ascending, and groups come in
-    lexicographic order. Over k symbols, factors are packed into int64
-    codes while k**length < 2**62; longer factors are keyed by their rank
-    among the sorted distinct factors. Needs 1 <= length <= len(text).
+    keys[i] stands for text[i:i + length]: equal factors get equal keys, and
+    key order is lexicographic order. Symbols are ranked once; a length-(L+1)
+    key is the length-L key times the alphabet size plus the rank of the
+    next symbol. When that step could pass 2**62, the keys are first
+    replaced by their dense ranks.
     """
-    m = len(text) - length + 1
-    symbols = sorted(set(text))
-    k = len(symbols)
-    if k**length < 2**62:
-        points = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-        arr = np.searchsorted(np.array([ord(c) for c in symbols]), points).astype(np.int64)
-        keys = arr[:m].copy()
-        for j in range(1, length):
-            keys *= k
-            keys += arr[j : j + m]
-    else:
-        factors = [text[i : i + length] for i in range(m)]
-        rank = {w: r for r, w in enumerate(sorted(set(factors)))}
-        keys = np.array([rank[w] for w in factors], dtype=np.int64)
-    order = np.argsort(keys, kind="stable")
-    sk = keys[order]
-    return order, [0] + (np.flatnonzero(sk[1:] != sk[:-1]) + 1).tolist() + [m]
+    codes = _codes(text)
+    rank = np.cumsum(np.bincount(codes) > 0) - 1  # symbol code -> rank
+    k = bound = int(rank[-1]) + 1  # every key is below bound
+    sym = rank.astype(np.min_scalar_type(k - 1))[codes]  # small ints, kept
+    keys = sym.astype(np.int64)
+    yield keys
+    for length in range(2, min(max_len, len(text)) + 1):
+        if bound * k > 2**62:
+            distinct, keys = np.unique(keys, return_inverse=True)
+            bound = len(distinct)
+        keys, bound = keys[:-1] * k, bound * k
+        keys += sym[length - 1 :]
+        yield keys
 
 
 def word_counts(text: str, length: int) -> dict[str, int]:
@@ -163,8 +150,7 @@ def word_counts(text: str, length: int) -> dict[str, int]:
         raise ValueError("length must be >= 1")
     if len(text) < length:
         return {}
-    order, bounds = factor_groups(text, length)
-    return {
-        text[order[lo] : order[lo] + length]: hi - lo
-        for lo, hi in zip(bounds, bounds[1:])
-    }
+    for keys in factor_keys(text, length):
+        pass  # the last level is the one asked for
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    return {text[p : p + length]: c for p, c in zip(first.tolist(), counts.tolist())}

@@ -193,6 +193,31 @@ def test_verify_refuses_a_config_value_its_suite_does_not_take(tmp_path):
     assert r.returncode == 0
 
 
+def test_config_cannot_pick_the_suite(tmp_path):
+    # the suite is a positional argument, so a config value could never set it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite=bounded-cf\n")
+    r = run_cli("--config", str(cfg), "verify", "kappa-ratio")
+    assert r.returncode == 1
+    assert r.stderr == "subrec: config: %s:1: unknown key 'suite'\n" % cfg
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--preset", "fibonacci", "--window", "0"], "empty pattern"),
+        # a window shorter than the depth ends at the first lone prefix
+        (["--preset", "periodic01", "--window", "2"], "need at least 2 occurrences of '0', found 1"),
+        (["--preset", "fibonacci", "--window", "5", "-N", "3"], "need at least 2 occurrences of '010', found 1"),
+    ],
+)
+def test_returns_errors(argv, message):
+    r = run_cli("returns", *argv)
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == "subrec: error: %s\n" % message
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# defaults\npreset=periodic01\nlength=10\n")

@@ -1,6 +1,8 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private name a module defines is used somewhere in the package.
 
-The package __init__ is left out: it imports names to re-export them.
+The package __init__ is left out of the import check: it imports names to
+re-export them.
 """
 
 import ast
@@ -10,6 +12,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "subrec"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,3 +46,60 @@ def test_the_check_sees_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def defined_names(node) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def referenced_names(tree, skip=None) -> set[str]:
+    """Names read, attributes taken and names imported in tree, outside the
+    subtree skip."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level `_name`s (not dunders) that no module references outside
+    the statement defining them."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            for name in defined_names(node):
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                if not any(
+                    name in referenced_names(t, skip=node if m == module else None)
+                    for m, t in trees.items()
+                ):
+                    dead.append("%s.%s (line %d)" % (module, name, node.lineno))
+    return dead
+
+
+def test_the_check_sees_a_dead_private_name():
+    sources = {
+        "a": "_LIMIT = 3\n_seen = 0\n\ndef _rec(n):\n    return _rec(n - 1)\n\nprint(_seen)\n",
+        "b": "from .a import _shared\n",
+    }
+    sources["a"] += "def _shared():\n    pass\n"
+    assert dead_private_names(sources) == ["a._LIMIT (line 1)", "a._rec (line 4)"]
+
+
+def test_no_dead_private_name():
+    assert dead_private_names({p.stem: p.read_text() for p in PACKAGE}) == []

@@ -10,6 +10,7 @@ from subrec import (
     FixedTextSource,
     KappaSource,
     PeriodicSource,
+    ReturnTableRow,
     ShiftedSource,
     StandardWordSource,
     TauResult,
@@ -25,9 +26,22 @@ from subrec import (
 )
 from subrec.generators import gamma, rho
 from subrec.presets import get_preset, golden_kappa_steps, preset_names
-from subrec.recurrence import SubInvarianceReport, _factor_gap_extremes
+from subrec.recurrence import SubInvarianceReport
+from subrec.words import (
+    EmptyPattern,
+    InsufficientWindow,
+    PowerWitness,
+    factor_keys,
+)
 from guards import within
-from oracles import NaiveWindowError, naive_factor_stats, naive_tau, naive_windowed_tau
+from oracles import (
+    NaiveWindowError,
+    naive_factor_stats,
+    naive_occurrences,
+    naive_return_words,
+    naive_tau,
+    naive_windowed_tau,
+)
 
 
 def test_window_policy_schedule():
@@ -152,12 +166,40 @@ def test_return_table_fibonacci():
     assert rows[2].words == ("01011", "01011011")
     for r in rows:
         assert r.tau == len(r.words[0])
+    with pytest.raises(EmptyPattern):
+        return_table(get_preset("fibonacci"), 3, 0)
+
+
+def factor_gap_rows(text, length):
+    """(min gap, max gap, first position) per distinct key of the
+    length-`length` factors, in key order; gaps are None for a key met once."""
+    for keys in factor_keys(text, length):
+        pass
+    starts = {}
+    for i, key in enumerate(keys.tolist()):
+        starts.setdefault(key, []).append(i)
+    rows = []
+    for key in sorted(starts):
+        occ = starts[key]
+        gaps = [b - a for a, b in zip(occ, occ[1:])]
+        rows.append((min(gaps, default=None), max(gaps, default=None), occ[0]))
+    return rows
+
+
+def check_factor_stats(text, length):
+    want = naive_factor_stats(text, length)
+    assert word_counts(text, length) == {w: c for w, (c, _, _) in want.items()}
+    rows = factor_gap_rows(text, length)
+    assert len(rows) == len(want)
+    got = {text[p : p + length]: (lo, hi) for lo, hi, p in rows}
+    assert got == {w: (lo, hi) for w, (_, lo, hi) in want.items()}
+    assert list(got) == sorted(got)
 
 
 @pytest.mark.parametrize("length", [61, 62, 63, 64, 65])
 def test_factor_gaps_and_counts_match_oracle(length):
-    # binary codes of length 61 pack into int64; from 62 on factors are
-    # ranked by string, and groups come in lexicographic order either way
+    # binary keys are packed up to length 62; from 63 on they grow from
+    # dense ranks, and groups come in lexicographic order either way
     rng = random.Random(length)
     texts = [
         get_preset("fibonacci").prefix(400),
@@ -167,13 +209,125 @@ def test_factor_gaps_and_counts_match_oracle(length):
         "".join(rng.choice("01") for _ in range(200)),
     ]
     for text in texts:
-        want = naive_factor_stats(text, length)
-        assert word_counts(text, length) == {w: c for w, (c, _, _) in want.items()}
-        rows = _factor_gap_extremes(text, length)
-        assert len(rows) == len(want)
-        got = {text[p : p + length]: (lo, hi) for lo, hi, p in rows}
-        assert got == {w: (lo, hi) for w, (_, lo, hi) in want.items()}
-        assert list(got) == sorted(got)
+        check_factor_stats(text, length)
+
+
+# largest length whose keys fit without a re-rank, per alphabet size
+PACKING_LIMIT = {1: 300, 2: 62, 3: 39, 4: 31}
+
+
+@pytest.mark.parametrize("alphabet", ["x", "01", "a\u00e9\u20ac", "0\u0434\u20ac\U0001d11e"])
+def test_factor_keys_across_re_ranks_match_oracle(alphabet):
+    # a mutated periodic text keeps long factors repeating, so groups past
+    # the third re-rank still hold more than one start
+    limit = PACKING_LIMIT[len(alphabet)]
+    rng = random.Random(alphabet)
+    block = "".join(rng.choice(alphabet) for _ in range(23))
+    text = list(block * (3 * min(limit, 100) // len(block) + 3))
+    for i in rng.sample(range(len(text)), 4):
+        text[i] = rng.choice(alphabet)
+    text = "".join(text)
+    lengths = {1, 2, limit - 1, limit, limit + 1, 2 * limit, 3 * limit}
+    for length in sorted(n for n in lengths if n <= len(text)):
+        check_factor_stats(text, length)
+    rows = list(factor_keys(text, len(text)))
+    assert [len(keys) for keys in rows] == list(range(len(text), 0, -1))
+
+
+def test_factor_keys_on_a_wide_alphabet():
+    # 300 symbols: ranks need two bytes, and keys re-rank from length 8 on
+    block = [chr(0x100 + i) for i in range(300)]
+    random.Random(300).shuffle(block)
+    text = "".join(block) * 2 + "".join(block[:50])
+    for length in (1, 2, 7, 8, 9):
+        check_factor_stats(text, length)
+
+
+def naive_lr(text, max_len):
+    """(K, min gap ratio, K witness, gap witness) over lengths 1..max_len;
+    the shortest length, then the lexicographically first factor, wins a
+    tie. The error text instead if some factor occurs once."""
+    k_est = k_low = None
+    for length in range(1, max_len + 1):
+        stats = naive_factor_stats(text, length)
+        for w in sorted(stats):
+            count, lo, hi = stats[w]
+            if count < 2:
+                return "factor %r occurs only once in a %d-window; enlarge it" % (w, len(text))
+            if k_est is None or Fraction(hi, length) > k_est[0]:
+                k_est = (Fraction(hi, length), w)
+            if k_low is None or Fraction(lo, length) < k_low[0]:
+                k_low = (Fraction(lo, length), w)
+    return k_est[0], k_low[0], k_est[1], k_low[1]
+
+
+# a periodic text has every short factor recur; a free one mostly does not
+lr_texts = st.one_of(
+    st.text(alphabet="01", min_size=2, max_size=40),
+    st.text(alphabet="a\u00e9\u20ac", min_size=2, max_size=30),
+    st.one_of(
+        st.text(alphabet="01", min_size=1, max_size=8),
+        st.text(alphabet="a\u00e9\u20ac", min_size=1, max_size=5),
+    ).map(lambda block: block * (60 // len(block)) + block[:1]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lr_texts, st.integers(1, 12))
+@example("aaccbb", 1)  # the gap from the last a to the first b is no return
+@example("0100101", 3)  # "00" occurs once
+@example("bb" + "ab" * 3 + "aa", 2)  # "bb" and "aa" occur once; "aa" is named
+@example("001011" * 10 + "0", 2)  # K is 3 at lengths 1 and 2; length 1 wins
+@example("001" * 20 + "0", 3)  # the least ratio is 1 at lengths 1 and 3; 1 wins
+# binary keys of length 63 and more grow from dense ranks
+@example(get_preset("fibonacci").prefix(300), 65)
+@example(get_preset("thue-morse").prefix(600), 65)
+def test_lr_estimate_matches_oracle(text, max_len):
+    if len(text) <= max_len:
+        return
+    want = naive_lr(text, max_len)
+    if isinstance(want, str):
+        with pytest.raises(InsufficientWindow) as info:
+            lr_constant_estimate(text, max_len, len(text))
+        assert str(info.value) == want
+    else:
+        rep = lr_constant_estimate(text, max_len, len(text))
+        assert (rep.k_estimate, rep.k_lower_gap, rep.k_witness, rep.gap_witness) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.text(alphabet="01", min_size=1, max_size=80)
+    | st.text(alphabet="a\u00e9\u20ac", min_size=1, max_size=40),
+    st.integers(1, 12),
+)
+def test_return_table_matches_oracle_at_every_depth(text, depth):
+    rows = []
+    for n in range(1, depth + 1):
+        words = sorted(naive_return_words(text[:n], text), key=lambda w: (len(w), w))
+        if not words:
+            break
+        rows.append((n, text[:n], len(words[0]), tuple(words)))
+    if len(rows) == depth:
+        assert return_table(text, depth, len(text)) == [ReturnTableRow(*r) for r in rows]
+        return
+    n = len(rows) + 1
+    with pytest.raises(InsufficientWindow) as info:
+        return_table(text, depth, len(text))
+    found = len(naive_occurrences(text[:n], text))
+    assert str(info.value) == "need at least 2 occurrences of %r, found %d" % (text[:n], found)
+
+
+def test_power_report_refuses_a_witness_outside_the_window(monkeypatch):
+    import subrec.recurrence as recurrence
+
+    monkeypatch.setattr(
+        recurrence,
+        "max_power_witness",
+        lambda text, cap: PowerWitness(Fraction(2), "11", 0, len(text)),
+    )
+    with pytest.raises(RuntimeError, match="not in the window"):
+        power_report(PeriodicSource("01"), 64)
 
 
 # A word is drawn as a spec, so a failing example prints readably; build()

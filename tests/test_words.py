@@ -13,9 +13,9 @@ from subrec import (
     StandardWordSource,
     fractional_power,
     max_power_witness,
-    min_return_length,
     occurrences,
     return_words,
+    tau_cylinder,
     thue_morse,
     word_counts,
 )
@@ -45,17 +45,14 @@ def test_occurrences_frozen():
 def test_return_words_frozen():
     assert return_words("0", "00100") == {"0", "01"}
     assert return_words("01", "0101101") == {"01", "011"}
-    assert min_return_length("0", "00100") == 1
     with pytest.raises(InsufficientWindow):
         return_words("0010010", "00100100")  # single occurrence
-    with pytest.raises(InsufficientWindow):
-        min_return_length("111", "0101")
 
 
 def test_thue_morse_prefix_gaps():
     # "01" occurs in TM at gaps never below 2
-    assert min_return_length("01", TM256) == 2
-    assert min_return_length("0110", TM256) == 4
+    assert tau_cylinder(TM256, 2).tau == naive_min_gap("01", TM256) == 2
+    assert tau_cylinder(TM256, 4).tau == naive_min_gap("0110", TM256) == 4
 
 
 def test_fractional_power_frozen():
@@ -100,7 +97,6 @@ def test_return_words_match_oracle(pattern, text):
     if len(naive_occurrences(pattern, text)) < 2:
         return
     assert return_words(pattern, text) == naive_return_words(pattern, text)
-    assert min_return_length(pattern, text) == naive_min_gap(pattern, text)
 
 
 @given(binary1)
