@@ -100,17 +100,23 @@ class Convergent:
         return Fraction(self.p, self.q)
 
 
-def convergents(cf: CFExpansion, n: int) -> list[Convergent]:
-    """The first n convergents p_i/q_i of [0; a1, a2, ...]."""
-    out = []
-    p_prev, q_prev = 1, 0   # p_0/q_0 for integer part 0 is 0/1
-    p, q = 0, 1
-    for i in range(1, n + 1):
+def ladder(cf: CFExpansion):
+    """Convergents (p_i, q_i) of [0; a1, a2, ...] for i = 0, 1, 2, ...,
+    from p_0/q_0 = 0/1 by p_i = a_i p_{i-1} + p_{i-2} (likewise q_i).
+    a_i is read only when (p_i, q_i) is asked for, so a finite expansion
+    raises InsufficientCoefficients one step past its last convergent."""
+    p_prev, q_prev, p, q = 1, 0, 0, 1
+    for i in itertools.count(1):
+        yield p, q
         a = cf.coefficient(i)
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
-        out.append(Convergent(i, p, q))
-    return out
+
+
+def convergents(cf: CFExpansion, n: int) -> list[Convergent]:
+    """The first n convergents p_i/q_i of [0; a1, a2, ...]."""
+    rungs = itertools.islice(ladder(cf), 1, None)
+    return [Convergent(i, p, q) for i, (p, q) in zip(range(1, n + 1), rungs)]
 
 
 def _mobius(coeffs) -> tuple[int, int, int, int]:

@@ -124,6 +124,8 @@ class QuadraticReal:
     __slots__ = ("_v",)  # (p, q, r, d): the value (p + q*sqrt(d)) / r
 
     def __init__(self, a, b=0, d=0):
+        if any(isinstance(x, float) for x in (a, b, d)):
+            raise TypeError("QuadraticReal takes exact numbers, not floats")
         a, b, d = Fraction(a), Fraction(b), int(d)
         if d < 0:
             raise ValueError("radicand must be nonnegative")
@@ -204,7 +206,7 @@ class QuadraticReal:
     def __rtruediv__(self, other):
         o = _operand(other)
         if o is None:
-            return QuadraticReal(other) / self
+            return NotImplemented
         return _div(o, self._v)
 
     def sign(self) -> int:

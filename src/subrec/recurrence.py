@@ -305,7 +305,7 @@ def power_report(x, window: int) -> PowerWitness:
     if window < 16:
         raise ValueError("window must be >= 16")
     text = as_source(x).prefix(window)
-    w = max_power_witness(text, cap=None)
+    w = max_power_witness(text)
     if text[w.position : w.position + len(w.factor)] != w.factor:
         raise RuntimeError("power witness %r at %d is not in the window" % (w.factor, w.position))
     return w

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import count, islice
 
-from .contfrac import CFExpansion, quadratic_of_cf
-from .generators import kappa_images, sturmian_source
+from .contfrac import CFExpansion, ladder, quadratic_of_cf
+from .generators import SequenceTooShort, kappa_images, sturmian_source
 from .quadratic import ONE, ZERO, QuadraticReal
 from .recurrence import DEFAULT_POLICY, WindowPolicy, rate_series
 
@@ -50,6 +50,8 @@ class IntervalAtom:
 
 def partition_points(spec: RotationSpec, n: int) -> list[QuadraticReal]:
     """Endpoints (-j*alpha) mod 1 for 0 <= j <= n, sorted ascending."""
+    if n < 0:
+        raise ValueError("depth must be >= 0")
     pts = []
     t = ZERO
     for _ in range(n + 1):
@@ -89,6 +91,8 @@ def atom_of(spec: RotationSpec, t: QuadraticReal, n: int) -> IntervalAtom:
         t = QuadraticReal(t)
     if not (ZERO <= t < ONE):
         raise ValueError("t must lie in [0, 1)")
+    if n < 0:
+        raise ValueError("depth must be >= 0")
     return next(islice(_atom_sweep(spec, t), n, None))
 
 
@@ -107,14 +111,9 @@ def tau_length(spec: RotationSpec, length: QuadraticReal) -> int:
     """
     if length.sign() <= 0:
         raise ValueError("interval length must be positive")
-    p_prev, q_prev = 1, 0
-    p, q = 0, 1
-    for i in count(1):
+    for p, q in ladder(spec.cf):
         if _abs(spec.alpha * q - p) < length:
             return q
-        a = spec.cf.coefficient(i)
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
 
 
 def tau_length_linear(spec: RotationSpec, length: QuadraticReal) -> int:
@@ -131,53 +130,34 @@ def tau_length_linear(spec: RotationSpec, length: QuadraticReal) -> int:
 
 # ------------------------------------------------------------------ measures
 
-def _segments_intersect(segs, lo, hi):
-    out = []
-    for a, b in segs:
-        l = a if a > lo else lo
-        r = b if b < hi else hi
-        if l < r:
-            out.append((l, r))
-    return out
+def cylinder_interval(spec: RotationSpec, word: str) -> IntervalAtom | None:
+    """The set {t : the coding of t starts with word}: the depth-len(word)
+    atom with that coding, or None when word is not a factor.
 
-
-def cylinder_interval(spec: RotationSpec, word: str) -> list[tuple[QuadraticReal, QuadraticReal]]:
-    """The set {t : the coding of t starts with word}, as disjoint segments.
-
-    Mathematically one arc; it may come back in two pieces when it wraps 0.
+    Symbol j of t is 1 on the arc [c, c + alpha) with c = {-(j+1)*alpha};
+    its other end {-j*alpha} is already a cut, so only c can split the
+    atom: if l < c < r, symbol 0 keeps [l, c) and symbol 1 keeps [c, r);
+    otherwise every point of [l, r) has the symbol of l.
     """
-    boundary = ONE - spec.alpha
-    segs = [(ZERO, ONE)]
-    shift = ZERO  # (-j*alpha) mod 1
+    left, right, c = ZERO, ONE, ZERO
     for sym in word:
-        if sym == "0":
-            lo, hi = ZERO, boundary
-        elif sym == "1":
-            lo, hi = boundary, ONE
-        else:
+        if sym != "0" and sym != "1":
             raise ValueError("symbols must be 0 or 1, got %r" % sym)
-        # preimage of [lo, hi) under t -> t + j*alpha is [lo, hi) + shift
-        a = (lo + shift).mod1()
-        b = a + (hi - lo)
-        if b <= ONE:
-            pre = [(a, b)]
-        else:
-            pre = [(a, ONE), (ZERO, b - ONE)]
-        segs = [
-            s for lo2, hi2 in pre for s in _segments_intersect(segs, lo2, hi2)
-        ]
-        if not segs:
-            return []
-        shift = (shift - spec.alpha).mod1()
-    return segs
+        c = (c - spec.alpha).mod1()
+        if left < c < right:
+            if sym == "0":
+                right = c
+            else:
+                left = c
+        elif ((left - c).mod1() < spec.alpha) != (sym == "1"):
+            return None
+    return IntervalAtom(left, right, len(word))
 
 
 def cylinder_measure(spec: RotationSpec, word: str) -> QuadraticReal:
     """Exact measure of the cylinder of word; 0 when word is not a factor."""
-    total = ZERO
-    for a, b in cylinder_interval(spec, word):
-        total = total + (b - a)
-    return total
+    atom = cylinder_interval(spec, word)
+    return ZERO if atom is None else atom.length
 
 
 def mu_tower_values(spec: RotationSpec, steps):
@@ -190,7 +170,10 @@ def mu_tower_values(spec: RotationSpec, steps):
     tile the space by Kac's theorem). Returns (value_0, value_1) with
     value_a = |image_a| * measure(aligned cylinder of a).
     """
-    v, u = kappa_images(list(steps))
+    steps = list(steps)
+    if not steps:
+        raise SequenceTooShort("empty composition")
+    v, u = kappa_images(steps)
     return len(v) * cylinder_measure(spec, v + u), len(u) * cylinder_measure(spec, u + u)
 
 

@@ -78,23 +78,17 @@ class PowerWitness:
         return fractional_power(self.base, self.exponent)
 
 
-DEFAULT_POWER_CAP = 4096
-
-
-def max_power_witness(text: str, cap: int | None = DEFAULT_POWER_CAP) -> PowerWitness:
+def max_power_witness(text: str) -> PowerWitness:
     """Largest fractional power among factors of text, with a witness.
 
     Scans every period p: the factor starting at i with period p extends to
-    length p + lce(i, i+p), giving exponent (p + ext)/p. Analysis is capped
-    at `cap` symbols (None disables the cap); ties prefer the smallest
-    period, then the leftmost position. A period p allows at most n/p, so
-    the scan stops at the first p with n/p <= best: no later period can
-    beat the best strictly.
+    length p + lce(i, i+p), giving exponent (p + ext)/p. Ties prefer the
+    smallest period, then the leftmost position. A period p allows at most
+    n/p, so the scan stops at the first p with n/p <= best: no later period
+    can beat the best strictly.
     """
     if not text:
         raise EmptyPattern("empty text")
-    if cap is not None and len(text) > cap:
-        text = text[:cap]
     n = len(text)
     if n == 1:
         return PowerWitness(Fraction(1), text, 0, n)

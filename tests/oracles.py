@@ -134,6 +134,25 @@ def _sign(x: Fraction, y: Fraction, d: int) -> int:
     return sx if x * x > y * y * d else sy
 
 
+def _floor_pair(x: Fraction, y: Fraction, d: int) -> int:
+    """floor(x + y*sqrt(d)) for rationals x, y."""
+    den = math.lcm(x.denominator, y.denominator)
+    return floor_quadratic(int(x * den), int(y * den), d, den)
+
+
+def _sorted_endpoints(ax: Fraction, ay: Fraction, d: int, n: int):
+    """The points {-j*alpha}, 0 <= j <= n, as pairs (x, y), sorted, and
+    the comparison they were sorted by."""
+
+    def cmp(u, v):
+        return _sign(u[0] - v[0], u[1] - v[1], d)
+
+    points = [
+        (-j * ax - _floor_pair(-j * ax, -j * ay, d), -j * ay) for j in range(n + 1)
+    ]
+    return sorted(points, key=cmp_to_key(cmp)), cmp
+
+
 def naive_atom(alpha, t, n: int):
     """The depth-n atom [l, r) containing t, read off the sorted endpoints
     {-j*alpha}, 0 <= j <= n.
@@ -141,18 +160,7 @@ def naive_atom(alpha, t, n: int):
     alpha = (x, y, d) stands for x + y*sqrt(d); t and the returned l, r
     are pairs (x, y) in the same field, with Fraction parts.
     """
-    ax, ay, d = (Fraction(alpha[0]), Fraction(alpha[1]), alpha[2])
-
-    def frac_part(x, y):
-        den = math.lcm(x.denominator, y.denominator)
-        return x - floor_quadratic(int(x * den), int(y * den), d, den), y
-
-    def cmp(u, v):
-        return _sign(u[0] - v[0], u[1] - v[1], d)
-
-    points = sorted(
-        (frac_part(-j * ax, -j * ay) for j in range(n + 1)), key=cmp_to_key(cmp)
-    )
+    points, cmp = _sorted_endpoints(Fraction(alpha[0]), Fraction(alpha[1]), alpha[2], n)
     left, right = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
     for p in points:
         if cmp(p, t) <= 0:
@@ -161,6 +169,25 @@ def naive_atom(alpha, t, n: int):
             right = p
             break
     return left, right
+
+
+def naive_cylinder(alpha, word: str):
+    """The depth-len(word) atom (l, r) whose points' codings start with
+    word, or None when no atom has that coding.
+
+    Every atom between consecutive sorted endpoints {-j*alpha},
+    0 <= j <= len(word), is coded at its left end l: symbol j is
+    floor(l + (j+1)*alpha) - floor(l + j*alpha). alpha, l and r are
+    given as in naive_atom.
+    """
+    ax, ay, d = Fraction(alpha[0]), Fraction(alpha[1]), alpha[2]
+    points, _ = _sorted_endpoints(ax, ay, d, len(word))
+    points.append((Fraction(1), Fraction(0)))
+    for (lx, ly), right in zip(points, points[1:]):
+        floors = [_floor_pair(lx + j * ax, ly + j * ay, d) for j in range(len(word) + 1)]
+        if "".join(str(b - a) for a, b in zip(floors, floors[1:])) == word:
+            return (lx, ly), right
+    return None
 
 
 def beatty_coding(a: int, b: int, d: int, den: int, length: int) -> str:

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from subrec import (
     parse_cf,
     quadratic_of_cf,
 )
+from subrec.contfrac import ladder
 from oracles import cf_value
 
 GOLDEN_CF = CFExpansion((), (1,))
@@ -48,6 +50,22 @@ def test_golden_convergents():
 def test_sqrt2_convergents():
     cs = convergents(SQRT2_CF, 4)
     assert [(c.p, c.q) for c in cs] == [(1, 2), (2, 5), (5, 12), (12, 29)]
+
+
+def test_ladder_starts_at_zero_over_one():
+    assert list(islice(ladder(GOLDEN_CF), 6)) == [(0, 1), (1, 1), (1, 2), (2, 3), (3, 5), (5, 8)]
+    finite = ladder(CFExpansion((3, 1)))
+    assert [next(finite) for _ in range(3)] == [(0, 1), (1, 3), (1, 4)]
+    with pytest.raises(InsufficientCoefficients, match="a_3 requested"):
+        next(finite)
+
+
+def test_convergents_stop_at_the_last_coefficient():
+    finite = CFExpansion((3, 1))
+    assert [(c.index, c.p, c.q) for c in convergents(finite, 2)] == [(1, 1, 3), (2, 1, 4)]
+    assert convergents(finite, 0) == []
+    with pytest.raises(InsufficientCoefficients, match="only 2 coefficients, a_3 requested"):
+        convergents(finite, 3)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=12))

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,29 @@ def test_mixed_radicand_needs_rational_operand():
     with pytest.raises(ValueError):
         s2 + s3
     assert s2 + Fraction(1, 2) == QuadraticReal(Fraction(1, 2), 1, 2)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [operator.add, operator.sub, operator.mul, operator.truediv,
+     operator.lt, operator.le, operator.gt, operator.ge],
+    ids=lambda op: op.__name__,
+)
+def test_floats_are_refused_on_either_side(op):
+    # a float is no exact operand: 1.5 / x used to come back as an exact
+    # value built from the float
+    with pytest.raises(TypeError):
+        op(GOLDEN, 1.5)
+    with pytest.raises(TypeError):
+        op(1.5, QuadraticReal(2))
+
+
+@pytest.mark.parametrize("args", [(0.1,), (0, 0.5, 5), (Fraction(1, 2), 1.0, 2), (0, 1, 2.5)])
+def test_constructor_refuses_floats(args):
+    # QuadraticReal(0.1) used to store 3602879701896397/36028797018963968,
+    # and a radicand of 2.5 was truncated to 2
+    with pytest.raises(TypeError, match="not floats"):
+        QuadraticReal(*args)
 
 
 def test_comparisons_near_ties():

@@ -324,7 +324,7 @@ def test_power_report_refuses_a_witness_outside_the_window(monkeypatch):
     monkeypatch.setattr(
         recurrence,
         "max_power_witness",
-        lambda text, cap: PowerWitness(Fraction(2), "11", 0, len(text)),
+        lambda text: PowerWitness(Fraction(2), "11", 0, len(text)),
     )
     with pytest.raises(RuntimeError, match="not in the window"):
         power_report(PeriodicSource("01"), 64)

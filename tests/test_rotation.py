@@ -5,10 +5,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subrec import (
+    ONE,
+    ZERO,
     CFExpansion,
+    IntervalAtom,
     NonPeriodic,
     QuadraticReal,
     RotationSpec,
+    SequenceTooShort,
     atom_lengths,
     atom_of,
     cross_check,
@@ -19,6 +23,7 @@ from subrec import (
     occurrences,
     partition_points,
     quadratic_of_cf,
+    sturmian_source,
     tau_cylinder,
     tau_length,
     tau_length_linear,
@@ -31,7 +36,7 @@ from subrec.presets import (
     rotation_spec,
     sqrt2_kappa_steps,
 )
-from oracles import naive_atom
+from oracles import naive_atom, naive_cylinder
 
 GOLDEN = rotation_spec("fibonacci")
 SQRT2 = rotation_spec("sqrt2")
@@ -186,12 +191,67 @@ def test_cylinder_measures_sum_over_factors():
 
 
 def test_cylinder_interval_matches_word():
-    segs = cylinder_interval(GOLDEN, "10")
-    total = sum(
-        (b - a for a, b in segs[1:]), segs[0][1] - segs[0][0]
-    )
-    assert total == cylinder_measure(GOLDEN, "10")
-    assert all(a < b for a, b in segs)
+    # "10": symbol 1 on [1 - alpha, 1), then symbol 0 up to {-2 alpha}
+    atom = cylinder_interval(GOLDEN, "10")
+    assert atom == IntervalAtom(1 - ALPHA, 2 - 2 * ALPHA, 2)
+    assert atom.length == cylinder_measure(GOLDEN, "10")
+    assert cylinder_interval(GOLDEN, "") == IntervalAtom(ZERO, ONE, 0)
+    assert cylinder_interval(GOLDEN, "00") is None
+    with pytest.raises(ValueError, match="symbols must be 0 or 1, got 'a'"):
+        cylinder_interval(GOLDEN, "1a")
+
+
+@st.composite
+def cylinder_queries(draw):
+    """(cf, word): a factor of length 1..40 of the coding of 0, that factor
+    with one symbol flipped, or a random binary word."""
+    cf = draw(periodic_cfs(9))
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["factor", "flipped", "random"]))
+    if kind == "random":
+        return cf, draw(st.text("01", min_size=n, max_size=n))
+    i = draw(st.integers(0, 400))
+    word = sturmian_source(cf, "rotation").prefix(i + n)[i:]
+    if kind == "flipped":
+        j = draw(st.integers(0, n - 1))
+        word = word[:j] + "10"[int(word[j])] + word[j + 1 :]
+    return cf, word
+
+
+@settings(max_examples=150, deadline=None)
+@given(cylinder_queries())
+@example((GOLDEN_CF, "10"))
+@example((GOLDEN_CF, "0110"))
+@example((SQRT2_CF, "1" * 3))
+@example((CFExpansion((1,), (9,)), "1" * 12))
+def test_cylinder_interval_matches_sorted_partition(query):
+    cf, word = query
+    spec = RotationSpec.from_cf(cf)
+    atom = cylinder_interval(spec, word)
+    expected = naive_cylinder((spec.alpha.a, spec.alpha.b, spec.alpha.d), word)
+    if expected is None:
+        assert atom is None
+        assert cylinder_measure(spec, word) == 0
+    else:
+        assert (_pair(atom.left), _pair(atom.right)) == expected
+        assert atom.depth == len(word)
+        assert cylinder_measure(spec, word) == atom.length
+
+
+def test_mu_tower_refuses_an_empty_composition():
+    # at depth 0, u = "1" is no prefix of v = "0": the Kac tiling fails
+    with pytest.raises(SequenceTooShort, match="^empty composition$"):
+        mu_tower_values(GOLDEN, [])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: atom_of(GOLDEN, ZERO, -1), lambda: atom_lengths(GOLDEN, -1)],
+    ids=["atom_of", "atom_lengths"],
+)
+def test_negative_depth_is_refused(call):
+    with pytest.raises(ValueError, match="^depth must be >= 0$"):
+        call()
 
 
 def test_mu_tower_exact_kac_sums():

@@ -102,7 +102,7 @@ def test_return_words_match_oracle(pattern, text):
 @given(binary1)
 @settings(max_examples=60)
 def test_max_power_matches_oracle(text):
-    assert max_power_witness(text, cap=None).exponent == naive_max_power(text)
+    assert max_power_witness(text).exponent == naive_max_power(text)
 
 
 @settings(max_examples=150)
@@ -114,14 +114,14 @@ def test_max_power_matches_oracle(text):
 def test_max_power_witness_matches_oracle(text):
     # the early exit must keep the exponent and the tie rule: smallest
     # period, then leftmost position
-    w = max_power_witness(text, cap=None)
+    w = max_power_witness(text)
     assert (w.exponent, w.base, w.position) == naive_max_power_witness(text)
     assert w.analyzed_length == len(text)
 
 
 @given(binary1, st.integers(min_value=1, max_value=4))
 def test_power_witness_is_a_factor(text, _k):
-    w = max_power_witness(text, cap=None)
+    w = max_power_witness(text)
     assert w.factor in text
     assert text[w.position : w.position + len(w.factor)] == w.factor
 
