@@ -8,10 +8,18 @@ extend it on demand from the state they carry.
 
 from __future__ import annotations
 
-from math import lcm
+import numpy as np
 
 from .contfrac import CFExpansion, InsufficientCoefficients, quadratic_of_cf
 from .quadratic import ONE, ZERO, QuadraticReal
+
+
+# RotationCodingSource works in units of 2**-64 in blocks of _BLOCK symbols,
+# so transient memory stays flat; below _MAX_CODING_LENGTH the error bound
+# k + 2 of symbol k stays far inside the 64-bit range.
+_FIXED_ONE = 1 << 64
+_BLOCK = 1 << 13
+_MAX_CODING_LENGTH = 1 << 62
 
 
 class NotProlongable(ValueError):
@@ -221,9 +229,17 @@ class StandardWordSource(WordSource):
 class RotationCodingSource(WordSource):
     """Coding of the rotation orbit of t0 under t -> t + alpha mod 1.
 
-    Symbol 0 on [0, 1-alpha), symbol 1 on [1-alpha, 1). Each step compares
-    t + alpha against 1 exactly in integer arithmetic, carrying the orbit
-    point from one extension to the next.
+    Symbol 0 on [0, 1-alpha), symbol 1 on [1-alpha, 1): symbol k is
+    floor(t0 + (k+1)*alpha) - floor(t0 + k*alpha), which is 1 exactly when
+    {t0 + (k+1)*alpha} < alpha. Symbols are computed in blocks from a
+    64-bit fixed-point orbit, and each depends on k alone.
+
+    With a = floor(alpha * 2**64) and t = floor(t0 * 2**64), the true
+    {t0 + (k+1)*alpha} * 2**64 lies in [y, y + k + 2) for
+    y = (t + (k+1)*a) mod 2**64, unless that range wraps past 2**64. The
+    symbol is certainly 1 when y + k + 2 <= a, certainly 0 when a < y and
+    y + k + 2 <= 2**64; any other k is decided by exact floors and counted
+    in exact_fallbacks.
     """
 
     def __init__(self, alpha: QuadraticReal, t0=0, name: str | None = None):
@@ -234,38 +250,38 @@ class RotationCodingSource(WordSource):
             raise ValueError("t0 must lie in [0, 1)")
         if not (ZERO < alpha < ONE):
             raise ValueError("alpha must lie in (0, 1)")
+        if alpha.is_rational:
+            raise ValueError("rotation angle must be irrational")
+        if not t0.is_rational and t0.d != alpha.d:
+            raise ValueError("t0 must live in the same quadratic field as alpha")
         self.alpha = alpha
         self.t0 = t0
         self.name = name or ("rotation t0=%s" % t0)
-        pa, qa, ra, d = alpha._v
-        pt, qt, rt, dt = t0._v
-        if qa == 0:
-            raise ValueError("rotation angle must be irrational")
-        if qt != 0 and dt != d:
-            raise ValueError("t0 must live in the same quadratic field as alpha")
-        # t0 = (A + B sqrt(d))/D and alpha = (Aa + Ba sqrt(d))/D
-        D = lcm(ra, rt)
-        self._state = pt * (D // rt), qt * (D // rt), pa * (D // ra), qa * (D // ra), D, d
+        self.exact_fallbacks = 0
+        self._a = (alpha * _FIXED_ONE).floor()
+        self._t = (t0 * _FIXED_ONE).floor()
 
     def _extend(self, n: int):
-        A, B, Aa, Ba, D, d = self._state
-        out = bytearray()
-        for _ in range(n - len(self._buf)):
-            A += Aa
-            B += Ba
-            s = A - D
-            # sign of s + B sqrt(d): t + alpha >= 1 picks symbol 1
-            if s >= 0:
-                one = True if B >= 0 else s * s > B * B * d
-            else:
-                one = False if B <= 0 else B * B * d > s * s
-            if one:
-                A -= D
-                out.append(49)
-            else:
-                out.append(48)
-        self._state = A, B, Aa, Ba, D, d
-        self._buf += out.decode("ascii")
+        if n > _MAX_CODING_LENGTH:
+            raise ValueError(
+                "rotation codings are limited to 2**62 symbols, %d requested" % n
+            )
+        a, t = np.uint64(self._a), np.uint64(self._t)
+        blocks = []
+        for lo in range(len(self._buf), n, _BLOCK):
+            k = np.arange(lo, min(lo + _BLOCK, n), dtype=np.uint64)
+            y = t + (k + np.uint64(1)) * a  # uint64 wraps: this is the mod 1
+            slack = k + np.uint64(2)
+            # a - slack is read only where slack <= a; 0 - slack is 2**64 - slack
+            one = (slack <= a) & (y <= a - slack)
+            zero = (y > a) & (y <= np.uint64(0) - slack)
+            sym = one.view(np.uint8) + np.uint8(48)
+            for i in np.flatnonzero(~(one | zero)).tolist():
+                self.exact_fallbacks += 1
+                x = self.t0 + self.alpha * (lo + i)
+                sym[i] = 48 + (x + self.alpha).floor() - x.floor()
+            blocks.append(sym.tobytes().decode("ascii"))
+        self._buf += "".join(blocks)
 
 
 class KappaSource(WordSource):

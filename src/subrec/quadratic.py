@@ -228,6 +228,8 @@ class QuadraticReal:
     def __eq__(self, other):
         o = _operand(other)
         if o is None:
+            if isinstance(other, float):
+                raise TypeError("cannot compare QuadraticReal with a float")
             return NotImplemented
         return self._v == o
 

@@ -100,6 +100,26 @@ def _abs(x: QuadraticReal) -> QuadraticReal:
     return -x if x.sign() < 0 else x
 
 
+def _ladder_taus(spec: RotationSpec, lengths):
+    """tau_length of each of a non-increasing sequence of lengths, from one
+    walk up the convergent ladder.
+
+    The first rung with |q_i*alpha - p_i| < length has every rung below it
+    at or above length, hence at or above any shorter length too, so each
+    length resumes the walk at the rung the previous one stopped on.
+    """
+    rungs = ladder(spec.cf)
+    p, q = next(rungs)
+    gap = _abs(spec.alpha * q - p)
+    for length in lengths:
+        if length.sign() <= 0:
+            raise ValueError("interval length must be positive")
+        while not gap < length:
+            p, q = next(rungs)
+            gap = _abs(spec.alpha * q - p)
+        yield q
+
+
 def tau_length(spec: RotationSpec, length: QuadraticReal) -> int:
     """min{k >= 1 : ||k*alpha|| < length}, i.e. when the shifted interval
     first overlaps itself.
@@ -109,11 +129,7 @@ def tau_length(spec: RotationSpec, length: QuadraticReal) -> int:
     |q_i*alpha - p_i| shrinks along the ladder. That is ||q_i*alpha|| except at q_0 when
     alpha > 1/2; then a_1 = 1, and q_1 = 1 tests 1 - alpha next.
     """
-    if length.sign() <= 0:
-        raise ValueError("interval length must be positive")
-    for p, q in ladder(spec.cf):
-        if _abs(spec.alpha * q - p) < length:
-            return q
+    return next(_ladder_taus(spec, (length,)))
 
 
 def tau_length_linear(spec: RotationSpec, length: QuadraticReal) -> int:
@@ -226,13 +242,14 @@ def cross_check(
     """Symbolic vs geometric recurrence times at t = 0, depths 1..depth.
 
     Symbolic side: tau of the depth-n cylinder of the coding of 0.
-    Geometric side: tau of the depth-n atom of 0.
+    Geometric side: tau of the depth-n atom of 0. The atoms nest, so one
+    ladder walk serves every depth.
     The two must agree exactly at every depth.
     """
     series = rate_series(sturmian_source(spec.cf, "rotation"), depth, policy)
-    rows = []
-    for entry, atom in zip(series.entries, islice(_atom_sweep(spec, ZERO), 1, None)):
-        length = atom.length
-        geo = tau_length(spec, length)
-        rows.append(CrossCheckRow(entry.n, entry.tau, geo, length, entry.tau == geo))
+    lengths = [atom.length for atom in islice(_atom_sweep(spec, ZERO), 1, depth + 1)]
+    rows = [
+        CrossCheckRow(entry.n, entry.tau, geo, length, entry.tau == geo)
+        for entry, length, geo in zip(series.entries, lengths, _ladder_taus(spec, lengths))
+    ]
     return CrossCheckReport(str(spec.cf), depth, rows)

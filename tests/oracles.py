@@ -190,16 +190,20 @@ def naive_cylinder(alpha, word: str):
     return None
 
 
-def beatty_coding(a: int, b: int, d: int, den: int, length: int) -> str:
-    """Coding of the rotation by alpha = (a + b*sqrt(d))/den at t = 0,
-    symbol k = floor((k+1) alpha) - floor(k alpha).
+def beatty_coding(a: int, b: int, d: int, den: int, length: int, t0=(0, 0, 1)) -> str:
+    """Coding of the rotation by alpha = (a + b*sqrt(d))/den at the start
+    point t0 = (ta + tb*sqrt(d))/tden, given as (ta, tb, tden):
+    symbol k = floor(t0 + (k+1) alpha) - floor(t0 + k alpha).
 
-    Requires 0 < alpha < 1 with b != 0, d > 1 not a square, den > 0.
+    Requires 0 < alpha < 1 with b != 0, d > 1 not a square, den > 0, and
+    0 <= t0 < 1 with tden > 0.
     """
-    prev = 0
+    ta, tb, tden = t0
+    # t0 + j alpha = (ta den + j a tden + (tb den + j b tden) sqrt(d)) / (den tden)
+    prev = floor_quadratic(ta * den, tb * den, d, den * tden)
     out = []
     for k in range(1, length + 1):
-        cur = floor_quadratic(k * a, k * b, d, den)
+        cur = floor_quadratic(ta * den + k * a * tden, tb * den + k * b * tden, d, den * tden)
         out.append("01"[cur - prev])
         prev = cur
     return "".join(out)

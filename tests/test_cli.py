@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from subrec.cli import SUITES
+from subrec.cli import SUITES, main
 
 PY = [sys.executable, "-m", "subrec.cli"]
 
@@ -49,6 +49,18 @@ def test_generate_usage_errors():
     assert run_cli("generate", "--kappa", "r1", "--length", "99").returncode == 1
     assert run_cli("generate", "--preset", "fibonacci", "--length", "-3").returncode == 1
     assert run_cli("nonsense").returncode == 1
+
+
+@pytest.mark.parametrize("preset", ["golden-rotation", "sqrt2-rotation"])
+def test_generate_refuses_a_rotation_length_it_cannot_hold(preset, capsys):
+    # in process: the source refuses before it allocates a single block
+    assert main(["generate", "--preset", preset, "--length", "99999999999999999999"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "subrec: error: rotation codings are limited to 2**62 symbols, "
+        "99999999999999999999 requested\n"
+    )
 
 
 def test_rates_csv_shape():

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subrec import (
+    ONE,
+    ZERO,
     CFExpansion,
     FixedPointSource,
     FixedTextSource,
@@ -13,6 +16,7 @@ from subrec import (
     Morphism,
     NotProlongable,
     PeriodicSource,
+    QuadraticReal,
     RotationCodingSource,
     SequenceTooShort,
     ShiftedSource,
@@ -28,6 +32,7 @@ from subrec import (
     tau_cylinder,
     thue_morse,
 )
+from subrec import generators
 from subrec.presets import get_preset, golden_kappa_steps, preset_names, sqrt2_kappa_steps
 from oracles import beatty_coding, naive_kappa_word, naive_standard_word, naive_thue_morse
 
@@ -185,6 +190,88 @@ def test_codings_match_beatty_oracle(cf):
     assert RotationCodingSource(alpha, 0).prefix(n) == expected
     assert StandardWordSource(cf).prefix(n) == expected
     assert naive_standard_word(list(cf.coefficients(25)), n) == expected
+
+
+BLOCK = generators._BLOCK
+
+periodic_cfs = st.builds(
+    CFExpansion,
+    st.lists(st.integers(1, 9), max_size=2).map(tuple),
+    st.lists(st.integers(1, 9), min_size=1, max_size=4).map(tuple),
+)
+
+
+def start_form(t0):
+    """t0 as (A, B, den), the start point form beatty_coding takes."""
+    a, b, _, den = integer_form(t0)
+    return a, b, den
+
+
+def start_points(alpha):
+    """0, p/q, {m alpha}, {-m alpha} and 1 - alpha: rationals, and points
+    whose orbit runs exactly onto a cut of the partition."""
+    return st.one_of(
+        st.just(ZERO),
+        st.fractions(0, 1, max_denominator=60).filter(lambda f: f < 1).map(QuadraticReal),
+        st.integers(1, 3 * BLOCK).map(lambda m: (alpha * m).mod1()),
+        st.integers(1, 3 * BLOCK).map(lambda m: (-(alpha * m)).mod1()),
+        st.just(ONE - alpha),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(periodic_cfs, st.data())
+def test_rotation_coding_matches_oracle_at_any_start(cf, data):
+    # lengths reach past two block boundaries, and prefixes are asked for
+    # in random order from one source
+    alpha = quadratic_of_cf(cf)
+    t0 = data.draw(start_points(alpha), label="t0")
+    lengths = data.draw(st.lists(
+        st.one_of(st.integers(0, 2 * BLOCK + 64), st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK])),
+        min_size=1, max_size=6,
+    ), label="lengths")
+    n = max(lengths)
+    expected = beatty_coding(*integer_form(alpha), n, t0=start_form(t0))
+    assert RotationCodingSource(alpha, t0).prefix(n) == expected
+    src = RotationCodingSource(alpha, t0)
+    for m in lengths:
+        assert src.prefix(m) == expected[:m]
+
+
+@pytest.mark.parametrize("m", [37, 2 * BLOCK + 5])
+def test_orbit_onto_a_cut_is_decided_exactly(m):
+    # from t0 = {-m alpha} the orbit hits 0 at step m: no fixed-point
+    # bound can settle that symbol, the exact floors must
+    alpha = quadratic_of_cf(GOLDEN_CF)
+    t0 = (-(alpha * m)).mod1()
+    src = RotationCodingSource(alpha, t0)
+    n = m + 100
+    assert src.prefix(n) == beatty_coding(*integer_form(alpha), n, t0=start_form(t0))
+    assert src.exact_fallbacks >= 1
+
+
+def test_rotation_source_refuses_bad_input():
+    alpha = quadratic_of_cf(SQRT2_CF)
+    with pytest.raises(ValueError, match="t0"):
+        RotationCodingSource(alpha, 1)
+    with pytest.raises(ValueError, match="irrational"):
+        RotationCodingSource(QuadraticReal(Fraction(1, 3)))
+    with pytest.raises(ValueError, match="same quadratic field"):
+        RotationCodingSource(alpha, quadratic_of_cf(GOLDEN_CF))
+
+
+def test_rotation_length_beyond_the_fixed_point_bound_is_refused_before_allocating():
+    src = RotationCodingSource(quadratic_of_cf(GOLDEN_CF))
+    src.prefix(10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            src.prefix(2**62 + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert src.prefix(10) == beatty_coding(*integer_form(src.alpha), 10)
 
 
 def test_sturmian_source_methods_agree():

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-private name a module defines is used somewhere in the package.
+"""Every name a library module imports is used in that module, every
+private name a module defines is used somewhere in the package, and no
+module holds an `assert` statement, which `python -O` strips.
 
 The package __init__ is left out of the import check: it imports names to
 re-export them.
@@ -46,6 +47,20 @@ def test_the_check_sees_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def assert_lines(source: str) -> list[int]:
+    return sorted(n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert))
+
+
+def test_the_check_sees_an_assert():
+    source = "def f(x):\n    assert x > 0, 'positive'\n    return x\n\nassert f(1)\n"
+    assert assert_lines(source) == [2, 5]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.stem)
+def test_no_assert_statement(path):
+    assert assert_lines(path.read_text()) == []
 
 
 def defined_names(node) -> list[str]:

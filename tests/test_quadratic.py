@@ -61,7 +61,7 @@ def test_mixed_radicand_needs_rational_operand():
 @pytest.mark.parametrize(
     "op",
     [operator.add, operator.sub, operator.mul, operator.truediv,
-     operator.lt, operator.le, operator.gt, operator.ge],
+     operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne],
     ids=lambda op: op.__name__,
 )
 def test_floats_are_refused_on_either_side(op):
@@ -71,6 +71,12 @@ def test_floats_are_refused_on_either_side(op):
         op(GOLDEN, 1.5)
     with pytest.raises(TypeError):
         op(1.5, QuadraticReal(2))
+
+
+def test_equality_with_a_non_number_is_not_implemented():
+    # a float raises (above); anything else that is no number is unequal
+    assert ONE.__eq__("1") is NotImplemented
+    assert ONE != "1" and ONE == 1
 
 
 @pytest.mark.parametrize("args", [(0.1,), (0, 0.5, 5), (Fraction(1, 2), 1.0, 2), (0, 1, 2.5)])

@@ -295,6 +295,22 @@ def test_cross_check_golden():
     assert len(lines) == 61
 
 
+@settings(max_examples=25, deadline=None)
+@given(periodic_cfs(9), st.integers(1, 300))
+@example(GOLDEN_CF, 300)
+@example(CFExpansion((9,), (1, 9)), 300)
+def test_cross_check_rows_agree_with_one_length_ladder(cf, depth):
+    # cross_check resumes one ladder walk from depth to depth; each row
+    # must read what a fresh walk, and at small depths the linear scan, reads
+    spec = RotationSpec.from_cf(cf)
+    report = cross_check(spec, depth)
+    assert [r.n for r in report.rows] == list(range(1, depth + 1))
+    for row in report.rows:
+        assert row.tau_geometric == tau_length(spec, row.atom_length)
+        if row.n <= 30:
+            assert row.tau_geometric == tau_length_linear(spec, row.atom_length)
+
+
 def test_cross_check_row_agrees_with_tau_cylinder():
     report = cross_check(SQRT2, 30)
     assert report.ok
