@@ -14,12 +14,14 @@ from .contfrac import CFExpansion, InsufficientCoefficients, quadratic_of_cf
 from .quadratic import ONE, ZERO, QuadraticReal
 
 
-# RotationCodingSource works in units of 2**-64 in blocks of _BLOCK symbols,
-# so transient memory stays flat; below _MAX_CODING_LENGTH the error bound
-# k + 2 of symbol k stays far inside the 64-bit range.
+# No source builds more than _MAX_LENGTH symbols: a longer request could
+# never be held, and is refused before anything is allocated. Below it the
+# error bound k + 2 of symbol k of a RotationCodingSource, which works in
+# units of 2**-64 in blocks of _BLOCK symbols so that transient memory stays
+# flat, stays far inside the 64-bit range.
+_MAX_LENGTH = 1 << 62
 _FIXED_ONE = 1 << 64
 _BLOCK = 1 << 13
-_MAX_CODING_LENGTH = 1 << 62
 
 
 class NotProlongable(ValueError):
@@ -155,6 +157,8 @@ class WordSource:
         if n < 0:
             raise ValueError("length must be >= 0")
         if len(self._buf) < n and (self.max_length is None or len(self._buf) < self.max_length):
+            if min(n, self.max_length or n) > _MAX_LENGTH:
+                raise ValueError("words are limited to 2**62 symbols, %d requested" % n)
             self._extend(n)
         return self._buf[:n]
 
@@ -262,10 +266,6 @@ class RotationCodingSource(WordSource):
         self._t = (t0 * _FIXED_ONE).floor()
 
     def _extend(self, n: int):
-        if n > _MAX_CODING_LENGTH:
-            raise ValueError(
-                "rotation codings are limited to 2**62 symbols, %d requested" % n
-            )
         a, t = np.uint64(self._a), np.uint64(self._t)
         blocks = []
         for lo in range(len(self._buf), n, _BLOCK):

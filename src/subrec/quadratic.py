@@ -211,19 +211,20 @@ class QuadraticReal:
 
     def sign(self) -> int:
         p, q, _, d = self._v
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p >= 0 and q > 0:
-            return 1
-        if p <= 0 and q < 0:
-            return -1
-        # opposite signs: compare p^2 with q^2 d (sqrt(d) irrational, no tie)
-        if p > 0:
-            return 1 if p * p > q * q * d else -1
-        return 1 if q * q * d > p * p else -1
+        return _sign(p, q, d)
 
     def _cmp(self, other) -> int:
-        return (self - other).sign()
+        """Sign of self - other, read off the cross-multiplied numerators
+        (the denominators are positive) without building the difference."""
+        o = _operand(other)
+        if o is None:
+            raise TypeError("cannot compare QuadraticReal with %s" % type(other).__name__)
+        p1, q1, r1, d1 = self._v
+        p2, q2, r2, d2 = o
+        d = _field(d1, d2)
+        if r1 == r2:
+            return _sign(p1 - p2, q1 - q2, d)
+        return _sign(p1 * r2 - p2 * r1, q1 * r2 - q2 * r1, d)
 
     def __eq__(self, other):
         o = _operand(other)
@@ -298,6 +299,20 @@ def _new(p: int, q: int, r: int, d: int) -> QuadraticReal:
     if g != 1:
         p, q, r = p // g, q // g, r // g
     return _wrap((p, q, r, d))
+
+
+def _sign(p: int, q: int, d: int) -> int:
+    """Sign of p + q*sqrt(d), for d squarefree or q = 0."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if p >= 0 and q > 0:
+        return 1
+    if p <= 0 and q < 0:
+        return -1
+    # opposite signs: compare p^2 with q^2 d (sqrt(d) irrational, no tie)
+    if p > 0:
+        return 1 if p * p > q * q * d else -1
+    return 1 if q * q * d > p * p else -1
 
 
 def _operand(x) -> tuple | None:

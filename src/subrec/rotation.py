@@ -8,6 +8,7 @@ exact. This is the independent oracle for the symbolic computations.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import count, islice
 
@@ -24,17 +25,54 @@ class RotationSpec:
     alpha is the exact value of cf. quadratic_of_cf refuses expansions with
     no period or a value outside (0, 1), so alpha is an irrational angle
     and its convergents drive tau_length.
+
+    Every geometric quantity reads one table, extended on demand up to the
+    longest depth or word asked for and kept for the life of the spec:
+    the endpoints e_j = {-j*alpha}, the cell bit 1 - e_j < alpha of each,
+    and the ladder rungs (q_i, |q_i*alpha - p_i|). The table takes part in
+    no comparison, hash or repr, and, like a word source, a spec is not
+    thread-safe.
     """
 
     cf: CFExpansion
     alpha: QuadraticReal = field(init=False)
+    _ends: list = field(init=False, compare=False, repr=False)
+    _cells: list = field(init=False, compare=False, repr=False)
+    _rungs: list = field(init=False, compare=False, repr=False)
+    _ladder: Iterator = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", quadratic_of_cf(self.cf))
+        init = object.__setattr__
+        init(self, "alpha", quadratic_of_cf(self.cf))
+        init(self, "_ends", [ZERO])
+        init(self, "_cells", [False])
+        init(self, "_rungs", [])
+        init(self, "_ladder", ladder(self.cf))
 
     @classmethod
     def from_cf(cls, cf: CFExpansion) -> "RotationSpec":
         return cls(cf)
+
+    def _orbit(self, n: int) -> tuple[list, list]:
+        """The endpoint and cell-bit lists, holding at least e_0..e_n."""
+        ends, cells, alpha = self._ends, self._cells, self.alpha
+        if len(ends) <= n:
+            cut = ONE - alpha
+            e = ends[-1]
+            for _ in range(len(ends), n + 1):
+                e = (e - alpha).mod1()
+                ends.append(e)
+                cells.append(e > cut)
+        return ends, cells
+
+    def _rung(self, i: int) -> tuple[int, QuadraticReal]:
+        """(q_i, |q_i*alpha - p_i|), the i-th rung of the convergent ladder."""
+        rungs = self._rungs
+        while len(rungs) <= i:
+            p, q = next(self._ladder)
+            gap = self.alpha * q - p
+            rungs.append((q, -gap if gap.sign() < 0 else gap))
+        return rungs[i]
 
 
 @dataclass(frozen=True)
@@ -52,13 +90,7 @@ def partition_points(spec: RotationSpec, n: int) -> list[QuadraticReal]:
     """Endpoints (-j*alpha) mod 1 for 0 <= j <= n, sorted ascending."""
     if n < 0:
         raise ValueError("depth must be >= 0")
-    pts = []
-    t = ZERO
-    for _ in range(n + 1):
-        pts.append(t)
-        t = (t - spec.alpha).mod1()
-    pts.sort()
-    return pts
+    return sorted(spec._orbit(n)[0][: n + 1])
 
 
 def atom_lengths(spec: RotationSpec, n: int) -> list[QuadraticReal]:
@@ -75,10 +107,10 @@ def _atom_sweep(spec: RotationSpec, t: QuadraticReal):
     Depth n adds the single endpoint p = {-n*alpha}, which cuts the atom
     of t only if it falls inside: l < p <= t moves l, t < p < r moves r.
     """
-    left, right, p = ZERO, ONE, ZERO
-    for n in count():
-        yield IntervalAtom(left, right, n)
-        p = (p - spec.alpha).mod1()
+    left, right = ZERO, ONE
+    for n in count(1):
+        yield IntervalAtom(left, right, n - 1)
+        p = spec._orbit(n)[0][n]
         if p <= t:
             left = max(left, p)
         elif p < right:
@@ -96,10 +128,6 @@ def atom_of(spec: RotationSpec, t: QuadraticReal, n: int) -> IntervalAtom:
     return next(islice(_atom_sweep(spec, t), n, None))
 
 
-def _abs(x: QuadraticReal) -> QuadraticReal:
-    return -x if x.sign() < 0 else x
-
-
 def _ladder_taus(spec: RotationSpec, lengths):
     """tau_length of each of a non-increasing sequence of lengths, from one
     walk up the convergent ladder.
@@ -108,15 +136,14 @@ def _ladder_taus(spec: RotationSpec, lengths):
     at or above length, hence at or above any shorter length too, so each
     length resumes the walk at the rung the previous one stopped on.
     """
-    rungs = ladder(spec.cf)
-    p, q = next(rungs)
-    gap = _abs(spec.alpha * q - p)
+    i = 0
+    q, gap = spec._rung(0)
     for length in lengths:
         if length.sign() <= 0:
             raise ValueError("interval length must be positive")
         while not gap < length:
-            p, q = next(rungs)
-            gap = _abs(spec.alpha * q - p)
+            i += 1
+            q, gap = spec._rung(i)
         yield q
 
 
@@ -146,28 +173,38 @@ def tau_length_linear(spec: RotationSpec, length: QuadraticReal) -> int:
 
 # ------------------------------------------------------------------ measures
 
+_BINARY = frozenset("01")
+
+
 def cylinder_interval(spec: RotationSpec, word: str) -> IntervalAtom | None:
     """The set {t : the coding of t starts with word}: the depth-len(word)
     atom with that coding, or None when word is not a factor.
 
-    Symbol j of t is 1 on the arc [c, c + alpha) with c = {-(j+1)*alpha};
-    its other end {-j*alpha} is already a cut, so only c can split the
-    atom: if l < c < r, symbol 0 keeps [l, c) and symbol 1 keeps [c, r);
-    otherwise every point of [l, r) has the symbol of l.
+    Symbol j >= 1 of t is 1 on the arc [c, c + alpha) with c = e_j; its
+    other end e_{j-1} is already a cut, so only c can split the atom: if
+    l < c < r, symbol 0 keeps [l, c) and symbol 1 keeps [c, r); otherwise
+    every point of [l, r) has the symbol of l = e_i, which is 1 when
+    {l - c} = {(j-i)*alpha} = 1 - e_{j-i} is below alpha, the cell bit of
+    j - i. The orbit table grows by doubling as the word is read, so a word
+    that stops being a factor early never builds it to its full length.
     """
-    left, right, c = ZERO, ONE, ZERO
-    for sym in word:
-        if sym != "0" and sym != "1":
-            raise ValueError("symbols must be 0 or 1, got %r" % sym)
-        c = (c - spec.alpha).mod1()
-        if left < c < right:
+    if not _BINARY.issuperset(word):
+        stray = next(sym for sym in word if sym not in _BINARY)
+        raise ValueError("symbols must be 0 or 1, got %r" % stray)
+    ends, cells = spec._orbit(0)
+    i, right = 0, ONE
+    for j, sym in enumerate(word, 1):
+        if j == len(ends):
+            spec._orbit(min(2 * j, len(word)))  # extends ends and cells in place
+        c = ends[j]
+        if ends[i] < c < right:
             if sym == "0":
                 right = c
             else:
-                left = c
-        elif ((left - c).mod1() < spec.alpha) != (sym == "1"):
+                i = j
+        elif cells[j - i] != (sym == "1"):
             return None
-    return IntervalAtom(left, right, len(word))
+    return IntervalAtom(ends[i], right, len(word))
 
 
 def cylinder_measure(spec: RotationSpec, word: str) -> QuadraticReal:

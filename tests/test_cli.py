@@ -51,14 +51,17 @@ def test_generate_usage_errors():
     assert run_cli("nonsense").returncode == 1
 
 
-@pytest.mark.parametrize("preset", ["golden-rotation", "sqrt2-rotation"])
+@pytest.mark.parametrize(
+    "preset",
+    ["golden-rotation", "sqrt2-rotation", "fibonacci", "thue-morse", "periodic01", "golden-kappa"],
+)
 def test_generate_refuses_a_rotation_length_it_cannot_hold(preset, capsys):
-    # in process: the source refuses before it allocates a single block
+    # in process: every source refuses before it builds a single symbol
     assert main(["generate", "--preset", preset, "--length", "99999999999999999999"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (
-        "subrec: error: rotation codings are limited to 2**62 symbols, "
+        "subrec: error: words are limited to 2**62 symbols, "
         "99999999999999999999 requested\n"
     )
 

@@ -274,6 +274,28 @@ def test_rotation_length_beyond_the_fixed_point_bound_is_refused_before_allocati
     assert src.prefix(10) == beatty_coding(*integer_form(src.alpha), 10)
 
 
+@pytest.mark.parametrize("preset", ["fibonacci", "thue-morse", "periodic01", "golden-kappa"])
+def test_every_source_refuses_a_length_beyond_2_62_before_allocating(preset):
+    # each of these used to build until the process was killed
+    src = get_preset(preset)
+    head = src.prefix(10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^words are limited to 2\\*\\*62 symbols, "):
+            src.prefix(99999999999999999999)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert src.prefix(10) == head
+
+
+def test_a_finite_source_below_the_limit_answers_any_length():
+    assert FixedTextSource("0110").prefix(2**63) == "0110"
+    assert ShiftedSource(FixedTextSource("0110")).prefix(2**63) == "110"
+    assert KappaSource([rho(1)]).prefix(2**63) == kappa_images([rho(1)])[0]
+
+
 def test_sturmian_source_methods_agree():
     a = sturmian_source(GOLDEN_CF, "standard").prefix(300)
     b = sturmian_source(GOLDEN_CF, "rotation").prefix(300)

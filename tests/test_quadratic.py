@@ -253,3 +253,57 @@ def test_components_round_trip(x):
     assert y == x
     assert (y.a, y.b, y.d) == (x.a, x.b, x.d)
     assert hash(y) == hash(x)
+
+
+# each ordering as a test on the sign of x - y
+ORDERINGS = {
+    operator.lt: lambda s: s < 0,
+    operator.le: lambda s: s <= 0,
+    operator.gt: lambda s: s > 0,
+    operator.ge: lambda s: s >= 0,
+}
+
+
+@st.composite
+def ordered_pairs(draw):
+    """(x, y): x a QuadraticReal over a radicand up to 10**12 (or a
+    rational), y in the same field, near x, rational, an int or a Fraction."""
+    d = draw(big_radicands)
+    coeffs = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+    x = QuadraticReal(draw(coeffs), draw(st.sampled_from([0, 1])) * draw(coeffs), d)
+    kind = draw(st.sampled_from(["field", "near", "same b", "rational", "int", "fraction"]))
+    if kind == "field":
+        y = QuadraticReal(draw(coeffs), draw(coeffs), d)
+    elif kind == "near":
+        y = x + Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 10**30)))
+    elif kind == "same b":
+        y = QuadraticReal(draw(coeffs), x.b, x.d)
+    elif kind == "rational":
+        y = QuadraticReal(draw(coeffs))
+    elif kind == "int":
+        y = draw(st.integers(-10**6, 10**6))
+    else:
+        y = draw(coeffs)
+    return x, y
+
+
+@settings(deadline=None, max_examples=300)
+@given(ordered_pairs())
+def test_comparisons_agree_with_the_sign_of_the_difference(pair):
+    x, y = pair
+    sign = (x - y).sign()
+    for op, holds in ORDERINGS.items():
+        assert op(x, y) == holds(sign)
+        assert op(y, x) == holds(-sign)  # an int or Fraction on the left
+    assert (x == y) == (sign == 0)
+    for other in (float(x), str(x), None):
+        for op in ORDERINGS:
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+    if x.d:
+        stranger = QuadraticReal(0, 1, 3 if x.d == 2 else 2)
+        for op in ORDERINGS:
+            with pytest.raises(ValueError, match="mixed radicands"):
+                op(x, stranger)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -201,6 +202,22 @@ def test_cylinder_interval_matches_word():
         cylinder_interval(GOLDEN, "1a")
 
 
+def test_a_long_non_factor_is_refused_without_building_its_orbit():
+    # "00" is no factor of the golden coding; the table grows only as far
+    # as the word is read, and a stray symbol is refused before any of it
+    spec = RotationSpec(GOLDEN_CF)
+    zeros, stray = "0" * 10**6, "1" * 10**6 + "x"
+    tracemalloc.start()
+    try:
+        assert cylinder_interval(spec, zeros) is None
+        with pytest.raises(ValueError, match="got 'x'"):
+            cylinder_interval(spec, stray)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
 @st.composite
 def cylinder_queries(draw):
     """(cf, word): a factor of length 1..40 of the coding of 0, that factor
@@ -318,3 +335,71 @@ def test_cross_check_row_agrees_with_tau_cylinder():
     assert [r.n for r in report.rows] == list(range(1, 31))
     for row in report.rows:
         assert row.tau_symbolic == tau_cylinder(src, row.n).tau
+
+
+@st.composite
+def warm_queries(draw):
+    """(cf, queries): geometric questions on one spec, sizes largest first,
+    so that long words come before short ones and deep atoms before
+    shallow ones, and the kinds in a drawn order."""
+    cf = draw(periodic_cfs(9))
+    alpha = quadratic_of_cf(cf)
+    sizes = sorted(draw(st.lists(st.integers(0, 100), min_size=2, max_size=6)), reverse=True)
+    queries = []
+    for n in sizes:
+        kind = draw(st.sampled_from(["cylinder", "tau", "atoms", "atom_of"]))
+        if kind == "cylinder":
+            i = draw(st.integers(0, 300))
+            word = sturmian_source(cf, "rotation").prefix(i + n)[i:]
+            if word and draw(st.booleans()):
+                j = draw(st.integers(0, n - 1))
+                word = word[:j] + "10"[int(word[j])] + word[j + 1 :]
+            queries.append((kind, word))
+        elif kind == "atom_of":
+            t = (-alpha * draw(st.integers(0, n + 5))).mod1()
+            if draw(st.booleans()):
+                t = (alpha * draw(st.integers(1, 300))).mod1()
+            queries.append((kind, (t, n)))
+        else:
+            queries.append((kind, n))
+    return cf, queries
+
+
+def geometry_answer(spec, kind, arg):
+    if kind == "cylinder":
+        return cylinder_interval(spec, arg)
+    if kind == "atom_of":
+        return atom_of(spec, *arg)
+    lengths = atom_lengths(spec, arg)
+    return lengths if kind == "atoms" else [tau_length(spec, x) for x in lengths]
+
+
+@settings(max_examples=60, deadline=None)
+@given(warm_queries())
+@example((GOLDEN_CF, [("cylinder", "01" * 30), ("tau", 40), ("atoms", 3), ("cylinder", "1")]))
+@example((SQRT2_CF, [("atom_of", ((-SQRT2.alpha * 50).mod1(), 50)), ("cylinder", "0"), ("atoms", 0)]))
+def test_a_warmed_spec_answers_like_a_fresh_one_and_the_oracles(query):
+    # the spec memoises its orbit and ladder up to the largest size asked;
+    # every later, smaller question must read the same as on a fresh spec
+    cf, queries = query
+    warm = RotationSpec(cf)
+    alpha = (warm.alpha.a, warm.alpha.b, warm.alpha.d)
+    for kind, arg in queries:
+        got = geometry_answer(warm, kind, arg)
+        assert got == geometry_answer(RotationSpec(cf), kind, arg)
+        if kind == "cylinder":
+            expected = naive_cylinder(alpha, arg)
+            assert (got if got is None else (_pair(got.left), _pair(got.right))) == expected
+        elif kind == "atom_of":
+            t, n = arg
+            assert (_pair(got.left), _pair(got.right)) == naive_atom(alpha, _pair(t), n)
+        elif kind == "tau":
+            lengths = atom_lengths(warm, arg)
+            assert got == [tau_length_linear(warm, x) for x in lengths]
+        else:
+            assert len(got) == arg + 1 and sum(got, ZERO) == 1
+            (lx, ly), (rx, ry) = naive_atom(alpha, (0, 0), arg)
+            assert got[0] == QuadraticReal(rx - lx, ry - ly, alpha[2])
+    assert warm == RotationSpec(cf)
+    assert hash(warm) == hash(RotationSpec(cf))
+    assert repr(warm) == repr(RotationSpec(cf))
