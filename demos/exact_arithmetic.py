@@ -25,9 +25,9 @@ print("alpha            :", alpha, "=", float(alpha))
 print("alpha**2 + alpha :", alpha * alpha + alpha)  # == 1, exactly
 print("1/alpha - alpha  :", QuadraticReal(1, 0, 5) / alpha - alpha)
 
-# values are stored as integers (p + q*sqrt(d)) / r with d squarefree, so
-# square factors of a radicand move into the coefficient once, at
-# construction, and equal numbers compare equal whatever they were built from
+# values are stored as integers (p + q*sqrt(d)) / r; square factors of a
+# radicand move into the coefficient at construction (all of them below
+# 10**9), and equal numbers compare equal whatever they were built from
 print("sqrt(8) == 2*sqrt(2):", QuadraticReal(0, 1, 8) == QuadraticReal(0, 2, 2))
 
 # floor is exact integer work (math.isqrt), with no float guess to correct,

@@ -1,121 +1,45 @@
 """Exact arithmetic in real quadratic fields.
 
 A value is stored as integers (p + q*sqrt(d)) / r with r > 0,
-gcd(p, q, r) = 1 and d squarefree; rationals have q = 0 and d = 0. That form
-is canonical, so equality is equality of the four integers. Only the public
-constructor reduces a radicand to its squarefree part, once per distinct d;
-field operations work on the integers alone, and floor is
-(p + floor(q*sqrt(d))) // r with the inner floor from math.isqrt.
+gcd(p, q, r) = 1 and d not a perfect square; rationals have q = d = 0.
+The constructor moves square factors of d into q by trial division below
+1000 and a perfect-square test of the rest, so d is squarefree below 10**9.
+Equal values are equal whatever the split: two radicands meet when their
+product is a perfect square, and the hash reads split-free invariants.
+Floor is (p + floor(q*sqrt(d))) // r with the inner floor from math.isqrt.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from itertools import count
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, sqrt
 
 
-# Trial division takes out every prime below _TRIAL. Larger prime factors
-# are split off by Pollard-Brent rho and certified by Miller-Rabin with the
-# first 13 prime bases, which is exact below _MR_EXACT (Sorenson and
-# Webster 2015); a cofactor rho cannot split within _RHO_BUDGET steps is
-# refused, never guessed squarefree.
 _TRIAL = 1000
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT = 3_317_044_064_679_887_385_961_981
-_RHO_BUDGET = 1 << 21
 
 
-@lru_cache(maxsize=256)
 def _squarefree_part(d: int) -> tuple[int, int]:
-    """(f, s) with d = f*f*s and s squarefree, for d >= 1.
+    """(f, s) with d = f*f*s for d >= 1; s is 1 or no square, squarefree if d < _TRIAL**3.
 
     Trial division stops at _TRIAL or once k**3 exceeds what is left; in
     the second case the cofactor has no prime factor below k, so at most
     two prime factors, and it is squarefree unless it is a perfect square.
+    A cofactor that is a perfect square moves into f in either case.
     """
-    primes = []
+    f = s = 1
     k = 2
     while k * k * k <= d and k < _TRIAL:
-        while d % k == 0:
+        while d % (k * k) == 0:
+            d //= k * k
+            f *= k
+        if d % k == 0:
             d //= k
-            primes.append(k)
+            s *= k
         k += 1 if k == 2 else 2
-    if k * k * k > d:
-        root = isqrt(d)
-        primes += [root, root] if root * root == d else [d]
-    else:
-        primes += _large_primes(d)
-    f = s = 1
-    for p, e in Counter(primes).items():
-        f *= p ** (e // 2)
-        s *= p ** (e % 2)
-    return f, s
-
-
-def _large_primes(n: int) -> list[int]:
-    """Prime factors, with multiplicity, of n >= 1 free of primes below _TRIAL."""
-    if n == 1:
-        return []
-    if n < _TRIAL * _TRIAL or (n < _MR_EXACT and _is_prime(n)):
-        return [n]
-    root = isqrt(n)
-    if root * root == n:
-        return _large_primes(root) * 2
-    g = _rho_factor(n)
-    return _large_primes(g) + _large_primes(n // g)
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin for odd n > 41; exact for n < _MR_EXACT."""
-    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**r, d odd
-    d = (n - 1) >> r
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _rho_factor(n: int) -> int:
-    """A proper factor of n, which is neither prime nor a square
-    (Pollard-Brent rho with y -> y*y + c)."""
-    steps = 0
-    for c in count(1):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += 128
-            steps += 2 * r
-            r *= 2
-            if steps > _RHO_BUDGET:
-                raise ValueError("cannot reduce radicand: %d resists %d rho "
-                                 "steps" % (n, _RHO_BUDGET))
-        if g == n:  # the batch overshot: replay it one step at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
+    root = isqrt(d)
+    if root * root != d:
+        return f, s * d
+    return f * root, s
 
 
 class QuadraticReal:
@@ -190,9 +114,12 @@ class QuadraticReal:
         o = _operand(other)
         if o is None:
             return NotImplemented
-        p1, q1, r1, d1 = self._v
+        u = self._v
+        if u[3] != o[3] and u[3] and o[3]:
+            u, o = _meet(u, o)
+        p1, q1, r1, d1 = u
         p2, q2, r2, d2 = o
-        d = _field(d1, d2)
+        d = d1 or d2
         return _new(p1 * p2 + q1 * q2 * d, p1 * q2 + q1 * p2, r1 * r2, d)
 
     __rmul__ = __mul__
@@ -219,9 +146,12 @@ class QuadraticReal:
         o = _operand(other)
         if o is None:
             raise TypeError("cannot compare QuadraticReal with %s" % type(other).__name__)
-        p1, q1, r1, d1 = self._v
+        u = self._v
+        if u[3] != o[3] and u[3] and o[3]:
+            u, o = _meet(u, o)
+        p1, q1, r1, d1 = u
         p2, q2, r2, d2 = o
-        d = _field(d1, d2)
+        d = d1 or d2
         if r1 == r2:
             return _sign(p1 - p2, q1 - q2, d)
         return _sign(p1 * r2 - p2 * r1, q1 * r2 - q2 * r1, d)
@@ -232,7 +162,13 @@ class QuadraticReal:
             if isinstance(other, float):
                 raise TypeError("cannot compare QuadraticReal with a float")
             return NotImplemented
-        return self._v == o
+        u = self._v
+        if u[3] == o[3] or not (u[3] and o[3]):
+            return u == o  # one radicand gives one normalised form
+        try:
+            return self._cmp(other) == 0
+        except ValueError:  # the radicands do not meet
+            return False
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -247,12 +183,17 @@ class QuadraticReal:
         return self._cmp(other) >= 0
 
     def __hash__(self):
-        if self._v[1] == 0:
-            return hash(self.a)
-        return hash(self._v)
+        p, q, r, d = self._v
+        if q == 0:
+            return hash(Fraction(p, r))
+        # a, b*b*d and the sign of b do not depend on how d is split
+        return hash((Fraction(p, r), Fraction(q * q * d, r * r), q > 0))
+
+    def __reduce__(self):
+        return _wrap, (self._v,)
 
     def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        return float(self.a) + float(self.b) * sqrt(self.d)
 
     def __floor__(self) -> int:
         p, q, r, d = self._v
@@ -292,7 +233,7 @@ def _wrap(v: tuple) -> QuadraticReal:
 
 
 def _new(p: int, q: int, r: int, d: int) -> QuadraticReal:
-    """(p + q*sqrt(d)) / r for r > 0 and d squarefree (or q = 0)."""
+    """(p + q*sqrt(d)) / r for r > 0 and d not a perfect square (or q = 0)."""
     if q == 0:
         d = 0
     g = gcd(p, q, r)
@@ -302,7 +243,7 @@ def _new(p: int, q: int, r: int, d: int) -> QuadraticReal:
 
 
 def _sign(p: int, q: int, d: int) -> int:
-    """Sign of p + q*sqrt(d), for d squarefree or q = 0."""
+    """Sign of p + q*sqrt(d), for d not a perfect square or q = 0."""
     if q == 0:
         return (p > 0) - (p < 0)
     if p >= 0 and q > 0:
@@ -326,26 +267,41 @@ def _operand(x) -> tuple | None:
     return None
 
 
-def _field(d1: int, d2: int) -> int:
-    """The radicand of a result; d = 0 marks a rational operand."""
-    if d1 and d2 and d1 != d2:
+def _meet(u: tuple, v: tuple) -> tuple[tuple, tuple]:
+    """u and v over one radicand, for radicands d1 != d2, both nonzero.
+
+    They meet when d1*d2 = s*s: the operand over the larger radicand moves
+    to the smaller, d, by sqrt(d1*d2/d) = (s/d)*sqrt(d), unnormalised.
+    Otherwise the fields differ.
+    """
+    d1, d2 = u[3], v[3]
+    s = isqrt(d1 * d2)
+    if s * s != d1 * d2:
         raise ValueError("mixed radicands %d and %d" % (d1, d2))
-    return d1 or d2
+    d = min(d1, d2)
+    g = gcd(s, d)
+    p, q, r, _ = v if d == d1 else u
+    moved = (p * (d // g), q * (s // g), r * (d // g), d)
+    return (u, moved) if d == d1 else (moved, v)
 
 
 def _add(u: tuple, v: tuple) -> QuadraticReal:
+    if u[3] != v[3] and u[3] and v[3]:
+        u, v = _meet(u, v)
     p1, q1, r1, d1 = u
     p2, q2, r2, d2 = v
-    d = _field(d1, d2)
+    d = d1 or d2
     if r1 == r2:
         return _new(p1 + p2, q1 + q2, r1, d)
     return _new(p1 * r2 + p2 * r1, q1 * r2 + q2 * r1, r1 * r2, d)
 
 
 def _div(u: tuple, v: tuple) -> QuadraticReal:
+    if u[3] != v[3] and u[3] and v[3]:
+        u, v = _meet(u, v)
     p1, q1, r1, d1 = u
     p2, q2, r2, d2 = v
-    d = _field(d1, d2)
+    d = d1 or d2
     # multiply by the conjugate; the norm is nonzero for nonzero divisors
     norm = p2 * p2 - q2 * q2 * d
     if norm == 0:

@@ -53,6 +53,10 @@ class RotationSpec:
     def from_cf(cls, cf: CFExpansion) -> "RotationSpec":
         return cls(cf)
 
+    def __reduce__(self):
+        # a copy is rebuilt from cf alone; the table and its live ladder stay behind
+        return RotationSpec, (self.cf,)
+
     def _orbit(self, n: int) -> tuple[list, list]:
         """The endpoint and cell-bit lists, holding at least e_0..e_n."""
         ends, cells, alpha = self._ends, self._cells, self.alpha

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from subrec.cli import SUITES, main
+from guards import within
 
 PY = [sys.executable, "-m", "subrec.cli"]
 
@@ -128,6 +129,19 @@ def test_xcheck_fibonacci():
     assert lines[0] == "n,tau_symbolic,tau_geometric,atom_len_num_approx,match"
     assert len(lines) == 41
     assert all(line.endswith(",1") for line in lines[1:])
+
+
+def test_xcheck_long_period_radicand(capsys):
+    # the angle's 41-digit radicand used to be refused, exit 1, after
+    # seconds of factoring
+    cf = "[0;(%s)]" % ",".join(map(str, range(1, 22)))
+    with within(5):
+        code = main(["xcheck", "--cf", cf, "-N", "40"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert "mismatches=0" in err
+    lines = out.strip().splitlines()
+    assert len(lines) == 41 and all(line.endswith(",1") for line in lines[1:])
 
 
 def test_verify_morse_delta_passes():

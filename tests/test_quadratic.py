@@ -3,11 +3,10 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subrec import ONE, ZERO, CFExpansion, QuadraticReal, nearest_int_distance, quadratic_of_cf
-from subrec import quadratic
 from guards import within
 from oracles import cf_value, floor_quadratic
 
@@ -159,7 +158,8 @@ def test_long_period_radicand_is_fast():
 
 def test_long_period_with_large_prime_factors_is_fast():
     # the 30-digit radicand is 181 * 147229 * 121496491297 * 195626444821:
-    # trial division alone took seconds to reach the two 12-digit primes
+    # trial division below 1000 takes out 181, and the cofactor, no perfect
+    # square, stays in d whole (it happens to be squarefree)
     with within(2):
         alpha = quadratic_of_cf(CFExpansion((), tuple(range(1, 18))))
     den = 89622746262146
@@ -167,12 +167,36 @@ def test_long_period_with_large_prime_factors_is_fast():
     assert alpha.d == 181 * 147229 * 121496491297 * 195626444821
 
 
-def test_unsplit_radicand_is_refused(monkeypatch):
-    # 4 * 33381897457322573 * 557081824272174937: the cofactor lies beyond
-    # the exact Miller-Rabin range, so it is split or refused, never guessed
-    monkeypatch.setattr(quadratic, "_RHO_BUDGET", 1000)
-    with within(2), pytest.raises(ValueError, match="cannot reduce radicand"):
-        quadratic_of_cf(CFExpansion((), tuple(range(1, 20))))
+def assert_solves_tail_equation(period, alpha):
+    # alpha = [0; y] with y = [b1; b2, ..., bm, b1, ...] purely periodic, so
+    # q*y*y + (q' - p)*y - p' = 0 for the period's matrix (p, p'; q, q')
+    p, p2, q, q2 = 1, 0, 0, 1
+    for a in period:
+        p, p2, q, q2 = p * a + p2, p, q * a + q2, q
+    y = 1 / alpha
+    assert q * y * y + (q2 - p) * y - p2 == 0
+
+
+@pytest.mark.parametrize("n", [19, 21])
+def test_radicands_past_any_factoring_give_exact_values(n):
+    # 4 * 33381897457322573 * 557081824272174937 (n = 19) and a 41-digit
+    # radicand (n = 21) used to be refused after seconds of rho steps
+    period = tuple(range(1, n + 1))
+    with within(2):
+        alpha = quadratic_of_cf(CFExpansion((), period))
+    assert_solves_tail_equation(period, alpha)
+    digits = CFExpansion((), period).coefficients(61)
+    for k in range(1, 61):
+        lo, hi = sorted((cf_value(digits[:k]), cf_value(digits[: k + 1])))
+        assert lo < alpha < hi
+
+
+def test_every_period_up_to_40_is_fast_and_exact():
+    for n in range(1, 41):
+        period = tuple(range(1, n + 1))
+        with within(2):
+            alpha = quadratic_of_cf(CFExpansion((), period))
+        assert_solves_tail_equation(period, alpha)
 
 
 @pytest.mark.parametrize("e", [20, 30, 400])
@@ -235,6 +259,39 @@ def test_field_axioms_large(triple):
 @given(st.integers(-10**50, 10**50).filter(bool), st.integers(2, 10**6), st.integers(1, 10**6))
 def test_square_factors_move_into_the_coefficient(k, m, j):
     assert QuadraticReal(0, k, m * j * j) == QuadraticReal(0, k * j, m)
+
+
+PRIMES_ABOVE_1000 = st.sampled_from([1009, 1013, 7919, 1000003, 1000033, 10**9 + 7, 2**61 - 1])
+small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+
+
+@settings(deadline=None)
+@given(PRIMES_ABOVE_1000, PRIMES_ABOVE_1000, small_rationals, small_rationals.filter(bool),
+       st.tuples(small_rationals, small_rationals.filter(bool)))
+@example(1000003, 1000033, Fraction(0), Fraction(1), (Fraction(1), Fraction(1)))
+def test_radicands_split_differently_hold_one_value(p, q, a, c, other):
+    # p*p*q is past 10**9 and no prime of it is below 1000, so its square
+    # factor stays in d; the two splits must still be one number
+    x = QuadraticReal(a, c, p * p * q)
+    y = QuadraticReal(a, c * p, q)
+    assert (x.d, y.d) == (p * p * q, q)
+    assert x == y and y == x and hash(x) == hash(y)
+    assert not (x < y or y < x) and x <= y <= x
+    z = QuadraticReal(other[0], other[1], q)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        assert op(x, z) == op(y, z) and op(z, x) == op(z, y)
+        assert repr(op(x, z)) == repr(op(y, z))  # both land on radicand q
+    assert (x < z) == (y < z) and (z < x) == (z < y)
+    assert repr(x + y) == repr(y + x) == repr(2 * y)
+    assert x * y == y * y and x / y == 1 and x - y == 0
+    assert x + 1 != y and hash(x + 1) == hash(y + 1)
+    stranger = QuadraticReal(0, 1, 2 * q)  # 2*p*p*q*q is no square
+    assert x != stranger and stranger != y
+    for op in (operator.add, operator.mul, operator.truediv, operator.lt):
+        with pytest.raises(ValueError, match="mixed radicands"):
+            op(x, stranger)
+        with pytest.raises(ValueError, match="mixed radicands"):
+            op(stranger, x)
 
 
 @given(big_rationals, st.integers(0, 10**6))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -326,6 +328,33 @@ def test_cross_check_rows_agree_with_one_length_ladder(cf, depth):
         assert row.tau_geometric == tau_length(spec, row.atom_length)
         if row.n <= 30:
             assert row.tau_geometric == tau_length_linear(spec, row.atom_length)
+
+
+CLONES = {
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    "deepcopy": copy.deepcopy,
+    "copy": copy.copy,
+}
+
+
+@pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES)
+def test_values_round_trip_through_pickle_and_copies(clone):
+    cf = CFExpansion((3,), (1, 4))
+    spec = RotationSpec(cf)
+    atom = atom_of(spec, ZERO, 40)  # fills the spec's table
+    report = cross_check(spec, 30)
+    for value in (spec.alpha, atom, report, QuadraticReal(Fraction(2, 3))):
+        twin = clone(value)
+        assert twin == value and type(twin) is type(value)
+    assert clone(spec.alpha).d == spec.alpha.d
+    twin, fresh = clone(spec), RotationSpec(cf)
+    assert twin == spec and twin.alpha == fresh.alpha
+    t = QuadraticReal(Fraction(1, 3))
+    for n in (1, 7, 40, 120):
+        assert atom_of(twin, t, n) == atom_of(fresh, t, n)
+        length = atom_of(fresh, ZERO, n).length
+        assert tau_length(twin, length) == tau_length(fresh, length)
+    assert atom_of(spec, ZERO, 40) == atom
 
 
 def test_cross_check_row_agrees_with_tau_cylinder():
