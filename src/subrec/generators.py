@@ -192,13 +192,15 @@ class FixedPointSource(WordSource):
         self.m = m
         self.seed = seed
         self.name = name or ("fixed-point %s seed %s" % (m.label, seed))
-        self._buf = seed
+        # _buf is w_k = m^k(seed), k >= 1, and _half is len(w_{k-1})
+        self._buf, self._half = img, len(seed)
 
     def _extend(self, n: int):
-        w = self._buf
+        # w_{k+1} = m(w_k) = m(w_{k-1}) m(w_k[len(w_{k-1}):]) = w_k m(new part)
+        w, half = self._buf, self._half
         while len(w) < n:
-            w = self.m.apply(w)
-        self._buf = w
+            w, half = w + self.m.apply(w[half:]), len(w)
+        self._buf, self._half = w, half
 
 
 class StandardWordSource(WordSource):

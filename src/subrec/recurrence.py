@@ -8,14 +8,19 @@ changing; a value is only trusted once it survives one doubling.
 Every depth comes from one sweep over one encoded text: the occurrences of
 the depth-n prefix are those of depth n - 1 whose symbol at offset n - 1
 matches, so a single sorted position array is filtered once per depth, and
-the occurrences inside any window are a prefix of it.
+the occurrences inside any window are a prefix of it. The filter drops a
+start at only a few depths in hundreds, so what a depth derives from the
+array (the running minimum of its gaps in the sweep, the return words in
+return_table) carries over to every depth that drops nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import pairwise
+from math import gcd
 
 import numpy as np
 
@@ -67,10 +72,18 @@ class TauResult:
 def _narrow(arr: np.ndarray, occ: np.ndarray, depth: int, n: int) -> np.ndarray:
     """The starts of the depth-n prefix of arr among occ, all starts of its
     depth-`depth` prefix: those that fit and match at offsets depth..n-1,
-    ascending. The one prefix filter of _tau_sweep and return_table."""
-    occ = occ[: np.searchsorted(occ, len(arr) - n, "right")]
+    ascending. The one prefix filter of _tau_sweep and return_table.
+
+    Each offset j can trim only the last start, len(arr) - j, and occ itself
+    is returned when no start is dropped, so a caller can keep what it
+    derived from occ.
+    """
     for j in range(depth, n):
-        occ = occ[arr[occ + j] == arr[j]]
+        if len(occ) and occ[-1] > len(arr) - j - 1:
+            occ = occ[:-1]
+        hit = arr[j:][occ] == arr[j]
+        if not hit.all():
+            occ = occ[hit]
     return occ
 
 
@@ -80,21 +93,32 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
 
     occ holds the start positions p <= len(arr) - n of the depth-n prefix,
     ascending, so the occurrences inside a window of w symbols are occ[:k]
-    with k = #(p <= w - n). The text grows geometrically up to the cap when
-    a window outruns it, and only the new start positions are checked.
+    with k = #(p <= w - n), and tau is least[k - 2], least being the running
+    minimum of the gaps of occ. The text grows geometrically up to the cap
+    when a window outruns it, and only the new start positions are checked.
+
+    least is built when a round first needs it and carried over while occ
+    stays a prefix of the array it was built from: through depths whose
+    filter drops nothing or only trims the last start, len(arr) - n + 1. A
+    mismatch dropped by the filter, or starts appended by growth, drop it.
     """
     target = max(last, policy.grow(policy.initial(last)))
     arr = _codes(source.prefix(target))
     done = len(arr) < target
     index = np.int32 if max(target, policy.cap) < 2**31 else np.int64
     occ = np.arange(len(arr), dtype=index)
+    least = None
     for n in range(1, last + 1):
         if len(arr) < max(n, first):
             raise WindowCapExceeded(
                 "source %s ends after %d symbols, cylinder depth %d unreachable"
                 % (source.name, len(arr), max(n, first))
             )
-        occ = _narrow(arr, occ, n - 1, n)
+        kept = _narrow(arr, occ, n - 1, n)
+        trimmed = int(occ[-1]) > len(arr) - n
+        if len(kept) < len(occ) - trimmed:
+            least = None
+        occ = kept
         if n < first:
             continue
         window = policy.initial(n)
@@ -106,10 +130,13 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
                 done = len(text) < size
                 new = np.arange(len(arr) - n + 1, len(text), dtype=index)
                 arr = np.concatenate((arr, _codes(text[len(arr) :])))
-                occ = np.concatenate((occ, _narrow(arr, new, 0, n)))
+                new = _narrow(arr, new, 0, n)
+                if len(new):
+                    occ = np.concatenate((occ, new))
+                    least = None
             avail = min(window, len(arr))
             exhausted = avail < window
-            k = int(np.searchsorted(occ, avail - n, "right"))
+            k = int(occ.searchsorted(avail - n, "right"))
             if k < 2:
                 if exhausted or window >= policy.cap:
                     raise WindowCapExceeded(
@@ -117,7 +144,10 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
                         % (n, source.name, avail)
                     )
             else:
-                tau = int(np.diff(occ[:k]).min())
+                if least is None:
+                    least = occ[1:] - occ[:-1]
+                    np.minimum.accumulate(least, out=least)
+                tau = int(least[k - 2])
                 if exhausted:
                     yield TauResult(n, tau, avail, True)
                     break
@@ -140,6 +170,10 @@ def tau_cylinder(x, n: int, policy: WindowPolicy = DEFAULT_POLICY) -> TauResult:
     if n < 1:
         raise ValueError("cylinder depth must be >= 1")
     return next(_tau_sweep(as_source(x), n, n, policy))
+
+
+# orders TauResults by tau / n without building a Fraction (n > 0)
+_BY_RATIO = cmp_to_key(lambda a, b: a.tau * b.n - b.tau * a.n)
 
 
 @dataclass
@@ -165,10 +199,10 @@ class RateSeries:
         return [e for e in self.entries if e.n >= self.tail_start]
 
     def tail_min(self) -> Fraction:
-        return min(e.ratio for e in self.tail())
+        return min(self.tail(), key=_BY_RATIO).ratio
 
     def tail_max(self) -> Fraction:
-        return max(e.ratio for e in self.tail())
+        return max(self.tail(), key=_BY_RATIO).ratio
 
     def stabilized_fraction(self) -> Fraction:
         if not self.entries:
@@ -177,19 +211,20 @@ class RateSeries:
         return Fraction(good, len(self.entries))
 
     def running_min(self) -> list[Fraction]:
-        out, cur = [], None
+        out, cur, ratio = [], None, None
         for e in self.entries:
-            cur = e.ratio if cur is None or e.ratio < cur else cur
-            out.append(cur)
+            if cur is None or e.tau * cur.n < cur.tau * e.n:
+                cur, ratio = e, e.ratio
+            out.append(ratio)
         return out
 
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]
         for e in self.entries:
-            r = e.ratio
+            g = gcd(e.tau, e.n)
             lines.append(
                 "%d,%d,%d,%d,%d,%d"
-                % (e.n, e.tau, r.numerator, r.denominator, e.window, int(e.stabilized))
+                % (e.n, e.tau, e.tau // g, e.n // g, e.window, int(e.stabilized))
             )
         return "\n".join(lines) + "\n"
 
@@ -329,11 +364,14 @@ def return_table(x, depth: int, window: int) -> list[ReturnTableRow]:
     arr, occ = _codes(text), np.arange(len(text))
     rows = []
     for n in range(1, depth + 1):
-        occ = _narrow(arr, occ, n - 1, n)
-        if len(occ) < 2:
+        kept = _narrow(arr, occ, n - 1, n)
+        if len(kept) < 2:
             raise InsufficientWindow(
-                "need at least 2 occurrences of %r, found %d" % (text[:n], len(occ))
+                "need at least 2 occurrences of %r, found %d" % (text[:n], len(kept))
             )
-        ws = sorted({text[p:q] for p, q in pairwise(occ.tolist())}, key=lambda w: (len(w), w))
-        rows.append(ReturnTableRow(n, text[:n], len(ws[0]), tuple(ws)))
+        if kept is not occ or not rows:  # the same starts give the same words
+            ws = {text[p:q] for p, q in pairwise(kept.tolist())}
+            words = tuple(sorted(ws, key=lambda w: (len(w), w)))
+        occ = kept
+        rows.append(ReturnTableRow(n, text[:n], len(words[0]), words))
     return rows

@@ -75,6 +75,54 @@ def test_thue_morse_fixed_point():
     assert FixedPointSource(thue_morse(), "0").prefix(32) == long[:32]
 
 
+def naive_fixed_point(m, seed, n):
+    """First n symbols of the fixed point, applying m to the whole word."""
+    w = seed
+    while len(w) < n:
+        w = m.apply(w)
+    return w[:n]
+
+
+def test_thue_morse_source_matches_oracle_across_extensions():
+    # each extension doubles the word; these lengths cross 17 of them
+    lengths = [1, 2, 3, 4, 5, 17, 64, 65, 1000, 4097, 2**16, 2**16 + 3, 100_000]
+    want = naive_thue_morse(max(lengths))
+    for n in lengths:
+        assert get_preset("thue-morse").prefix(n) == want[:n]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(
+        [thue_morse(), rho(1), Morphism({"0": "001", "1": "10"}), Morphism({"0": "01", "1": "02", "2": "0"})]
+    ),
+    st.lists(st.integers(0, 5000), min_size=1, max_size=10),
+)
+def test_fixed_point_prefixes_nest_across_resumed_calls(m, lengths):
+    src = FixedPointSource(m, "0")
+    want = naive_fixed_point(m, "0", max(lengths))
+    for n in lengths:
+        assert src.prefix(n) == want[:n] == FixedPointSource(m, "0").prefix(n)
+
+
+def test_fixed_point_refuses_an_outside_symbol_on_the_same_extension():
+    # m^2(0) = 012 brings in 2, and m^3(0) = 0122x brings in x: the word is
+    # good up to 5 symbols, and the extension to m^4(0) must apply m to x
+    m = Morphism({"0": "01", "1": "2", "2": "2x"})
+    src = FixedPointSource(m, "0")
+    assert src.prefix(5) == "0122x"
+    with pytest.raises(ValueError, match=r"symbols outside domain: \['x'\]"):
+        src.prefix(6)
+    assert src.prefix(5) == "0122x"
+    with pytest.raises(ValueError, match=r"symbols outside domain: \['x'\]"):
+        FixedPointSource(m, "0").prefix(6)
+    # the first image already holds x, so only the seed's image is served
+    src = FixedPointSource(Morphism({"0": "0x"}), "0")
+    assert src.prefix(2) == "0x"
+    with pytest.raises(ValueError, match="symbols outside domain"):
+        src.prefix(3)
+
+
 def test_fixed_point_needs_prolongable_seed():
     with pytest.raises(NotProlongable):
         FixedPointSource(gamma(1), "0")

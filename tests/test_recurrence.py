@@ -10,6 +10,7 @@ from subrec import (
     FixedTextSource,
     KappaSource,
     PeriodicSource,
+    RateSeries,
     ReturnTableRow,
     ShiftedSource,
     StandardWordSource,
@@ -114,6 +115,34 @@ def test_rate_series_csv_round_trip():
     assert (int(n), int(tau)) == (3, 2)
     assert Fraction(int(num), int(den)) == Fraction(2, 3)
     assert int(window) > 0 and stab == "1"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.lists(
+        st.tuples(st.integers(1, 40), st.integers(1, 60) | st.integers(1, 10**12)),
+        max_size=30,
+    ),
+)
+def test_rate_summaries_match_their_fraction_definitions(depth, pairs):
+    # small n and tau make equal ratios in lowest and in higher terms
+    entries = [TauResult(n, tau, 100, True) for n, tau in pairs]
+    rs = RateSeries("x", depth, entries)
+    ratios = [Fraction(e.tau, e.n) for e in entries]
+    tail = [r for e, r in zip(entries, ratios) if e.n >= depth // 2 + 1]
+    for got, want in ((rs.tail_min, min), (rs.tail_max, max)):
+        if tail:
+            assert got() == want(tail) and type(got()) is Fraction
+        else:
+            with pytest.raises(ValueError):
+                got()
+    assert rs.running_min() == [min(ratios[: i + 1]) for i in range(len(ratios))]
+    rows = rs.to_csv().splitlines()[1:]
+    assert rows == [
+        "%d,%d,%d,%d,100,1" % (e.n, e.tau, r.numerator, r.denominator)
+        for e, r in zip(entries, ratios)
+    ]
 
 
 def test_rate_series_on_finite_kappa_source():
@@ -301,6 +330,8 @@ def test_lr_estimate_matches_oracle(text, max_len):
     | st.text(alphabet="a\u00e9\u20ac", min_size=1, max_size=40),
     st.integers(1, 12),
 )
+@example("0101010110", 2)  # depth 2 only trims the start at 9, and loses the word 011
+@example(get_preset("thue-morse").prefix(80), 8)  # depths 6 to 8 drop no start
 def test_return_table_matches_oracle_at_every_depth(text, depth):
     rows = []
     for n in range(1, depth + 1):
@@ -332,24 +363,40 @@ def test_power_report_refuses_a_witness_outside_the_window(monkeypatch):
 
 # A word is drawn as a spec, so a failing example prints readably; build()
 # makes a fresh source from it for each side of a comparison.
+periodic_specs = st.tuples(
+    st.just("periodic"),
+    # a sparse block recurs late, so windows outgrow the text read up front
+    st.text(alphabet="01", min_size=1, max_size=6)
+    | st.integers(1, 150).map(lambda k: "1" + "0" * k),
+)
+kappa_specs = st.tuples(
+    st.just("kappa"),
+    st.lists(st.tuples(st.sampled_from("rg"), st.integers(1, 3)), min_size=1, max_size=5),
+)
 source_specs = st.one_of(
-    st.tuples(
-        st.just("periodic"),
-        # a sparse block recurs late, so windows outgrow the text read up front
-        st.text(alphabet="01", min_size=1, max_size=6)
-        | st.integers(1, 150).map(lambda k: "1" + "0" * k),
-    ),
+    periodic_specs,
     # "é" is one byte in latin-1 and "€" is not, so both encodings are reached
     st.tuples(
         st.just("text"),
         st.text(alphabet="01", max_size=300) | st.text(alphabet="aé€", max_size=120),
     ),
-    st.tuples(
-        st.just("kappa"),
-        st.lists(st.tuples(st.sampled_from("rg"), st.integers(1, 3)), min_size=1, max_size=5),
-    ),
+    kappa_specs,
     st.tuples(st.just("cf"), st.lists(st.integers(1, 5), min_size=1, max_size=6)),
     st.tuples(st.just("preset"), st.sampled_from(preset_names())),
+)
+# a deep prefix far rarer than the shallower ones makes the text grow at a
+# depth whose filter dropped no start: two runs of zeros in a periodic
+# block, or a large partial quotient
+carry_specs = st.one_of(
+    periodic_specs,
+    st.tuples(
+        st.just("periodic"),
+        st.tuples(st.integers(0, 150), st.integers(0, 150)).map(
+            lambda ab: "1" + "0" * ab[0] + "1" + "0" * ab[1]
+        ),
+    ),
+    kappa_specs,
+    st.tuples(st.just("cf"), st.lists(st.integers(1, 100), min_size=1, max_size=6)),
 )
 
 # small caps stop the doubling early, large ones let windows agree
@@ -404,6 +451,21 @@ GROWS_PAST_FIRST_READ = (("periodic", "1" + "0" * 150), 1, 3000, 3)
 # the sweep reads 100 symbols first; the closest pair starts at 100, the
 # first start position it checks after growing
 GAP_AT_FIRST_NEW_POSITION = (("text", "1" + "0" * 59 + "1" + "0" * 39 + "11" + "0" * 48), 1, 3000, 1)
+# depth 1 stabilizes on 39 at window 200, the text first read; depth 2
+# filters out no start but only sees the start at 99 at window 200, so it
+# grows the text, and the closest pair starts at the new positions 300, 310
+GROWS_AFTER_UNCHANGED_DEPTH = (
+    ("text", "1" + "0" * 59 + "1" + "0" * 38 + "1" + "0" * 200 + "1" + "0" * 9 + "1" + "0" * 589),
+    1, 3000, 2,
+)
+# as above, with a start at 199, the last one that fits depth 1: depth 2
+# only trims it, then finds it again among the new positions, 31 before 230
+TRIMS_ONLY = (
+    ("text", "1" + "0" * 59 + "1" + "0" * 38 + "1" + "0" * 99 + "1" + "0" * 30 + "1" + "0" * 669),
+    1, 3000, 2,
+)
+# depth 1 meets its closest pair at 50, 51; depth 2 drops the one start 50
+DROPS_ONE_START = (("text", "1" + "0" * 49 + "11" + "0" * 68 + "1" + "0" * 79), 1, 3000, 2)
 # the shifted word stabilizes at window 100 on 30; the word itself only
 # meets its gap of 5 at window 200, so the finite-window check fails
 LATE_SHORT_GAP = (("text", "01" + "0" * 28 + "01" + "0" * 88 + "01000" + "01" + "0" * 873), 1, 3000, 2)
@@ -425,6 +487,12 @@ def test_examples_reach_every_window_branch():
     assert naive_taus(*GAP_AT_FIRST_NEW_POSITION) == [TauResult(1, 1, 150, True)]
     assert naive_taus(*LATE_SHORT_GAP)[1] == TauResult(2, 5, 400, True)
     assert naive_taus(*LATE_SHORT_GAP[:3], 1, shift=True) == [TauResult(1, 30, 100, True)]
+    # the sweep first reads 200 symbols for depth 2
+    first, second = naive_taus(*GROWS_AFTER_UNCHANGED_DEPTH)
+    assert first == TauResult(1, 39, 200, True) and second == TauResult(2, 10, 800, True)
+    assert [r.tau for r in naive_taus(*DROPS_ONE_START)] == [1, 51]
+    first, second = naive_taus(*TRIMS_ONLY)
+    assert first == TauResult(1, 39, 200, True) and second == TauResult(2, 31, 800, True)
 
 
 @settings(max_examples=100, deadline=None)
@@ -440,6 +508,17 @@ def test_sweep_matches_naive_window_loop(spec, base, cap, depth):
     expect_series(lambda: rate_series(build(spec), depth, policy).entries, want)
     for n, w in enumerate(want, 1):
         expect_series(lambda: [tau_cylinder(build(spec), n, policy)], [w])
+
+
+@settings(max_examples=60, deadline=None)
+@given(carry_specs, st.integers(1, 40), caps | st.integers(3000, 20000), st.integers(1, 64))
+@example(*GROWS_AFTER_UNCHANGED_DEPTH)
+@example(*TRIMS_ONLY)
+@example(*DROPS_ONE_START)
+@example(("cf", [17, 74, 9]), 3, 20000, 41)  # depths 18 to 21 drop no start; 21 grows
+def test_sweep_carries_the_gap_minimum_only_while_it_holds(spec, base, cap, depth):
+    want = naive_taus(spec, base, cap, depth)
+    expect_series(lambda: rate_series(build(spec), depth, WindowPolicy(base, cap)).entries, want)
 
 
 @settings(max_examples=25, deadline=None)
@@ -470,6 +549,19 @@ def test_sub_invariance_matches_naive_window_loop(spec, base, cap, depth):
         want = [str(exc)]
     policy = WindowPolicy(base, cap)
     expect_series(lambda: [sub_invariance_check(build(spec), depth, policy)], want)
+
+
+def test_long_sweep_table_and_fixed_point_finish_fast():
+    with within(2):
+        rs = rate_series(get_preset("fibonacci"), 2000)
+    with within(2):
+        rows = return_table(get_preset("fibonacci"), 16, 65536)
+    with within(2):
+        text = get_preset("thue-morse").prefix(2**20)
+    assert len(rs.entries) == 2000 and all(e.stabilized for e in rs.entries)
+    assert [r.n for r in rows] == list(range(1, 17)) and len(rows[-1].words) == 2
+    assert len(text) == 2**20
+    assert all(text[k] == "01"[bin(k).count("1") % 2] for k in range(0, 2**20, 4099))
 
 
 def test_dense_periodic_word_finishes_fast():
