@@ -152,11 +152,16 @@ def cmd_rates(args) -> int:
     return EXIT_DEGRADED if bad else EXIT_OK
 
 
+def _window(args, default: int) -> int:
+    window = _fallback(args, "window", default)
+    if window < 1:
+        raise ValueError("--window must be >= 1")
+    return window
+
+
 def cmd_returns(args) -> int:
     source = build_source(args)
-    rows = return_table(
-        source, _fallback(args, "depth", 8), _fallback(args, "window", 65536)
-    )
+    rows = return_table(source, _fallback(args, "depth", 8), _window(args, 65536))
     lines = ["n,tau,return_words"]
     for r in rows:
         lines.append("%d,%d,%s" % (r.n, r.tau, " ".join(r.words)))
@@ -178,7 +183,7 @@ def cmd_power(args) -> int:
 def cmd_lr(args) -> int:
     source = build_source(args)
     rep = lr_constant_estimate(
-        source, _fallback(args, "max_len", 20), _fallback(args, "window", 100_000)
+        source, _fallback(args, "max_len", 20), _window(args, 100_000)
     )
     print("max_len=%d" % rep.max_len)
     print("window=%d" % rep.window)

@@ -8,10 +8,13 @@ extend it on demand from the state they carry.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .contfrac import CFExpansion, InsufficientCoefficients, quadratic_of_cf
 from .quadratic import ONE, ZERO, QuadraticReal
+from .words import _codes, _text
 
 
 # No source builds more than _MAX_LENGTH symbols: a longer request could
@@ -45,14 +48,44 @@ class Morphism:
         self.label = label or "{%s}" % ",".join(
             "%s>%s" % (s, w) for s, w in sorted(images.items())
         )
-        self._table = str.maketrans(self.images)
-        self._domain = frozenset(images)
+
+    @cached_property
+    def _tables(self):
+        """(domain codes, ascending; the images' codes end to end; where each
+        image starts in them; its length)."""
+        domain = sorted(self.images)
+        sizes = np.array([len(self.images[s]) for s in domain], dtype=np.intp)
+        return (
+            np.array([ord(s) for s in domain], dtype=np.uint32),
+            _codes("".join(self.images[s] for s in domain)),
+            np.cumsum(sizes) - sizes,
+            sizes,
+        )
 
     def apply(self, word: str) -> str:
-        if not self._domain.issuperset(word):
-            bad = set(word) - self._domain
+        """The images of word's symbols, end to end, looked up in blocks of
+        _BLOCK symbols: a symbol with domain index d at output offset j
+        within its image reads flat[start[d] + j]. Any symbol outside the
+        domain raises, naming them all.
+        """
+        domain, flat, start, size = self._tables
+        codes = _codes(word)
+        out, bad = [], set()
+        for lo in range(0, len(codes), _BLOCK):
+            block = codes[lo : lo + _BLOCK]
+            idx = np.minimum(np.searchsorted(domain, block), len(domain) - 1)
+            miss = domain[idx] != block
+            if miss.any():
+                bad.update(map(chr, block[miss].tolist()))
+                continue
+            lens = size[idx]
+            ends = np.cumsum(lens)
+            at = np.repeat(start[idx] - ends + lens, lens)
+            at += np.arange(ends[-1])
+            out.append(_text(flat[at]))
+        if bad:
             raise ValueError("symbols outside domain: %s" % sorted(bad))
-        return word.translate(self._table)
+        return "".join(out)
 
     def __repr__(self):
         return "Morphism(%s)" % self.label

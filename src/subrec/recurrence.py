@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import pairwise
 from math import gcd
 
 import numpy as np
@@ -354,8 +353,34 @@ class ReturnTableRow:
     words: tuple[str, ...]  # sorted by (length, lexicographic)
 
 
+def _return_words(text: str, arr: np.ndarray, occ: np.ndarray) -> tuple[str, ...]:
+    """The distinct words text[p:q] over consecutive starts p < q of occ,
+    sorted by (length, lexicographic).
+
+    The pairs are grouped by their gap g; a group's words are the rows
+    arr[p:p + g], deduplicated exactly as byte strings, and text is sliced
+    once per distinct row.
+    """
+    gaps = np.diff(occ)
+    gaps = gaps.astype(np.min_scalar_type(int(gaps.max())))  # radix-sortable
+    order = np.argsort(gaps, kind="stable")
+    gaps, starts = gaps[order], occ[:-1][order]
+    cuts = np.flatnonzero(np.diff(gaps)) + 1
+    words = []
+    for g, group in zip(gaps[np.r_[0, cuts]].tolist(), np.split(starts, cuts)):
+        rows = arr[group[:, None] + np.arange(g)].view(np.dtype((np.void, g * arr.itemsize)))
+        _, first = np.unique(rows, return_index=True)  # one byte string per row
+        words += sorted(text[p : p + g] for p in group[first].tolist())
+    return tuple(words)
+
+
 def return_table(x, depth: int, window: int) -> list[ReturnTableRow]:
-    """Return words to each prefix x[0:n], n = 1..depth, from one window."""
+    """Return words to each prefix x[0:n], n = 1..depth, from one window.
+
+    The starts of each prefix come from _narrow; a depth whose filter drops
+    no start keeps the previous depth's words, any other reads them off
+    its starts with _return_words.
+    """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     text = as_source(x).prefix(window)
@@ -370,8 +395,7 @@ def return_table(x, depth: int, window: int) -> list[ReturnTableRow]:
                 "need at least 2 occurrences of %r, found %d" % (text[:n], len(kept))
             )
         if kept is not occ or not rows:  # the same starts give the same words
-            ws = {text[p:q] for p, q in pairwise(kept.tolist())}
-            words = tuple(sorted(ws, key=lambda w: (len(w), w)))
+            words = _return_words(text, arr, kept)
         occ = kept
         rows.append(ReturnTableRow(n, text[:n], len(words[0]), words))
     return rows

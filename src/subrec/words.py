@@ -28,6 +28,11 @@ def _codes(text: str) -> np.ndarray:
         return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
 
 
+def _text(codes: np.ndarray) -> str:
+    """The string whose _codes are codes."""
+    return codes.tobytes().decode("latin-1" if codes.dtype == np.uint8 else "utf-32-le")
+
+
 def occurrences(pattern: str, text: str) -> list[int]:
     """All start positions of pattern in text, overlaps included."""
     if not pattern:
@@ -82,10 +87,12 @@ def max_power_witness(text: str) -> PowerWitness:
     """Largest fractional power among factors of text, with a witness.
 
     Scans every period p: the factor starting at i with period p extends to
-    length p + lce(i, i+p), giving exponent (p + ext)/p. Ties prefer the
-    smallest period, then the leftmost position. A period p allows at most
-    n/p, so the scan stops at the first p with n/p <= best: no later period
-    can beat the best strictly.
+    length p + lce(i, i+p), giving exponent (p + ext)/p. The positions where
+    text[i] != text[i+p], with sentinels at -1 and n - p, cut the text into
+    match runs, and the longest run is the best factor of period p. Ties
+    prefer the smallest period, then the leftmost position. A period p
+    allows at most n/p, so the scan stops at the first p with n/p <= best:
+    no later period can beat the best strictly.
     """
     if not text:
         raise EmptyPattern("empty text")
@@ -98,19 +105,32 @@ def max_power_witness(text: str) -> PowerWitness:
     for p in range(1, n):
         if n * best_den <= best_num * p:
             break
-        m = arr[:-p] == arr[p:]
-        size = m.size
-        idx = np.arange(size)
-        mism = np.where(m, size, idx)
-        nxt = np.minimum.accumulate(mism[::-1])[::-1]
-        ext = nxt - idx  # match run starting at each position
-        i = int(np.argmax(ext))
-        num = p + int(ext[i])
+        cut = np.flatnonzero(arr[:-p] != arr[p:])
+        bounds = np.concatenate(([-1], cut, [n - p]))
+        runs = np.diff(bounds) - 1  # the match run after each cut
+        j = int(np.argmax(runs))
+        num = p + int(runs[j])
         # compare num/p with the running best exactly
         if num * best_den > best_num * p:
-            best_num, best_den, best_pos = num, p, i
+            best_num, best_den, best_pos = num, p, int(bounds[j]) + 1
     g = Fraction(best_num, best_den)
     return PowerWitness(g, text[best_pos : best_pos + best_den], best_pos, n)
+
+
+def _dense(values: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
+    """(rank of each value among the distinct values, how many there are),
+    for values below bound; the ranks come in the smallest unsigned dtype
+    that holds them. Only a wide alphabet makes bound far exceed the number
+    of values, and then a sort ranks them in place of the bincount."""
+    if bound <= 4 * len(values) + 256:
+        rank = np.cumsum(np.bincount(values, minlength=bound) > 0) - 1
+        distinct = int(rank[-1]) + 1
+        rank = rank.astype(np.min_scalar_type(distinct - 1))[values]
+    else:
+        uniq, rank = np.unique(values, return_inverse=True)
+        distinct = len(uniq)
+        rank = rank.astype(np.min_scalar_type(distinct - 1))
+    return rank, distinct
 
 
 def factor_keys(text: str, max_len: int):
@@ -118,23 +138,21 @@ def factor_keys(text: str, max_len: int):
     1..min(max_len, len(text)); the length-1 array comes first in any case.
 
     keys[i] stands for text[i:i + length]: equal factors get equal keys, and
-    key order is lexicographic order. Symbols are ranked once; a length-(L+1)
-    key is the length-L key times the alphabet size plus the rank of the
-    next symbol. When that step could pass 2**62, the keys are first
-    replaced by their dense ranks.
+    key order is lexicographic order. Every level holds the dense ranks
+    0..distinct-1 of its factors, in the smallest unsigned dtype that fits,
+    so a stable sort of them is a radix sort. Level L + 1 is the dense rank
+    of level L times the alphabet size plus the rank of the next symbol,
+    counted with one bincount and one cumsum (see _dense).
     """
     codes = _codes(text)
-    rank = np.cumsum(np.bincount(codes) > 0) - 1  # symbol code -> rank
-    k = bound = int(rank[-1]) + 1  # every key is below bound
-    sym = rank.astype(np.min_scalar_type(k - 1))[codes]  # small ints, kept
-    keys = sym.astype(np.int64)
+    sym, k = _dense(codes, int(codes.max()) + 1)
+    keys, distinct = sym, k
     yield keys
     for length in range(2, min(max_len, len(text)) + 1):
-        if bound * k > 2**62:
-            distinct, keys = np.unique(keys, return_inverse=True)
-            bound = len(distinct)
-        keys, bound = keys[:-1] * k, bound * k
-        keys += sym[length - 1 :]
+        pair = keys[:-1].astype(np.intp)
+        pair *= k
+        pair += sym[length - 1 :]
+        keys, distinct = _dense(pair, distinct * k)
         yield keys
 
 

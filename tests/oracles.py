@@ -228,6 +228,15 @@ def naive_kappa_word(steps, seed: str = "0") -> str:
     return w
 
 
+def translate_apply(images: dict[str, str], word: str) -> str:
+    """word with every symbol replaced by its image, by str.translate; a
+    symbol outside the domain raises ValueError naming all of them, sorted."""
+    bad = set(word) - set(images)
+    if bad:
+        raise ValueError("symbols outside domain: %s" % sorted(bad))
+    return word.translate(str.maketrans(images))
+
+
 def naive_thue_morse(length: int) -> str:
     """Thue-Morse word: symbol k is the parity of the binary digit sum of k."""
     return "".join(str(bin(k).count("1") % 2) for k in range(length))

@@ -235,7 +235,7 @@ def test_config_cannot_pick_the_suite(tmp_path):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--preset", "fibonacci", "--window", "0"], "empty pattern"),
+        (["--preset", "fibonacci", "--window", "0"], "--window must be >= 1"),
         # a window shorter than the depth ends at the first lone prefix
         (["--preset", "periodic01", "--window", "2"], "need at least 2 occurrences of '0', found 1"),
         (["--preset", "fibonacci", "--window", "5", "-N", "3"], "need at least 2 occurrences of '010', found 1"),
@@ -245,6 +245,23 @@ def test_returns_errors(argv, message):
     r = run_cli("returns", *argv)
     assert (r.returncode, r.stdout) == (1, "")
     assert r.stderr == "subrec: error: %s\n" % message
+
+
+@pytest.mark.parametrize("command", ["returns", "lr"])
+@pytest.mark.parametrize("window", ["0", "-1"])
+def test_a_window_below_1_is_refused_by_its_flag(command, window, capsys):
+    # 0 used to read as an empty text ("empty pattern" or "cannot host"),
+    # and -1 as a negative prefix length ("length must be >= 0")
+    assert main([command, "--preset", "fibonacci", "--window", window]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "subrec: error: --window must be >= 1\n")
+
+
+def test_a_config_window_below_1_is_refused_by_its_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset=fibonacci\nwindow=0\n")
+    assert main(["lr", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "subrec: error: --window must be >= 1\n"
 
 
 def test_config_file_and_flag_override(tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subrec import (
@@ -34,7 +34,13 @@ from subrec import (
 )
 from subrec import generators
 from subrec.presets import get_preset, golden_kappa_steps, preset_names, sqrt2_kappa_steps
-from oracles import beatty_coding, naive_kappa_word, naive_standard_word, naive_thue_morse
+from oracles import (
+    beatty_coding,
+    naive_kappa_word,
+    naive_standard_word,
+    naive_thue_morse,
+    translate_apply,
+)
 
 GOLDEN_CF = CFExpansion((), (1,))
 SQRT2_CF = CFExpansion((), (2,))
@@ -79,8 +85,45 @@ def naive_fixed_point(m, seed, n):
     """First n symbols of the fixed point, applying m to the whole word."""
     w = seed
     while len(w) < n:
-        w = m.apply(w)
+        w = translate_apply(m.images, w)
     return w[:n]
+
+
+# latin-1 and wide symbols, one outside the basic plane
+SYMBOLS = "01ab\u00e9\u20ac\u0434\U0001d11e"
+images_st = st.dictionaries(
+    st.sampled_from(SYMBOLS), st.text(SYMBOLS, min_size=1, max_size=5), min_size=1, max_size=8
+)
+WIDE = {"a": "a\u00e9", "\u00e9": "\u20ac", "\u20ac": "a"}
+LONG = "a\u00e9\u20ac" * (generators._BLOCK // 3 + 5)  # over one block
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    images_st.flatmap(
+        lambda images: st.tuples(
+            st.just(images),
+            st.text(st.sampled_from(sorted(images)), max_size=60)
+            | st.text(st.sampled_from(SYMBOLS), max_size=20),
+        )
+    )
+)
+@example((WIDE, LONG))
+@example((WIDE, LONG[: generators._BLOCK]))
+@example((WIDE, LONG + "0" + LONG + "x"))  # outside symbols in two blocks
+@example(({"0": "001", "1": "1"}, "0" * generators._BLOCK + "1"))
+@example(({"0": "01"}, ""))
+def test_apply_matches_translate(case):
+    images, word = case
+    m = Morphism(images)
+    try:
+        want = translate_apply(images, word)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            m.apply(word)
+        assert str(info.value) == str(exc)
+    else:
+        assert m.apply(word) == want
 
 
 def test_thue_morse_source_matches_oracle_across_extensions():

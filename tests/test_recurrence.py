@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -227,8 +228,8 @@ def check_factor_stats(text, length):
 
 @pytest.mark.parametrize("length", [61, 62, 63, 64, 65])
 def test_factor_gaps_and_counts_match_oracle(length):
-    # binary keys are packed up to length 62; from 63 on they grow from
-    # dense ranks, and groups come in lexicographic order either way
+    # lengths around 62, where packed binary keys would pass 2**62; every
+    # level is a dense rank, and groups come in lexicographic order at each
     rng = random.Random(length)
     texts = [
         get_preset("fibonacci").prefix(400),
@@ -241,14 +242,15 @@ def test_factor_gaps_and_counts_match_oracle(length):
         check_factor_stats(text, length)
 
 
-# largest length whose keys fit without a re-rank, per alphabet size
+# largest length whose packed keys k**length would stay below 2**62, per
+# alphabet size k: the lengths around it and past it still have to work
 PACKING_LIMIT = {1: 300, 2: 62, 3: 39, 4: 31}
 
 
 @pytest.mark.parametrize("alphabet", ["x", "01", "a\u00e9\u20ac", "0\u0434\u20ac\U0001d11e"])
 def test_factor_keys_across_re_ranks_match_oracle(alphabet):
-    # a mutated periodic text keeps long factors repeating, so groups past
-    # the third re-rank still hold more than one start
+    # a mutated periodic text keeps long factors repeating, so groups at
+    # three times that length still hold more than one start
     limit = PACKING_LIMIT[len(alphabet)]
     rng = random.Random(alphabet)
     block = "".join(rng.choice(alphabet) for _ in range(23))
@@ -264,12 +266,33 @@ def test_factor_keys_across_re_ranks_match_oracle(alphabet):
 
 
 def test_factor_keys_on_a_wide_alphabet():
-    # 300 symbols: ranks need two bytes, and keys re-rank from length 8 on
+    # 300 symbols: ranks need two bytes, and a bincount over 300 times the
+    # distinct factors would outgrow the text, so levels past the first
+    # rank by sorting
     block = [chr(0x100 + i) for i in range(300)]
     random.Random(300).shuffle(block)
     text = "".join(block) * 2 + "".join(block[:50])
     for length in (1, 2, 7, 8, 9):
         check_factor_stats(text, length)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.text(alphabet="01", min_size=1, max_size=80)
+    | st.text(alphabet="a\u00e9\u20ac\U0001d11e", min_size=1, max_size=60)
+    | st.text(alphabet=[chr(0x100 + i) for i in range(300)], min_size=1, max_size=400),
+)
+@example("0" * 70)
+@example(get_preset("fibonacci").prefix(200))
+def test_factor_keys_are_dense_lexicographic_ranks(text):
+    # each level holds exactly 0..distinct-1 in the narrowest unsigned dtype,
+    # ranked like the sorted distinct factors
+    for length, keys in enumerate(factor_keys(text, len(text)), 1):
+        factors = [text[i : i + length] for i in range(len(text) - length + 1)]
+        rank = {w: r for r, w in enumerate(sorted(set(factors)))}
+        assert keys.tolist() == [rank[w] for w in factors]
+        assert keys.dtype == np.min_scalar_type(len(rank) - 1)
+        assert keys.dtype.kind == "u"
 
 
 def naive_lr(text, max_len):
@@ -308,7 +331,7 @@ lr_texts = st.one_of(
 @example("bb" + "ab" * 3 + "aa", 2)  # "bb" and "aa" occur once; "aa" is named
 @example("001011" * 10 + "0", 2)  # K is 3 at lengths 1 and 2; length 1 wins
 @example("001" * 20 + "0", 3)  # the least ratio is 1 at lengths 1 and 3; 1 wins
-# binary keys of length 63 and more grow from dense ranks
+# lengths past 62, where packed binary keys would pass 2**62
 @example(get_preset("fibonacci").prefix(300), 65)
 @example(get_preset("thue-morse").prefix(600), 65)
 def test_lr_estimate_matches_oracle(text, max_len):
@@ -331,6 +354,9 @@ def test_lr_estimate_matches_oracle(text, max_len):
     st.integers(1, 12),
 )
 @example("0101010110", 2)  # depth 2 only trims the start at 9, and loses the word 011
+@example("0ab0ba0ab0", 1)  # two return words of length 3
+@example("0010001000010010110", 3)  # gaps 1, 2, 3 at depth 1 and 3, 4, 5 at depth 3
+@example("a\u20ac\u00e9a\u20aca\u20ac\u00e9\u00e9a\u20ac\U0001d11ea\u20ac", 2)  # not latin-1
 @example(get_preset("thue-morse").prefix(80), 8)  # depths 6 to 8 drop no start
 def test_return_table_matches_oracle_at_every_depth(text, depth):
     rows = []
@@ -562,6 +588,13 @@ def test_long_sweep_table_and_fixed_point_finish_fast():
     assert [r.n for r in rows] == list(range(1, 17)) and len(rows[-1].words) == 2
     assert len(text) == 2**20
     assert all(text[k] == "01"[bin(k).count("1") % 2] for k in range(0, 2**20, 4099))
+
+
+def test_power_report_on_a_long_thue_morse_prefix_finishes_fast():
+    # every period up to half the window is scanned before the early exit
+    with within(2):
+        rep = power_report(get_preset("thue-morse"), 2**14)
+    assert (rep.exponent, rep.base, rep.position) == (2, "1", 1)
 
 
 def test_dense_periodic_word_finishes_fast():
