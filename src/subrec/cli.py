@@ -9,6 +9,7 @@ clean. Exit codes: 0 success, 1 usage or input error, 2 degraded results
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import random
@@ -195,6 +196,8 @@ def cmd_lr(args) -> int:
 
 
 def cmd_xcheck(args) -> int:
+    if args.cf and args.preset:
+        raise ValueError("pick exactly one of --preset, --cf")
     if args.cf:
         spec = RotationSpec.from_cf(parse_cf(args.cf))
     elif args.preset:
@@ -396,6 +399,7 @@ def load_config(path: str) -> dict:
     return values
 
 
+@functools.cache  # argparse keeps no state between parses, so one parser serves every call
 def build_parser() -> CLIParser:
     parser = CLIParser(
         prog="subrec",

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import count, islice
+from itertools import islice
+
+import numpy as np
 
 from .contfrac import CFExpansion, ladder, quadratic_of_cf
-from .generators import SequenceTooShort, kappa_images, sturmian_source
+from .generators import _BLOCK, _FIXED_ONE, SequenceTooShort, kappa_images, sturmian_source
 from .quadratic import ONE, ZERO, QuadraticReal
 from .recurrence import DEFAULT_POLICY, WindowPolicy, rate_series
 
@@ -31,7 +33,8 @@ class RotationSpec:
     the endpoints e_j = {-j*alpha}, the cell bit 1 - e_j < alpha of each,
     and the ladder rungs (q_i, |q_i*alpha - p_i|). The table takes part in
     no comparison, hash or repr, and, like a word source, a spec is not
-    thread-safe.
+    thread-safe. exact_fallbacks counts the depths that atom_of and
+    cross_check had to settle by exact comparison.
     """
 
     cf: CFExpansion
@@ -40,6 +43,7 @@ class RotationSpec:
     _cells: list = field(init=False, compare=False, repr=False)
     _rungs: list = field(init=False, compare=False, repr=False)
     _ladder: Iterator = field(init=False, compare=False, repr=False)
+    exact_fallbacks: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         init = object.__setattr__
@@ -48,6 +52,7 @@ class RotationSpec:
         init(self, "_cells", [False])
         init(self, "_rungs", [])
         init(self, "_ladder", ladder(self.cf))
+        init(self, "exact_fallbacks", 0)
 
     @classmethod
     def from_cf(cls, cf: CFExpansion) -> "RotationSpec":
@@ -105,31 +110,76 @@ def atom_lengths(spec: RotationSpec, n: int) -> list[QuadraticReal]:
     return out
 
 
-def _atom_sweep(spec: RotationSpec, t: QuadraticReal):
-    """The atom [l, r) containing t at depths 0, 1, 2, ...
+def _endpoint(alpha: QuadraticReal, j: int) -> QuadraticReal:
+    """e_j = {-j*alpha} = floor(j*alpha) + 1 - j*alpha, for j >= 1."""
+    x = alpha * j
+    return x.floor() + 1 - x
 
-    Depth n adds the single endpoint p = {-n*alpha}, which cuts the atom
-    of t only if it falls inside: l < p <= t moves l, t < p < r moves r.
+
+def _atom_moves(spec: RotationSpec, t: QuadraticReal, n: int) -> list[tuple]:
+    """(j, l, r) for j = 0 and each depth j <= n where the atom [l, r) of t
+    changes.
+
+    x_j = {t + j*alpha} is t - e_j if e_j <= t, else 1 + t - e_j, so l and
+    r come from the least x_j <= t and the greatest x_j > t (x_0 = t on
+    both sides). As in RotationCodingSource, x_j * 2**64 lies in
+    [D_j, D_j + j + 1), D_j = (T + j*a) mod 2**64, unless that wraps. Each
+    side's record lies in [m, m + w) for its mark m and the block's widest
+    range w (right keys are complemented: both sides seek a least key). A
+    depth whose range wraps, reaches T or nears its mark is settled
+    exactly and counted in spec.exact_fallbacks.
     """
-    left, right = ZERO, ONE
-    for n in count(1):
-        yield IntervalAtom(left, right, n - 1)
-        p = spec._orbit(n)[0][n]
-        if p <= t:
-            left = max(left, p)
-        elif p < right:
-            right = p
+    alpha, ones = spec.alpha, _FIXED_ONE - 1
+    a = np.uint64((alpha * _FIXED_ONE).floor())
+    low = (t * _FIXED_ONE).floor()
+    marks, ends, moves = [low, ones - low], [ZERO, ONE], [(0, ZERO, ONE)]
+    exact, j = 0, 1
+    while j <= n:
+        stop = min(j + _BLOCK, n + 1)
+        k = np.arange(j, stop, dtype=np.uint64)
+        x = np.uint64(low) + k * a  # uint64 wraps: this is the mod 1
+        top = x + k + np.uint64(1)
+        fits = top > x  # the range does not wrap
+        sides = np.stack((fits & (top <= low), fits & (x > low)))
+        keys = np.empty((2, len(k) + 1), dtype=np.uint64)
+        keys[:, 0] = marks
+        keys[:, 1:] = np.where(sides, (x, ~x), np.uint64(ones))
+        prev = np.minimum.accumulate(keys, axis=1)[:, :-1]
+        keys = keys[:, 1:]
+        near = sides & (np.where(keys < prev, prev - keys, keys - prev) < np.uint64(stop))
+        unsure = np.flatnonzero(~sides.any(axis=0) | near.any(axis=0))
+        end = int(unsure[0]) if len(unsure) else len(k)
+        for i in np.flatnonzero((keys < prev)[:, :end].any(axis=0)).tolist():
+            side = int(keys[1, i] < prev[1, i])
+            ends[side], marks[side] = _endpoint(alpha, j + i), int(keys[side, i])
+            moves.append((j + i, *ends))
+        j += end
+        if j < stop:
+            exact += 1
+            e = _endpoint(alpha, j)
+            if ends[0] < e <= t or t < e < ends[1]:
+                side = int(e > t)
+                mark = ((t + alpha * j).mod1() * _FIXED_ONE).floor()
+                ends[side], marks[side] = e, (mark, ones - mark)[side]
+                moves.append((j, *ends))
+            j += 1
+    object.__setattr__(spec, "exact_fallbacks", spec.exact_fallbacks + exact)
+    return moves
 
 
 def atom_of(spec: RotationSpec, t: QuadraticReal, n: int) -> IntervalAtom:
-    """The depth-n atom [l, r) containing t."""
+    """The depth-n atom [l, r) containing t, for t in [0, 1) and in the
+    field of alpha (or rational)."""
     if not isinstance(t, QuadraticReal):
         t = QuadraticReal(t)
+    if not t.is_rational and t.d != spec.alpha.d:
+        raise ValueError("t0 must live in the same quadratic field as alpha")
     if not (ZERO <= t < ONE):
         raise ValueError("t must lie in [0, 1)")
     if n < 0:
         raise ValueError("depth must be >= 0")
-    return next(islice(_atom_sweep(spec, t), n, None))
+    _, left, right = _atom_moves(spec, t, n)[-1]
+    return IntervalAtom(left, right, n)
 
 
 def _ladder_taus(spec: RotationSpec, lengths):
@@ -263,16 +313,12 @@ class CrossCheckReport:
 
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]
+        length = approx = None
         for r in self.rows:
+            if r.atom_length is not length:  # rows of one atom share its length
+                length, approx = r.atom_length, float(r.atom_length)
             lines.append(
-                "%d,%d,%d,%.12g,%d"
-                % (
-                    r.n,
-                    r.tau_symbolic,
-                    r.tau_geometric,
-                    float(r.atom_length),
-                    int(r.match),
-                )
+                "%d,%d,%d,%.12g,%d" % (r.n, r.tau_symbolic, r.tau_geometric, approx, int(r.match))
             )
         return "\n".join(lines) + "\n"
 
@@ -283,14 +329,17 @@ def cross_check(
     """Symbolic vs geometric recurrence times at t = 0, depths 1..depth.
 
     Symbolic side: tau of the depth-n cylinder of the coding of 0.
-    Geometric side: tau of the depth-n atom of 0. The atoms nest, so one
-    ladder walk serves every depth.
+    Geometric side: tau of the depth-n atom of 0. The depths between two
+    moves of that atom share its length and tau, and the atoms nest, so
+    one ladder walk over the distinct lengths serves every depth.
     The two must agree exactly at every depth.
     """
     series = rate_series(sturmian_source(spec.cf, "rotation"), depth, policy)
-    lengths = [atom.length for atom in islice(_atom_sweep(spec, ZERO), 1, depth + 1)]
-    rows = [
-        CrossCheckRow(entry.n, entry.tau, geo, length, entry.tau == geo)
-        for entry, length, geo in zip(series.entries, lengths, _ladder_taus(spec, lengths))
-    ]
+    moves = _atom_moves(spec, ZERO, depth)[1:]  # e_1 = 1 - alpha always cuts [0, 1)
+    lengths = [r - l for _, l, r in moves]
+    stops = [j for j, _, _ in moves[1:]] + [depth + 1]
+    entries, rows = iter(series.entries), []
+    for (j, _, _), stop, length, geo in zip(moves, stops, lengths, _ladder_taus(spec, lengths)):
+        for entry in islice(entries, stop - j):
+            rows.append(CrossCheckRow(entry.n, entry.tau, geo, length, entry.tau == geo))
     return CrossCheckReport(str(spec.cf), depth, rows)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from subrec.cli import SUITES, main
+from subrec.cli import SUITES, build_parser, main
 from guards import within
 
 PY = [sys.executable, "-m", "subrec.cli"]
@@ -129,6 +129,33 @@ def test_xcheck_fibonacci():
     assert lines[0] == "n,tau_symbolic,tau_geometric,atom_len_num_approx,match"
     assert len(lines) == 41
     assert all(line.endswith(",1") for line in lines[1:])
+
+
+def test_xcheck_refuses_two_sources(capsys):
+    # --preset used to be dropped in silence when --cf was given too
+    assert main(["xcheck", "--preset", "fibonacci", "--cf", "[0;(2)]", "-N", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "subrec: error: pick exactly one of --preset, --cf\n")
+
+
+def test_in_process_calls_read_like_fresh_processes(capsys):
+    # main keeps one parser for the process; no option may reach the next call
+    def in_process(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a bad value by exiting
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    calls = [
+        ["rates", "--preset", "fibonacci", "-N", "x"],
+        ["rates", "--preset", "fibonacci", "-N", "12", "--window-base", "500"],
+        ["rates", "--preset", "fibonacci", "-N", "12"],
+    ]
+    for argv in calls:
+        fresh = run_cli(*argv)
+        assert in_process(argv) == (fresh.returncode, fresh.stdout)
+    assert build_parser() is build_parser()
 
 
 def test_xcheck_long_period_radicand(capsys):

@@ -39,6 +39,7 @@ from subrec.presets import (
     rotation_spec,
     sqrt2_kappa_steps,
 )
+from guards import within
 from oracles import naive_atom, naive_cylinder
 
 GOLDEN = rotation_spec("fibonacci")
@@ -134,11 +135,19 @@ def _pair(x: QuadraticReal):
 
 @st.composite
 def atom_queries(draw):
-    """(cf, t, n) with t = 0, {k alpha}, a rational, or an endpoint {-j alpha}."""
+    """(cf, t, n, on_cut) with t = 0, {k alpha}, a rational, an endpoint
+    {-j alpha}, or a point within 10**-15 of one (closer than the 2**-64
+    fixed-point step at 10**-20 and below); on_cut when t is the endpoint
+    of a depth 1..n. A partial quotient near 2**64 puts alpha within
+    2**-64 of a rational, which brings fixed-point near-ties down to the
+    first depths."""
     cf = draw(periodic_cfs())
+    if draw(st.booleans()):
+        cf = CFExpansion(cf.preperiod, (2 ** draw(st.integers(60, 70)),) + cf.period)
     alpha = quadratic_of_cf(cf)
-    n = draw(st.integers(0, 150))
-    kind = draw(st.sampled_from(["zero", "orbit", "rational", "endpoint"]))
+    n = draw(st.integers(0, 300))
+    kind = draw(st.sampled_from(["zero", "orbit", "rational", "endpoint", "near"]))
+    j = 0
     if kind == "zero":
         t = QuadraticReal(0)
     elif kind == "orbit":
@@ -146,23 +155,55 @@ def atom_queries(draw):
     elif kind == "rational":
         q = draw(st.integers(1, 1000))
         t = QuadraticReal(Fraction(draw(st.integers(0, q - 1)), q))
+    elif kind == "endpoint":
+        j = draw(st.integers(0, n + 5))
+        t = (-alpha * j).mod1()
     else:
-        t = (-alpha * draw(st.integers(0, n + 5))).mod1()
-    return cf, t, n
+        shift = Fraction(draw(st.sampled_from([-1, 1])), 10 ** draw(st.integers(15, 25)))
+        t = (-alpha * draw(st.integers(1, n + 5)) + shift).mod1()
+    return cf, t, n, 1 <= j <= n
 
 
 @settings(max_examples=80, deadline=None)
 @given(atom_queries())
-@example((SQRT2_CF, QuadraticReal(0), 0))
-@example((GOLDEN_CF, (-GOLDEN.alpha * 5).mod1(), 5))
+@example((SQRT2_CF, QuadraticReal(0), 0, False))
+@example((GOLDEN_CF, (-GOLDEN.alpha * 5).mod1(), 5, True))
+@example((GOLDEN_CF, (-GOLDEN.alpha * 300).mod1(), 300, True))
+@example((CFExpansion((2, 3), (2**66,)), QuadraticReal(Fraction(1, 3)), 30, False))
 def test_atom_of_matches_sorted_partition(query):
-    cf, t, n = query
+    cf, t, n, on_cut = query
     spec = RotationSpec.from_cf(cf)
     atom = atom_of(spec, t, n)
     alpha = (spec.alpha.a, spec.alpha.b, spec.alpha.d)
     assert (_pair(atom.left), _pair(atom.right)) == naive_atom(alpha, _pair(t), n)
     assert atom.left <= t < atom.right
     assert atom.depth == n
+    if on_cut:
+        # x_j = {t + j*alpha} is exactly 0, so its fixed-point range wraps
+        assert spec.exact_fallbacks >= 1
+
+
+@pytest.mark.parametrize("j", [0, 777])
+def test_a_deep_atom_is_found_in_fixed_point(j):
+    spec = RotationSpec(GOLDEN_CF)
+    t = (-spec.alpha * j).mod1()
+    with within(2):
+        deep = atom_of(spec, t, 10**6)
+    assert deep.left <= t < deep.right and deep.depth == 10**6
+    ends = spec._orbit(20_000)[0]
+    atom = atom_of(spec, t, 20_000)
+    assert atom.left == max(e for e in ends if e <= t)
+    assert atom.right == min((e for e in ends if e > t), default=ONE)
+    assert deep.right - deep.left < atom.right - atom.left
+
+
+def test_atom_of_refuses_a_point_outside_the_field():
+    with pytest.raises(ValueError, match="same quadratic field"):
+        atom_of(GOLDEN, QuadraticReal(-1, 1, 3), 10)  # sqrt(3) - 1
+    t = QuadraticReal(Fraction(2, 7))
+    atom = atom_of(GOLDEN, t, 40)
+    alpha = (ALPHA.a, ALPHA.b, ALPHA.d)
+    assert (_pair(atom.left), _pair(atom.right)) == naive_atom(alpha, _pair(t), 40)
 
 
 def test_tau_interval_nondecreasing():
@@ -302,6 +343,15 @@ def test_mu_tower_empirical_close_to_exact():
             assert abs(len(w) * freq - float(value)) < 1e-3
 
 
+@pytest.mark.parametrize("cf", [GOLDEN_CF, CFExpansion((3,), (1, 4))], ids=["golden", "3-1-4"])
+def test_cross_check_atom_lengths_match_the_sorted_partition(cf):
+    spec = RotationSpec(cf)
+    alpha = (spec.alpha.a, spec.alpha.b, spec.alpha.d)
+    for row in cross_check(spec, 150).rows:
+        (lx, ly), (rx, ry) = naive_atom(alpha, (0, 0), row.n)
+        assert row.atom_length == QuadraticReal(rx - lx, ry - ly, alpha[2])
+
+
 def test_cross_check_golden():
     report = cross_check(GOLDEN, 60)
     assert report.ok
@@ -341,7 +391,8 @@ CLONES = {
 def test_values_round_trip_through_pickle_and_copies(clone):
     cf = CFExpansion((3,), (1, 4))
     spec = RotationSpec(cf)
-    atom = atom_of(spec, ZERO, 40)  # fills the spec's table
+    atom_lengths(spec, 40)  # fills the spec's orbit table
+    atom = atom_of(spec, ZERO, 40)
     report = cross_check(spec, 30)
     for value in (spec.alpha, atom, report, QuadraticReal(Fraction(2, 3))):
         twin = clone(value)
