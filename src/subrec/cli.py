@@ -199,7 +199,7 @@ def cmd_xcheck(args) -> int:
     if args.cf and args.preset:
         raise ValueError("pick exactly one of --preset, --cf")
     if args.cf:
-        spec = RotationSpec.from_cf(parse_cf(args.cf))
+        spec = RotationSpec(parse_cf(args.cf))
     elif args.preset:
         spec = presets.rotation_spec(args.preset)
     else:
@@ -267,7 +267,7 @@ def _suite_morse_delta(depth=500, window=4096, policy=DEFAULT_POLICY):
 
 
 def _suite_xcheck_rotation(depth=200, cf=presets.GOLDEN_CF, policy=DEFAULT_POLICY):
-    report = cross_check(RotationSpec.from_cf(cf), depth, policy)
+    report = cross_check(RotationSpec(cf), depth, policy)
     yield "zero-mismatches", report.ok, "alpha %s, depths 1..%d, %d mismatches" % (
         report.alpha, report.depth, len(report.mismatches)
     )
@@ -469,8 +469,10 @@ def build_parser() -> CLIParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error argparse reports itself
+        return exc.code
     if getattr(args, "config", None):
         # config fills only what flags left unset, so flags override it
         try:

@@ -19,9 +19,8 @@ from .words import _codes, _text
 
 # No source builds more than _MAX_LENGTH symbols: a longer request could
 # never be held, and is refused before anything is allocated. Below it the
-# error bound k + 2 of symbol k of a RotationCodingSource, which works in
-# units of 2**-64 in blocks of _BLOCK symbols so that transient memory stays
-# flat, stays far inside the 64-bit range.
+# error bound j + 1 of _fixed_orbit, in units of 2**-64 over blocks of
+# _BLOCK points, stays far inside the 64-bit range.
 _MAX_LENGTH = 1 << 62
 _FIXED_ONE = 1 << 64
 _BLOCK = 1 << 13
@@ -119,7 +118,7 @@ def kappa_image_lengths(steps: list[Morphism]) -> list[tuple[int, int]]:
     out: list[tuple[int, int]] = []
     l0, l1 = 1, 1
     for m in steps:
-        l0, l1 = (sum(l0 if c == "0" else l1 for c in m.images[s]) for s in "01")
+        l0, l1 = (l1 * len(w) + (l0 - l1) * w.count("0") for w in map(m.images.get, "01"))
         out.append((l0, l1))
     return out
 
@@ -242,27 +241,65 @@ class StandardWordSource(WordSource):
     Convention: "0" followed by the limit of the standard-word recurrence
     s_k = s_{k-1}^(a_k) s_{k-2} with seeds s_-1 = "1", s_0 = "0" and first
     step s_1 = s_0^(a_1 - 1) s_-1. A finite expansion pins down only
-    "0" + s_k for its last k; the source ends there.
+    "0" + s_k for its last k; the source ends there. A step whose
+    repetitions of s_{k-1} already cover a request is built only as far
+    as asked, so a huge partial quotient costs only the symbols read.
     """
 
     def __init__(self, cf: CFExpansion, name: str | None = None):
         super().__init__()
         self.cf = cf
         self.name = name or ("standard %s" % cf)
-        # _buf is "0" + s_i, the only copy of s_i kept between extensions
-        self._prev, self._i = "0", 1
-        self._buf = "0" * cf.coefficient(1) + "1"
+        # (s_{i-1}, |s_i|, i); s_i is _buf[1 : 1 + |s_i|], the only copy
+        # kept between extensions, or s_0 = "0" while _buf holds no s_i
+        self._prev, self._size, self._i = "1", 1, 0
 
     def _extend(self, n: int):
-        prev, cur, i = self._prev, self._buf[1:], self._i
+        prev, cur, i = self._prev, self._buf[1 : 1 + self._size] or "0", self._i
+        part = None
         try:
-            while len(cur) < n - 1:
-                a = self.cf.coefficient(i + 1)
+            while i == 0 or len(cur) < n - 1:
+                a = self.cf.coefficient(i + 1) - (i == 0)
+                if a * len(cur) >= n - 1:  # s_i^a alone covers the request
+                    part = (cur * -(-(n - 1) // len(cur)))[: n - 1]
+                    break
                 prev, cur, i = cur, cur * a + prev, i + 1
         except InsufficientCoefficients:
             self.max_length = len(cur) + 1
-        self._prev, self._i = prev, i
-        self._buf = "0" + cur
+        self._prev, self._size, self._i = prev, len(cur), i
+        self._buf = "0" + (cur if part is None else part)
+
+
+def _check_point(t0, alpha: QuadraticReal, name: str) -> QuadraticReal:
+    """t0 as a QuadraticReal in [0, 1) and rational or in the field of alpha."""
+    if not isinstance(t0, QuadraticReal):
+        t0 = QuadraticReal(t0)
+    if not (ZERO <= t0 < ONE):
+        raise ValueError("%s must lie in [0, 1)" % name)
+    if not t0.is_rational and t0.d != alpha.d:
+        raise ValueError("t0 must live in the same quadratic field as alpha")
+    return t0
+
+
+def _fixed_orbit(a: int, t: int, cut: int, lo: int, hi: int):
+    """x_j = (t + j*a) mod 2**64 for lo <= j < hi, and the masks of the j
+    whose point {t0 + j*alpha} lies surely below c and surely above it.
+
+    For a = floor(alpha * 2**64), t = floor(t0 * 2**64) and
+    cut = floor(c * 2**64), the point times 2**64 lies in [x_j, x_j + j + 1).
+    A j in neither mask has that range reach 2**64 (it wraps) or hold cut,
+    and is left to _exact_point.
+    """
+    j = np.arange(lo, hi, dtype=np.uint64)
+    x = np.uint64(t) + j * np.uint64(a)  # uint64 wraps: this is the mod 1
+    top = x + j + np.uint64(1)
+    fits = top > x  # the range ends below 2**64
+    return x, fits & (top <= np.uint64(cut)), fits & (x > np.uint64(cut))
+
+
+def _exact_point(alpha: QuadraticReal, t0: QuadraticReal, j: int) -> QuadraticReal:
+    """{t0 + j*alpha}, exactly, for a j that _fixed_orbit cannot place."""
+    return (t0 + alpha * j).mod1()
 
 
 class RotationCodingSource(WordSource):
@@ -270,29 +307,18 @@ class RotationCodingSource(WordSource):
 
     Symbol 0 on [0, 1-alpha), symbol 1 on [1-alpha, 1): symbol k is
     floor(t0 + (k+1)*alpha) - floor(t0 + k*alpha), which is 1 exactly when
-    {t0 + (k+1)*alpha} < alpha. Symbols are computed in blocks from a
-    64-bit fixed-point orbit, and each depends on k alone.
-
-    With a = floor(alpha * 2**64) and t = floor(t0 * 2**64), the true
-    {t0 + (k+1)*alpha} * 2**64 lies in [y, y + k + 2) for
-    y = (t + (k+1)*a) mod 2**64, unless that range wraps past 2**64. The
-    symbol is certainly 1 when y + k + 2 <= a, certainly 0 when a < y and
-    y + k + 2 <= 2**64; any other k is decided by exact floors and counted
-    in exact_fallbacks.
+    {t0 + (k+1)*alpha} < alpha. _fixed_orbit computes the symbols in blocks,
+    with the cut at alpha and j = k + 1, so each depends on k alone; a k it
+    cannot settle is settled exactly and counted in exact_fallbacks.
     """
 
     def __init__(self, alpha: QuadraticReal, t0=0, name: str | None = None):
         super().__init__()
-        if not isinstance(t0, QuadraticReal):
-            t0 = QuadraticReal(t0)
-        if not (ZERO <= t0 < ONE):
-            raise ValueError("t0 must lie in [0, 1)")
+        t0 = _check_point(t0, alpha, "t0")
         if not (ZERO < alpha < ONE):
             raise ValueError("alpha must lie in (0, 1)")
         if alpha.is_rational:
             raise ValueError("rotation angle must be irrational")
-        if not t0.is_rational and t0.d != alpha.d:
-            raise ValueError("t0 must live in the same quadratic field as alpha")
         self.alpha = alpha
         self.t0 = t0
         self.name = name or ("rotation t0=%s" % t0)
@@ -301,20 +327,13 @@ class RotationCodingSource(WordSource):
         self._t = (t0 * _FIXED_ONE).floor()
 
     def _extend(self, n: int):
-        a, t = np.uint64(self._a), np.uint64(self._t)
         blocks = []
         for lo in range(len(self._buf), n, _BLOCK):
-            k = np.arange(lo, min(lo + _BLOCK, n), dtype=np.uint64)
-            y = t + (k + np.uint64(1)) * a  # uint64 wraps: this is the mod 1
-            slack = k + np.uint64(2)
-            # a - slack is read only where slack <= a; 0 - slack is 2**64 - slack
-            one = (slack <= a) & (y <= a - slack)
-            zero = (y > a) & (y <= np.uint64(0) - slack)
+            _, one, zero = _fixed_orbit(self._a, self._t, self._a, lo + 1, min(lo + _BLOCK, n) + 1)
             sym = one.view(np.uint8) + np.uint8(48)
-            for i in np.flatnonzero(~(one | zero)).tolist():
+            for i in np.flatnonzero(one == zero).tolist():  # neither is sure
                 self.exact_fallbacks += 1
-                x = self.t0 + self.alpha * (lo + i)
-                sym[i] = 48 + (x + self.alpha).floor() - x.floor()
+                sym[i] = 48 + (_exact_point(self.alpha, self.t0, lo + i + 1) < self.alpha)
             blocks.append(sym.tobytes().decode("ascii"))
         self._buf += "".join(blocks)
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .contfrac import CFExpansion
+from .contfrac import CFExpansion, quadratic_of_cf
 from .generators import (
     FixedPointSource,
     KappaSource,
@@ -61,10 +61,10 @@ _FACTORIES = {
     "thue-morse": lambda: FixedPointSource(thue_morse(), "0", "thue-morse"),
     "unbounded": lambda: StandardWordSource(UNBOUNDED_CF, "unbounded"),
     "golden-rotation": lambda: RotationCodingSource(
-        rotation_spec("fibonacci").alpha, 0, "golden-rotation"
+        quadratic_of_cf(GOLDEN_CF), 0, "golden-rotation"
     ),
     "sqrt2-rotation": lambda: RotationCodingSource(
-        rotation_spec("sqrt2").alpha, 0, "sqrt2-rotation"
+        quadratic_of_cf(SQRT2_CF), 0, "sqrt2-rotation"
     ),
     "golden-kappa": lambda: KappaSource(_golden_rule, "golden-kappa"),
     "sqrt2-kappa": lambda: KappaSource(_sqrt2_rule, "sqrt2-kappa"),
@@ -100,4 +100,4 @@ def rotation_spec(name: str) -> RotationSpec:
     cf = PRESET_CF.get(name)
     if cf is None or not cf.is_periodic:
         raise ValueError("no exact rotation model for %r" % (name,))
-    return RotationSpec.from_cf(cf)
+    return RotationSpec(cf)

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
 
 from .contfrac import CFExpansion, ladder, quadratic_of_cf
-from .generators import _BLOCK, _FIXED_ONE, SequenceTooShort, kappa_images, sturmian_source
+from .generators import _BLOCK, _FIXED_ONE, RotationCodingSource, SequenceTooShort, kappa_images
+from .generators import _check_point, _exact_point, _fixed_orbit
 from .quadratic import ONE, ZERO, QuadraticReal
 from .recurrence import DEFAULT_POLICY, WindowPolicy, rate_series
 
@@ -30,8 +32,8 @@ class RotationSpec:
 
     Every geometric quantity reads one table, extended on demand up to the
     longest depth or word asked for and kept for the life of the spec:
-    the endpoints e_j = {-j*alpha}, the cell bit 1 - e_j < alpha of each,
-    and the ladder rungs (q_i, |q_i*alpha - p_i|). The table takes part in
+    the endpoints e_j = {-j*alpha}, the ladder rungs
+    (q_i, |q_i*alpha - p_i|) and the coding of 0. The table takes part in
     no comparison, hash or repr, and, like a word source, a spec is not
     thread-safe. exact_fallbacks counts the depths that atom_of and
     cross_check had to settle by exact comparison.
@@ -40,7 +42,6 @@ class RotationSpec:
     cf: CFExpansion
     alpha: QuadraticReal = field(init=False)
     _ends: list = field(init=False, compare=False, repr=False)
-    _cells: list = field(init=False, compare=False, repr=False)
     _rungs: list = field(init=False, compare=False, repr=False)
     _ladder: Iterator = field(init=False, compare=False, repr=False)
     exact_fallbacks: int = field(init=False, compare=False, repr=False)
@@ -49,7 +50,6 @@ class RotationSpec:
         init = object.__setattr__
         init(self, "alpha", quadratic_of_cf(self.cf))
         init(self, "_ends", [ZERO])
-        init(self, "_cells", [False])
         init(self, "_rungs", [])
         init(self, "_ladder", ladder(self.cf))
         init(self, "exact_fallbacks", 0)
@@ -62,17 +62,17 @@ class RotationSpec:
         # a copy is rebuilt from cf alone; the table and its live ladder stay behind
         return RotationSpec, (self.cf,)
 
-    def _orbit(self, n: int) -> tuple[list, list]:
-        """The endpoint and cell-bit lists, holding at least e_0..e_n."""
-        ends, cells, alpha = self._ends, self._cells, self.alpha
-        if len(ends) <= n:
-            cut = ONE - alpha
-            e = ends[-1]
-            for _ in range(len(ends), n + 1):
-                e = (e - alpha).mod1()
-                ends.append(e)
-                cells.append(e > cut)
-        return ends, cells
+    def _orbit(self, n: int) -> list:
+        """The endpoint list, holding at least e_0..e_n."""
+        ends = self._ends
+        for _ in range(len(ends), n + 1):
+            ends.append((ends[-1] - self.alpha).mod1())
+        return ends
+
+    @cached_property
+    def _coding(self) -> RotationCodingSource:
+        """The coding of 0: symbol k is 1 exactly when 1 - e_{k+1} < alpha."""
+        return RotationCodingSource(self.alpha, ZERO, "rotation %s" % self.cf)
 
     def _rung(self, i: int) -> tuple[int, QuadraticReal]:
         """(q_i, |q_i*alpha - p_i|), the i-th rung of the convergent ladder."""
@@ -99,7 +99,7 @@ def partition_points(spec: RotationSpec, n: int) -> list[QuadraticReal]:
     """Endpoints (-j*alpha) mod 1 for 0 <= j <= n, sorted ascending."""
     if n < 0:
         raise ValueError("depth must be >= 0")
-    return sorted(spec._orbit(n)[0][: n + 1])
+    return sorted(spec._orbit(n)[: n + 1])
 
 
 def atom_lengths(spec: RotationSpec, n: int) -> list[QuadraticReal]:
@@ -110,56 +110,46 @@ def atom_lengths(spec: RotationSpec, n: int) -> list[QuadraticReal]:
     return out
 
 
-def _endpoint(alpha: QuadraticReal, j: int) -> QuadraticReal:
-    """e_j = {-j*alpha} = floor(j*alpha) + 1 - j*alpha, for j >= 1."""
-    x = alpha * j
-    return x.floor() + 1 - x
-
-
 def _atom_moves(spec: RotationSpec, t: QuadraticReal, n: int) -> list[tuple]:
     """(j, l, r) for j = 0 and each depth j <= n where the atom [l, r) of t
     changes.
 
     x_j = {t + j*alpha} is t - e_j if e_j <= t, else 1 + t - e_j, so l and
     r come from the least x_j <= t and the greatest x_j > t (x_0 = t on
-    both sides). As in RotationCodingSource, x_j * 2**64 lies in
-    [D_j, D_j + j + 1), D_j = (T + j*a) mod 2**64, unless that wraps. Each
-    side's record lies in [m, m + w) for its mark m and the block's widest
-    range w (right keys are complemented: both sides seek a least key). A
-    depth whose range wraps, reaches T or nears its mark is settled
+    both sides). _fixed_orbit with the cut at t gives each x_j its side.
+    Each side's record lies in [m, m + w) for its mark m and the block's
+    widest range w (right keys are complemented: both sides seek a least
+    key). A depth with no sure side, or near its side's mark, is settled
     exactly and counted in spec.exact_fallbacks.
     """
     alpha, ones = spec.alpha, _FIXED_ONE - 1
-    a = np.uint64((alpha * _FIXED_ONE).floor())
     low = (t * _FIXED_ONE).floor()
     marks, ends, moves = [low, ones - low], [ZERO, ONE], [(0, ZERO, ONE)]
     exact, j = 0, 1
     while j <= n:
         stop = min(j + _BLOCK, n + 1)
-        k = np.arange(j, stop, dtype=np.uint64)
-        x = np.uint64(low) + k * a  # uint64 wraps: this is the mod 1
-        top = x + k + np.uint64(1)
-        fits = top > x  # the range does not wrap
-        sides = np.stack((fits & (top <= low), fits & (x > low)))
-        keys = np.empty((2, len(k) + 1), dtype=np.uint64)
+        x, below, above = _fixed_orbit(spec._coding._a, low, low, j, stop)
+        sides = np.stack((below, above))
+        keys = np.empty((2, len(x) + 1), dtype=np.uint64)
         keys[:, 0] = marks
         keys[:, 1:] = np.where(sides, (x, ~x), np.uint64(ones))
         prev = np.minimum.accumulate(keys, axis=1)[:, :-1]
         keys = keys[:, 1:]
         near = sides & (np.where(keys < prev, prev - keys, keys - prev) < np.uint64(stop))
         unsure = np.flatnonzero(~sides.any(axis=0) | near.any(axis=0))
-        end = int(unsure[0]) if len(unsure) else len(k)
+        end = int(unsure[0]) if len(unsure) else len(x)
         for i in np.flatnonzero((keys < prev)[:, :end].any(axis=0)).tolist():
             side = int(keys[1, i] < prev[1, i])
-            ends[side], marks[side] = _endpoint(alpha, j + i), int(keys[side, i])
+            ends[side], marks[side] = _exact_point(alpha, ZERO, -j - i), int(keys[side, i])
             moves.append((j + i, *ends))
         j += end
         if j < stop:
             exact += 1
-            e = _endpoint(alpha, j)
-            if ends[0] < e <= t or t < e < ends[1]:
-                side = int(e > t)
-                mark = ((t + alpha * j).mod1() * _FIXED_ONE).floor()
+            point = _exact_point(alpha, t, j)
+            side = int(point > t)
+            e = t - point + side  # e_j
+            if (e < ends[1]) if side else (ends[0] < e):
+                mark = (point * _FIXED_ONE).floor()
                 ends[side], marks[side] = e, (mark, ones - mark)[side]
                 moves.append((j, *ends))
             j += 1
@@ -168,14 +158,8 @@ def _atom_moves(spec: RotationSpec, t: QuadraticReal, n: int) -> list[tuple]:
 
 
 def atom_of(spec: RotationSpec, t: QuadraticReal, n: int) -> IntervalAtom:
-    """The depth-n atom [l, r) containing t, for t in [0, 1) and in the
-    field of alpha (or rational)."""
-    if not isinstance(t, QuadraticReal):
-        t = QuadraticReal(t)
-    if not t.is_rational and t.d != spec.alpha.d:
-        raise ValueError("t0 must live in the same quadratic field as alpha")
-    if not (ZERO <= t < ONE):
-        raise ValueError("t must lie in [0, 1)")
+    """The depth-n atom [l, r) containing t in [0, 1), rational or in alpha's field."""
+    t = _check_point(t, spec.alpha, "t")
     if n < 0:
         raise ValueError("depth must be >= 0")
     _, left, right = _atom_moves(spec, t, n)[-1]
@@ -237,26 +221,28 @@ def cylinder_interval(spec: RotationSpec, word: str) -> IntervalAtom | None:
     Symbol j >= 1 of t is 1 on the arc [c, c + alpha) with c = e_j; its
     other end e_{j-1} is already a cut, so only c can split the atom: if
     l < c < r, symbol 0 keeps [l, c) and symbol 1 keeps [c, r); otherwise
-    every point of [l, r) has the symbol of l = e_i, which is 1 when
-    {l - c} = {(j-i)*alpha} = 1 - e_{j-i} is below alpha, the cell bit of
-    j - i. The orbit table grows by doubling as the word is read, so a word
-    that stops being a factor early never builds it to its full length.
+    every point of [l, r) has the symbol of l = e_i: symbol j - i - 1 of
+    the coding of 0, 1 when {l - c} = {(j-i)*alpha} < alpha. The endpoints
+    and that coding grow by doubling as the word is read, so a word that
+    stops being a factor early never builds them in full.
     """
     if not _BINARY.issuperset(word):
         stray = next(sym for sym in word if sym not in _BINARY)
         raise ValueError("symbols must be 0 or 1, got %r" % stray)
-    ends, cells = spec._orbit(0)
+    ends, bits = spec._orbit(0), ""
     i, right = 0, ONE
     for j, sym in enumerate(word, 1):
         if j == len(ends):
-            spec._orbit(min(2 * j, len(word)))  # extends ends and cells in place
+            spec._orbit(min(2 * j, len(word)))  # extends ends in place
+        if j > len(bits):  # a numpy pass takes as long for 64 symbols as for 2
+            bits = spec._coding.prefix(max(2 * j, 64))
         c = ends[j]
         if ends[i] < c < right:
             if sym == "0":
                 right = c
             else:
                 i = j
-        elif cells[j - i] != (sym == "1"):
+        elif bits[j - i - 1] != sym:
             return None
     return IntervalAtom(ends[i], right, len(word))
 
@@ -328,13 +314,13 @@ def cross_check(
 ) -> CrossCheckReport:
     """Symbolic vs geometric recurrence times at t = 0, depths 1..depth.
 
-    Symbolic side: tau of the depth-n cylinder of the coding of 0.
+    Symbolic side: tau of the depth-n cylinder of the spec's coding of 0.
     Geometric side: tau of the depth-n atom of 0. The depths between two
     moves of that atom share its length and tau, and the atoms nest, so
     one ladder walk over the distinct lengths serves every depth.
     The two must agree exactly at every depth.
     """
-    series = rate_series(sturmian_source(spec.cf, "rotation"), depth, policy)
+    series = rate_series(spec._coding, depth, policy)
     moves = _atom_moves(spec, ZERO, depth)[1:]  # e_1 = 1 - alpha always cuts [0, 1)
     lengths = [r - l for _, l, r in moves]
     stops = [j for j, _, _ in moves[1:]] + [depth + 1]

@@ -1,7 +1,10 @@
 import inspect
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -9,11 +12,17 @@ from subrec.cli import SUITES, build_parser, main
 from guards import within
 
 PY = [sys.executable, "-m", "subrec.cli"]
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(*args, **kw):
+    # a fresh process finds the package from a checkout, as pytest does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
     return subprocess.run(
-        PY + list(args), capture_output=True, text=True, timeout=120, **kw
+        PY + list(args), capture_output=True, text=True, timeout=120, env=env, **kw
     )
 
 
@@ -141,10 +150,7 @@ def test_xcheck_refuses_two_sources(capsys):
 def test_in_process_calls_read_like_fresh_processes(capsys):
     # main keeps one parser for the process; no option may reach the next call
     def in_process(argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse refuses a bad value by exiting
-            code = exc.code
+        code = main(argv)
         return code, capsys.readouterr().out
 
     calls = [
@@ -156,6 +162,44 @@ def test_in_process_calls_read_like_fresh_processes(capsys):
         fresh = run_cli(*argv)
         assert in_process(argv) == (fresh.returncode, fresh.stdout)
     assert build_parser() is build_parser()
+
+
+# Fixed hostile argv, each run in process: (argv, exit code, stdout head).
+# Two inputs stay out until they have caps: `power --window 1000000`, whose
+# power scan is quadratic in the window (ROADMAP item 7), and
+# `xcheck -N 1000000`, whose time is linear in N, about a minute at 10**6
+# (ROADMAP item 8).
+HOSTILE_ARGV = {
+    "unparsable-depth": (["rates", "--preset", "fibonacci", "-N", "x"], 1, ""),
+    "help": (["--help"], 0, "usage: subrec"),
+    "huge-first-quotient": (
+        ["generate", "--cf", "[0; 1000000000000]", "--length", "10"], 0, "0" * 10 + "\n"
+    ),
+    "finite-cf-xcheck": (["xcheck", "--cf", "[0; 1,2]"], 1, ""),
+    "flag-a-suite-does-not-take": (["verify", "kappa-ratio", "-N", "5"], 1, ""),
+    "length-beyond-2-62": (
+        ["generate", "--preset", "golden-rotation", "--length", "99999999999999999999"], 1, ""
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_ARGV))
+def test_hostile_argv_is_answered_by_an_exit_code(case, capsys):
+    argv, expected, head = HOSTILE_ARGV[case]
+    tracemalloc.start()
+    try:
+        with within(10):
+            code = main(argv)  # an exception escaping main fails the test
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2, 3) and code == expected
+    assert peak < 16 << 20
+    if code == 0:
+        assert out.startswith(head)
+    else:
+        assert out == "" and err
 
 
 def test_xcheck_long_period_radicand(capsys):

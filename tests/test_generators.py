@@ -34,6 +34,7 @@ from subrec import (
 )
 from subrec import generators
 from subrec.presets import get_preset, golden_kappa_steps, preset_names, sqrt2_kappa_steps
+from guards import within
 from oracles import (
     beatty_coding,
     naive_kappa_word,
@@ -490,6 +491,48 @@ def test_standard_source_on_finite_expansion():
 
     t = tau_cylinder(StandardWordSource(CFExpansion((1, 2, 3))), 2)
     assert (t.tau, t.window, t.stabilized) == (3, 11, True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 6) | st.integers(50, 3000), min_size=1, max_size=6),
+    st.lists(st.integers(0, 4000), min_size=1, max_size=6),
+)
+@example([2, 3000], [10, 2500, 3003, 7000])
+def test_standard_source_builds_part_steps_that_match_the_oracle(digits, lengths):
+    # a step whose repetitions cover a request is built only in part; the
+    # parts nest, and a finite word still ends where its digits do
+    src = StandardWordSource(CFExpansion(tuple(digits)))
+    for n in lengths:
+        assert src.prefix(n) == naive_standard_word(digits, n)
+    if src.max_length is not None:
+        assert src.max_length == len(naive_standard_word(digits, src.max_length + 1))
+
+
+@pytest.mark.parametrize(
+    "cf, lead, block",
+    [
+        (CFExpansion((10**12,)), "", "0"),  # "0" + 0^(a_1 - 1) 1
+        (CFExpansion((10**12,), (1,)), "", "0"),
+        (CFExpansion((1, 10**12)), "0", "1"),  # "0" + s_1^(a_2) s_0, s_1 = 1
+        (CFExpansion((3,), (10**12,)), "0", "001"),  # s_1 = 001
+        (CFExpansion((1, 10**20)), "0", "1"),  # s_1 * a_2 overflowed a str repeat
+    ],
+    ids=["a1", "a1-periodic", "a2", "a2-periodic", "a2-beyond-int64"],
+)
+def test_a_huge_partial_quotient_costs_only_the_symbols_read(cf, lead, block):
+    # building the whole step asked for about 10**12 symbols
+    src = StandardWordSource(cf)
+    tracemalloc.start()
+    try:
+        with within(1):
+            words = [src.prefix(n) for n in (10, 5000, 7)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert words == [(lead + block * n)[:n] for n in (10, 5000, 7)]
+    assert src.max_length is None
 
 
 @settings(max_examples=60, deadline=None)

@@ -190,7 +190,7 @@ def test_a_deep_atom_is_found_in_fixed_point(j):
     with within(2):
         deep = atom_of(spec, t, 10**6)
     assert deep.left <= t < deep.right and deep.depth == 10**6
-    ends = spec._orbit(20_000)[0]
+    ends = spec._orbit(20_000)
     atom = atom_of(spec, t, 20_000)
     assert atom.left == max(e for e in ends if e <= t)
     assert atom.right == min((e for e in ends if e > t), default=ONE)
