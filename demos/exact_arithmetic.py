@@ -9,14 +9,10 @@ measures they produce.
 """
 
 from fractions import Fraction
+from itertools import islice
 
-from subrec import (
-    CFExpansion,
-    QuadraticReal,
-    convergents,
-    cylinder_measure,
-    mu_tower_values,
-)
+from subrec import CFExpansion, QuadraticReal, cylinder_measure, mu_tower_values
+from subrec.contfrac import ladder
 from subrec.presets import golden_kappa_steps, rotation_spec
 
 # the golden angle 1/phi = (sqrt(5) - 1) / 2, as an exact field element
@@ -36,7 +32,7 @@ print("floor(alpha * 10**400) mod 10**6:", (alpha * 10**400).floor() % 10**6)
 
 # its continued fraction has all digits 1; convergents are Fibonacci
 cf = CFExpansion((), (1,))
-print("\nconvergents:", [(c.p, c.q) for c in convergents(cf, 8)])
+print("\nconvergents:", list(islice(ladder(cf), 1, 9)))
 
 # fractional parts k*alpha mod 1 order themselves with at most three
 # distinct gap lengths; comparisons below are exact, not float

@@ -10,11 +10,8 @@ from types import ModuleType as _Module
 
 from .contfrac import (
     CFExpansion,
-    Convergent,
     InsufficientCoefficients,
     NonPeriodic,
-    convergents,
-    nearest_int_distance,
     parse_cf,
     quadratic_of_cf,
 )

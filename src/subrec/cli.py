@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import presets
-from .contfrac import NonPeriodic, parse_cf
+from .contfrac import parse_cf
 from .generators import (
     KappaSource,
     SequenceTooShort,
@@ -37,7 +37,6 @@ from .recurrence import (
     return_table,
 )
 from .rotation import RotationSpec, cross_check
-from .words import InsufficientWindow
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -489,7 +488,7 @@ def main(argv=None) -> int:
     except WindowCapExceeded as exc:
         print("subrec: degraded: %s" % exc, file=sys.stderr)
         return EXIT_DEGRADED
-    except (ValueError, NonPeriodic, SequenceTooShort, InsufficientWindow) as exc:
+    except ValueError as exc:  # every input error of the library subclasses it
         print("subrec: error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -52,9 +52,6 @@ class CFExpansion:
             )
         return self.period[(i - 1 - len(self.preperiod)) % len(self.period)]
 
-    def coefficients(self, n: int) -> list[int]:
-        return [self.coefficient(i) for i in range(1, n + 1)]
-
     def __str__(self):
         pre = ",".join(str(a) for a in self.preperiod)
         per = ",".join(str(b) for b in self.period)
@@ -89,19 +86,8 @@ def parse_cf(text: str) -> CFExpansion:
     return CFExpansion(ints(m.group("pre")), ints(m.group("per") or ""))
 
 
-@dataclass(frozen=True)
-class Convergent:
-    index: int
-    p: int
-    q: int
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
-
 def ladder(cf: CFExpansion):
-    """Convergents (p_i, q_i) of [0; a1, a2, ...] for i = 0, 1, 2, ...,
+    """Each convergent p_i/q_i of [0; a1, a2, ...] as (p_i, q_i), i = 0, 1, 2, ...,
     from p_0/q_0 = 0/1 by p_i = a_i p_{i-1} + p_{i-2} (likewise q_i).
     a_i is read only when (p_i, q_i) is asked for, so a finite expansion
     raises InsufficientCoefficients one step past its last convergent."""
@@ -113,47 +99,28 @@ def ladder(cf: CFExpansion):
         q, q_prev = a * q + q_prev, q
 
 
-def convergents(cf: CFExpansion, n: int) -> list[Convergent]:
-    """The first n convergents p_i/q_i of [0; a1, a2, ...]."""
-    rungs = itertools.islice(ladder(cf), 1, None)
-    return [Convergent(i, p, q) for i, (p, q) in zip(range(1, n + 1), rungs)]
-
-
-def _mobius(coeffs) -> tuple[int, int, int, int]:
-    # product of [[a,1],[1,0]] over coeffs
-    m11, m12, m21, m22 = 1, 0, 0, 1
-    for a in coeffs:
-        m11, m12, m21, m22 = m11 * a + m12, m11, m21 * a + m22, m21
-    return m11, m12, m21, m22
+def _last_two(cf: CFExpansion, n: int) -> tuple[int, int, int, int]:
+    """(p_{n-1}, q_{n-1}, p_n, q_n) off the ladder, with p_{-1}/q_{-1} = 1/0."""
+    (p1, q1), (p, q) = itertools.islice(itertools.chain([(1, 0)], ladder(cf)), n, n + 2)
+    return p1, q1, p, q
 
 
 def quadratic_of_cf(cf: CFExpansion) -> QuadraticReal:
     """Exact value of an eventually periodic expansion.
 
-    The purely periodic tail y = [b1; b2,...,bm, b1,...] solves
-    q y^2 + (q' - p) y - p' = 0 with (p, p'; q, q') the period's Mobius
-    matrix; the preperiod then acts on y as a fractional linear map.
+    With p_i/q_i the i-th convergent of [0; b1,...,bm], the purely periodic
+    tail y = [b1; b2,...,bm, b1,...] has 1/y = (p_m y + p_{m-1}) /
+    (q_m y + q_{m-1}), so p_m y^2 + (p_{m-1} - q_m) y - q_{m-1} = 0; then
+    alpha = [0; a1,...,ak, y] = (p_k y + p_{k-1}) / (q_k y + q_{k-1}) with
+    p_i/q_i the i-th convergent of cf itself.
     """
     if not cf.is_periodic:
         raise NonPeriodic("exact value needs a repeating period: %s" % cf)
-    p, p2, q, q2 = _mobius(cf.period)
-    disc = (q2 - p) * (q2 - p) + 4 * q * p2
-    y = QuadraticReal(Fraction(p - q2, 2 * q), Fraction(1, 2 * q), disc)
-    # alpha = [0; preperiod, y]; the leading integer part 0 swaps the
-    # Mobius rows, hence the reciprocal shape
-    m11, m12, m21, m22 = _mobius(cf.preperiod)
-    num = y * m21 + m22
-    den = y * m11 + m12
-    alpha = num / den
+    p1, q1, p, q = _last_two(CFExpansion(cf.period), len(cf.period))
+    disc = (p1 - q) * (p1 - q) + 4 * p * q1
+    y = QuadraticReal(Fraction(q - p1, 2 * p), Fraction(1, 2 * p), disc)
+    p1, q1, p, q = _last_two(cf, len(cf.preperiod))
+    alpha = (y * p + p1) / (y * q + q1)
     if not (ZERO < alpha < ONE):
         raise ValueError("expansion does not describe an angle in (0,1): %s" % cf)
     return alpha
-
-
-def nearest_int_distance(alpha: QuadraticReal, k: int) -> QuadraticReal:
-    """||k*alpha||, the exact distance from k*alpha to the nearest integer."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    frac = (alpha * k).mod1()
-    other = ONE - frac
-    return frac if frac < other else other

@@ -127,9 +127,12 @@ def _fold(v: str, u: str, m: Morphism) -> tuple[str, str]:
     """Images of '0' and '1' after appending m as the innermost step.
 
     k_1..k_j(m(a)) is m(a) with 0 -> v = k_1..k_j(0) and 1 -> u = k_1..k_j(1).
+    translate would pass any other symbol through, so such a step is refused.
     """
-    blocks = {"0": v, "1": u}
-    return tuple("".join(blocks[c] for c in m.images[s]) for s in "01")
+    images = m.images["0"], m.images["1"]
+    if any(img.count("0") + img.count("1") != len(img) for img in images):
+        raise ValueError("kappa step %s has an image symbol other than 0 or 1" % m.label)
+    return tuple(img.translate({48: v, 49: u}) for img in images)
 
 
 def kappa_images(steps: list[Morphism]) -> tuple[str, str]:
@@ -271,13 +274,17 @@ class StandardWordSource(WordSource):
 
 
 def _check_point(t0, alpha: QuadraticReal, name: str) -> QuadraticReal:
-    """t0 as a QuadraticReal in [0, 1) and rational or in the field of alpha."""
+    """t0 as a QuadraticReal in [0, 1) and rational or in the field of the
+    irrational alpha, as the arithmetic decides it: t0 - alpha raises when
+    their radicands do not meet, however each value splits its radicand."""
     if not isinstance(t0, QuadraticReal):
         t0 = QuadraticReal(t0)
     if not (ZERO <= t0 < ONE):
         raise ValueError("%s must lie in [0, 1)" % name)
-    if not t0.is_rational and t0.d != alpha.d:
-        raise ValueError("t0 must live in the same quadratic field as alpha")
+    try:
+        t0 - alpha
+    except ValueError:  # mixed radicands
+        raise ValueError("t0 must live in the same quadratic field as alpha") from None
     return t0
 
 
@@ -314,11 +321,11 @@ class RotationCodingSource(WordSource):
 
     def __init__(self, alpha: QuadraticReal, t0=0, name: str | None = None):
         super().__init__()
-        t0 = _check_point(t0, alpha, "t0")
         if not (ZERO < alpha < ONE):
             raise ValueError("alpha must lie in (0, 1)")
         if alpha.is_rational:
             raise ValueError("rotation angle must be irrational")
+        t0 = _check_point(t0, alpha, "t0")
         self.alpha = alpha
         self.t0 = t0
         self.name = name or ("rotation t0=%s" % t0)

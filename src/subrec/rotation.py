@@ -28,7 +28,7 @@ class RotationSpec:
 
     alpha is the exact value of cf. quadratic_of_cf refuses expansions with
     no period or a value outside (0, 1), so alpha is an irrational angle
-    and its convergents drive tau_length.
+    and its convergent denominators drive tau_length.
 
     Every geometric quantity reads one table, extended on demand up to the
     longest depth or word asked for and kept for the life of the spec:

@@ -248,3 +248,37 @@ def cf_value(digits: list[int]) -> Fraction:
     for a in reversed(digits):
         x = Fraction(1, a + x)
     return x
+
+
+def nearest_int_distance(alpha, k: int):
+    """||k*alpha||, the distance from k*alpha to the nearest integer, for an
+    exact alpha with mod1()."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    frac = (alpha * k).mod1()
+    other = 1 - frac
+    return frac if frac < other else other
+
+
+def _mobius(digits) -> tuple[int, int, int, int]:
+    """The product of [[a, 1], [1, 0]] over digits."""
+    m11, m12, m21, m22 = 1, 0, 0, 1
+    for a in digits:
+        m11, m12, m21, m22 = m11 * a + m12, m11, m21 * a + m22, m21
+    return m11, m12, m21, m22
+
+
+def mobius_quadratic(pre, per, number):
+    """[0; pre (per)] from the Mobius matrices of pre and per, with
+    number(a, b, d) the exact a + b*sqrt(d).
+
+    The purely periodic tail y = [per; per, ...] solves
+    q y^2 + (q2 - p) y - p2 = 0 for the period's matrix ((p, p2), (q, q2));
+    the leading 0 swaps the rows of the preperiod's matrix, hence the
+    reciprocal shape of the map it applies to y.
+    """
+    p, p2, q, q2 = _mobius(per)
+    disc = (q2 - p) * (q2 - p) + 4 * q * p2
+    y = number(Fraction(p - q2, 2 * q), Fraction(1, 2 * q), disc)
+    m11, m12, m21, m22 = _mobius(pre)
+    return (y * m21 + m22) / (y * m11 + m12)

@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -7,8 +10,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subrec.cli import SUITES, build_parser, main
+from subrec.presets import preset_names
 from guards import within
 
 PY = [sys.executable, "-m", "subrec.cli"]
@@ -202,6 +208,19 @@ def test_hostile_argv_is_answered_by_an_exit_code(case, capsys):
         assert out == "" and err
 
 
+def test_a_long_tower_step_is_folded_without_a_list_per_symbol(capsys):
+    # the image of 0 under r10000000 has 10**7 + 2 symbols, each taken once
+    tracemalloc.start()
+    try:
+        with within(1):
+            code = main(["generate", "--kappa", "r10000000", "--length", "10"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and capsys.readouterr().out == "0" + "1" * 9 + "\n"
+    assert peak < 64 << 20
+
+
 def test_xcheck_long_period_radicand(capsys):
     # the angle's 41-digit radicand used to be refused, exit 1, after
     # seconds of factoring
@@ -356,3 +375,95 @@ def test_output_file(tmp_path):
     r = run_cli("rates", "--preset", "periodic01", "-N", "5", "-o", str(out))
     assert r.returncode == 0
     assert out.read_text().startswith("n,tau,")
+
+
+# ------------------------------------------------------------ CLI contract
+# argv lists are drawn from build_parser()'s own subcommands and options, so
+# an option added to the parser is drawn too. Integers come from INTS, capped
+# per (command, option dest) by CAPS so that each draw fits its time limit;
+# an option with no grammar of its own gets a short string.
+
+INTS = [0, 1, 2, -1, 3, 5, 17, 100, 1000, 10**6]
+CAPS = {  # a drawn integer above its cap is drawn as the cap
+    ("power", "window"): 4096,  # the power scan is quadratic in the window (ROADMAP item 7)
+    ("verify", "window"): 4096,  # morse-delta runs the same scan
+    ("xcheck", "depth"): 1000,  # linear in N: about a minute at 10**6
+    ("rates", "depth"): 500,
+    ("rates", "window_base"): 100_000,  # periodic01 at -N 500: 2.7 s at 10**6
+    ("verify", "depth"): 500,
+    ("returns", "depth"): 500,  # each row keeps its prefix: memory quadratic in N
+    ("returns", "window"): 65536,  # periodic01 at -N 500: 6.5 s at 10**6
+    ("lr", "max_len"): 100,  # fibonacci at the default window: 3.0 s at 1000
+    ("lr", "window"): 100_000,  # fibonacci at --max-len 100: 2.8 s at 10**6
+}
+STRINGS = {
+    "preset": preset_names() + ["no-such-preset"],
+    "cf": ["[0;(1)]", "[0;(2)]", "[0;(1,2,3)]", "[0;3,(1,4)]", "[0; 2,3]", "[0;(1,1,1,1)]",
+           "[1;(2)]", "(1)"],
+    "kappa": ["r1", "r1,g2", "g1,g1,r3", "r1000000", "x", "r"],
+    "config": [os.devnull, "no-such-dir/config"],
+    "out": ["-"],  # no draw writes a file
+}
+HEADS = {
+    "generate": None,  # a binary word and a newline, checked below
+    "rates": "n,tau,ratio_num,ratio_den,window,stabilized\n",
+    "returns": "n,tau,return_words\n",
+    "xcheck": "n,tau_symbolic,tau_geometric,atom_len_num_approx,match\n",
+    "power": ["window", "max_exponent", "base", "position", "factor"],
+    "lr": ["max_len", "window", "k_estimate", "k_lower_gap", "k_witness", "gap_witness"],
+    "verify": {"suite", "passed", "checks"},
+}
+
+
+def _values(command, action):
+    if action.choices is not None:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is int:
+        cap = CAPS.get((command, action.dest), INTS[-1])
+        return st.sampled_from([min(v, cap) for v in INTS] + ["x"])
+    return st.sampled_from(STRINGS.get(action.dest, ["", "x", "0"]))
+
+
+@st.composite
+def argv_lists(draw):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = draw(st.sampled_from(sorted(sub.choices)))
+    actions = sub.choices[command]._actions
+    optionals = [a for a in actions if a.option_strings and a.nargs != 0]
+    picked = draw(st.sets(st.sampled_from(optionals), max_size=4))
+    argv = [command]
+    for action in actions:
+        if not action.option_strings:  # a positional, e.g. the verify suite
+            if draw(st.sampled_from([True] * 9 + [False])):
+                argv.append(draw(_values(command, action)))
+        elif action in picked:
+            argv += [draw(st.sampled_from(action.option_strings)), str(draw(_values(command, action)))]
+    if draw(st.sampled_from([False] * 19 + [True])):
+        argv.append("--help")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv_lists())
+def test_every_drawn_argv_is_answered_by_a_documented_exit_code(argv):
+    buf_out, buf_err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(buf_out), contextlib.redirect_stderr(buf_err):
+        with within(5):
+            code = main(argv)  # an exception escaping main fails the test
+    out = buf_out.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code != 0:
+        return
+    if "--help" in argv:
+        assert out.startswith("usage: subrec")
+        return
+    head = HEADS[argv[0]]
+    if head is None:
+        assert out.endswith("\n") and set(out[:-1]) <= set("01")
+    elif isinstance(head, str):
+        assert out.startswith(head)
+    elif isinstance(head, list):
+        assert [line.partition("=")[0] for line in out.splitlines()] == head
+    else:
+        assert set(json.loads(out)) == head

@@ -6,17 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from subrec import (
-    CFExpansion,
-    InsufficientCoefficients,
-    QuadraticReal,
-    convergents,
-    nearest_int_distance,
-    parse_cf,
-    quadratic_of_cf,
-)
+from subrec import CFExpansion, InsufficientCoefficients, QuadraticReal, parse_cf, quadratic_of_cf
 from subrec.contfrac import ladder
-from oracles import cf_value
+from oracles import cf_value, mobius_quadratic, nearest_int_distance
 
 GOLDEN_CF = CFExpansion((), (1,))
 SQRT2_CF = CFExpansion((), (2,))
@@ -26,7 +18,7 @@ def test_coefficient_indexing():
     cf = CFExpansion((1, 2), (3, 4))
     assert [cf.coefficient(i) for i in range(1, 8)] == [1, 2, 3, 4, 3, 4, 3]
     finite = CFExpansion((5, 6))
-    assert finite.coefficients(2) == [5, 6]
+    assert [finite.coefficient(i) for i in (1, 2)] == [5, 6]
     with pytest.raises(InsufficientCoefficients):
         finite.coefficient(3)
 
@@ -41,15 +33,13 @@ def test_parse_round_trip():
 
 
 def test_golden_convergents():
-    cs = convergents(GOLDEN_CF, 6)
-    assert [(c.p, c.q) for c in cs] == [
+    assert list(islice(ladder(GOLDEN_CF), 1, 7)) == [
         (1, 1), (1, 2), (2, 3), (3, 5), (5, 8), (8, 13),
     ]
 
 
 def test_sqrt2_convergents():
-    cs = convergents(SQRT2_CF, 4)
-    assert [(c.p, c.q) for c in cs] == [(1, 2), (2, 5), (5, 12), (12, 29)]
+    assert list(islice(ladder(SQRT2_CF), 1, 5)) == [(1, 2), (2, 5), (5, 12), (12, 29)]
 
 
 def test_ladder_starts_at_zero_over_one():
@@ -62,19 +52,19 @@ def test_ladder_starts_at_zero_over_one():
 
 def test_convergents_stop_at_the_last_coefficient():
     finite = CFExpansion((3, 1))
-    assert [(c.index, c.p, c.q) for c in convergents(finite, 2)] == [(1, 1, 3), (2, 1, 4)]
-    assert convergents(finite, 0) == []
+    assert list(islice(ladder(finite), 1, 3)) == [(1, 3), (1, 4)]
+    assert list(islice(ladder(finite), 1, 1)) == []
     with pytest.raises(InsufficientCoefficients, match="only 2 coefficients, a_3 requested"):
-        convergents(finite, 3)
+        list(islice(ladder(finite), 1, 4))
 
 
 @given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=12))
 def test_convergents_match_fraction_folding(digits):
-    cs = convergents(CFExpansion(tuple(digits)), len(digits))
-    assert cs[-1].value == cf_value(digits)
+    cs = list(islice(ladder(CFExpansion(tuple(digits))), 1, len(digits) + 1))
+    assert Fraction(*cs[-1]) == cf_value(digits)
     # consecutive convergents satisfy p q' - p' q = +-1
-    for a, b in zip(cs, cs[1:]):
-        assert abs(a.p * b.q - b.p * a.q) == 1
+    for (p, q), (p2, q2) in zip(cs, cs[1:]):
+        assert abs(p * q2 - p2 * q) == 1
 
 
 def test_quadratic_of_cf_known_values():
@@ -98,7 +88,7 @@ def test_quadratic_of_cf_matches_deep_truncation(parts):
     pre, per = parts
     cf = CFExpansion(tuple(pre), tuple(per))
     alpha = quadratic_of_cf(cf)
-    approx = cf_value(cf.coefficients(60))
+    approx = cf_value([cf.coefficient(i) for i in range(1, 61)])
     assert abs(float(alpha) - float(approx)) < 1e-12
 
 
@@ -114,10 +104,21 @@ def test_nearest_int_distance_golden():
 def test_convergent_denominators_are_best_approximations():
     for cf in [GOLDEN_CF, SQRT2_CF, CFExpansion((1,), (2,))]:
         alpha = quadratic_of_cf(cf)
-        qs = {c.q for c in convergents(cf, 8)}
+        qs = {q for _, q in islice(ladder(cf), 1, 9)}
         best = QuadraticReal(1)
         for k in range(1, max(qs) + 1):
             d = nearest_int_distance(alpha, k)
             if d < best:
                 best = d
                 assert k in qs or k == 1
+
+
+quotients = st.integers(1, 10**6)
+
+
+@given(st.lists(quotients, max_size=4), st.lists(quotients, min_size=1, max_size=6))
+def test_quadratic_of_cf_keeps_the_mobius_integer_form(pre, per):
+    # the ladder's last two convergents give the Mobius products' entries,
+    # so the value comes out in the very integer form, radicand split included
+    cf = CFExpansion(tuple(pre), tuple(per))
+    assert quadratic_of_cf(cf)._v == mobius_quadratic(pre, per, QuadraticReal)._v

@@ -182,6 +182,15 @@ def test_kappa_images_frozen():
     assert kappa_images([rho(1), gamma(1)]) == ("01011011", "01011")
 
 
+@pytest.mark.parametrize("images", [{"0": "012", "1": "0"}, {"0": "01", "1": "0a"}])
+def test_a_step_with_a_symbol_other_than_0_or_1_is_refused(images):
+    step = Morphism(images, "odd")
+    with pytest.raises(ValueError, match="kappa step odd has an image symbol other than 0 or 1"):
+        kappa_images([step])
+    with pytest.raises(ValueError, match="kappa step odd"):
+        KappaSource(lambda i: rho(1) if i < 3 else step).prefix(100)
+
+
 def test_kappa_image_lengths_frozen():
     assert kappa_image_lengths([rho(1), gamma(1)]) == [(3, 2), (8, 5)]
     assert kappa_image_lengths([gamma(2), gamma(1)]) == [(4, 3), (11, 7)]
@@ -281,7 +290,7 @@ def test_codings_match_beatty_oracle(cf):
     expected = beatty_coding(*integer_form(alpha), n)
     assert RotationCodingSource(alpha, 0).prefix(n) == expected
     assert StandardWordSource(cf).prefix(n) == expected
-    assert naive_standard_word(list(cf.coefficients(25)), n) == expected
+    assert naive_standard_word([cf.coefficient(i) for i in range(1, 26)], n) == expected
 
 
 BLOCK = generators._BLOCK
@@ -350,6 +359,16 @@ def test_rotation_source_refuses_bad_input():
         RotationCodingSource(QuadraticReal(Fraction(1, 3)))
     with pytest.raises(ValueError, match="same quadratic field"):
         RotationCodingSource(alpha, quadratic_of_cf(GOLDEN_CF))
+
+
+def test_rotation_source_takes_a_start_of_the_field_whatever_its_radicand_split():
+    # alpha = sqrt(1013) - 31 keeps the radicand 85193**2 * 1013 unreduced
+    alpha = quadratic_of_cf(CFExpansion((), (1, 4, 1, 4, 15, 1, 2, 2, 2, 2, 1, 15, 4, 1, 4, 1, 62)))
+    t0 = (QuadraticReal(0, 1, 1013) - 31) / 2
+    assert alpha.d != t0.d and t0 == alpha / 2
+    assert RotationCodingSource(alpha, t0).prefix(10**5) == RotationCodingSource(alpha, alpha / 2).prefix(10**5)
+    with pytest.raises(ValueError, match="t0 must live in the same quadratic field as alpha"):
+        RotationCodingSource(alpha, QuadraticReal(-1, 1, 3))
 
 
 def test_rotation_length_beyond_the_fixed_point_bound_is_refused_before_allocating():

@@ -206,6 +206,21 @@ def test_atom_of_refuses_a_point_outside_the_field():
     assert (_pair(atom.left), _pair(atom.right)) == naive_atom(alpha, _pair(t), 40)
 
 
+# sqrt(1013) - 31 = [0; (1,4,1,4,15,1,2,2,2,2,1,15,4,1,4,1,62)]; its alpha keeps
+# the radicand 85193**2 * 1013 unreduced, above the trial-division range
+SPLIT = RotationSpec(CFExpansion((), (1, 4, 1, 4, 15, 1, 2, 2, 2, 2, 1, 15, 4, 1, 4, 1, 62)))
+
+
+def test_atom_of_takes_a_point_of_the_field_whatever_its_radicand_split():
+    assert SPLIT.alpha.d == 85193**2 * 1013
+    for k in (2, 3):
+        t = (QuadraticReal(0, 1, 1013) - 31) / k
+        assert t.d == 1013 and t == SPLIT.alpha / k
+        assert atom_of(SPLIT, t, 5000) == atom_of(SPLIT, SPLIT.alpha / k, 5000)
+    with pytest.raises(ValueError, match="t0 must live in the same quadratic field as alpha"):
+        atom_of(SPLIT, QuadraticReal(-1, 1, 3), 10)  # sqrt(3) - 1
+
+
 def test_tau_interval_nondecreasing():
     taus = [
         tau_length(GOLDEN, atom_of(GOLDEN, QuadraticReal(0), n).length)
