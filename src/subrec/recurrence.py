@@ -5,13 +5,11 @@ the length-n prefix, read off as the minimum gap between consecutive
 occurrences inside a finite window. Windows grow until the value stops
 changing; a value is only trusted once it survives one doubling.
 
-Every depth comes from one sweep over one encoded text: the occurrences of
-the depth-n prefix are those of depth n - 1 whose symbol at offset n - 1
-matches, so a single sorted position array is filtered once per depth, and
-the occurrences inside any window are a prefix of it. The filter drops a
-start at only a few depths in hundreds, so what a depth derives from the
-array (the running minimum of its gaps in the sweep, the return words in
-return_table) carries over to every depth that drops nothing.
+Every depth comes from one encoded text and one array over it,
+words.prefix_match: how far each start matches the prefix. The starts
+of depth n are those matching n symbols or more, so all depths up to the
+next match length share one start set, and the sweep and return_table
+work once per such block of depths, not once per depth.
 """
 
 from __future__ import annotations
@@ -31,11 +29,15 @@ from .words import (
     _codes,
     factor_keys,
     max_power_witness,
+    prefix_match,
 )
 
 
 class WindowCapExceeded(RuntimeError):
     """No value could be extracted before the window cap (or text end)."""
+
+
+_ENDS = "source %s ends after %d symbols, cylinder depth %d unreachable"
 
 
 @dataclass(frozen=True)
@@ -68,96 +70,84 @@ class TauResult:
         return Fraction(self.tau, self.n)
 
 
-def _narrow(arr: np.ndarray, occ: np.ndarray, depth: int, n: int) -> np.ndarray:
-    """The starts of the depth-n prefix of arr among occ, all starts of its
-    depth-`depth` prefix: those that fit and match at offsets depth..n-1,
-    ascending. The one prefix filter of _tau_sweep and return_table.
-
-    Each offset j can trim only the last start, len(arr) - j, and occ itself
-    is returned when no start is dropped, so a caller can keep what it
-    derived from occ.
-    """
-    for j in range(depth, n):
-        if len(occ) and occ[-1] > len(arr) - j - 1:
-            occ = occ[:-1]
-        hit = arr[j:][occ] == arr[j]
-        if not hit.all():
-            occ = occ[hit]
-    return occ
-
-
 def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
     """TauResult for each depth first..last, in order, as tau_cylinder
     defines it.
 
-    occ holds the start positions p <= len(arr) - n of the depth-n prefix,
-    ascending, so the occurrences inside a window of w symbols are occ[:k]
-    with k = #(p <= w - n), and tau is least[k - 2], least being the running
-    minimum of the gaps of occ. The text grows geometrically up to the cap
-    when a window outruns it, and only the new start positions are checked.
-
-    least is built when a round first needs it and carried over while occ
-    stays a prefix of the array it was built from: through depths whose
-    filter drops nothing or only trims the last start, len(arr) - n + 1. A
-    mismatch dropped by the filter, or starts appended by growth, drop it.
+    z = prefix_match(text, last) holds each start's match with the prefix,
+    so the starts of depth n are the p with z[p] >= n, ascending: those
+    inside a window of w symbols are occ[:k] with k = #(p <= w - n), and tau
+    is least[k - 1], least being the running minimum of their gaps after a
+    leading 0 (no pair yet). A start whose match runs off the text never
+    counts, as it lies past w - n. The depths up to the next value of z
+    share occ and least, so the Python loop runs once per such block and,
+    inside it, once per window round for all its depths still pending; a
+    failing depth ends the sweep after the depths before it are yielded.
+    A window longer than the text grows it geometrically up to the cap,
+    and z is matched again only from the first start that could reach the
+    old end.
     """
+    cap = policy.cap
     target = max(last, policy.grow(policy.initial(last)))
     arr = _codes(source.prefix(target))
     done = len(arr) < target
-    index = np.int32 if max(target, policy.cap) < 2**31 else np.int64
-    occ = np.arange(len(arr), dtype=index)
-    least = None
-    for n in range(1, last + 1):
-        if len(arr) < max(n, first):
-            raise WindowCapExceeded(
-                "source %s ends after %d symbols, cylinder depth %d unreachable"
-                % (source.name, len(arr), max(n, first))
-            )
-        kept = _narrow(arr, occ, n - 1, n)
-        trimmed = int(occ[-1]) > len(arr) - n
-        if len(kept) < len(occ) - trimmed:
-            least = None
-        occ = kept
-        if n < first:
-            continue
-        window = policy.initial(n)
-        prev: int | None = None
-        while True:
-            if window > len(arr) and not done:
-                size = min(max(window, 2 * len(arr)), policy.cap)
+    if len(arr) < first:
+        raise WindowCapExceeded(_ENDS % (source.name, len(arr), first))
+    index = np.int32 if max(target, cap) < 2**31 else np.int64
+    z = prefix_match(arr, last)
+    ns = np.arange(first, min(last, len(arr)) + 1)
+    window = np.minimum(np.maximum(policy.base, 50 * ns), cap)  # policy.initial of each n
+    prev = np.zeros(len(ns), np.int64)  # tau in the last window; 0 for none
+    pending = np.ones(len(ns), bool)
+    settled = [None] * len(ns)  # a TauResult, or the message ending the sweep
+    lo, stop, occ = 0, len(ns), np.arange(len(arr), dtype=index)
+    while lo < stop:
+        occ = occ[z[occ] >= ns[lo]]
+        hi = min(int(z[occ].min()) - first + 1, stop)  # ns[lo:hi] start at occ
+        least = np.zeros(len(occ), index)
+        np.minimum.accumulate(np.diff(occ), out=least[1:])
+        todo = lo + np.flatnonzero(pending[lo:hi])
+        while len(todo):
+            w = window[todo]
+            if w.max() > len(arr) and not done:
+                size = min(max(int(w.max()), 2 * len(arr)), cap)
                 text = source.prefix(size)
                 done = len(text) < size
-                new = np.arange(len(arr) - n + 1, len(text), dtype=index)
+                keep = max(len(arr) - last, 0)
                 arr = np.concatenate((arr, _codes(text[len(arr) :])))
-                new = _narrow(arr, new, 0, n)
-                if len(new):
-                    occ = np.concatenate((occ, new))
-                    least = None
-            avail = min(window, len(arr))
-            exhausted = avail < window
-            k = int(occ.searchsorted(avail - n, "right"))
-            if k < 2:
-                if exhausted or window >= policy.cap:
-                    raise WindowCapExceeded(
-                        "prefix of depth %d of %s recurs less than twice in a %d-window"
-                        % (n, source.name, avail)
-                    )
-            else:
-                if least is None:
-                    least = occ[1:] - occ[:-1]
-                    np.minimum.accumulate(least, out=least)
-                tau = int(least[k - 2])
-                if exhausted:
-                    yield TauResult(n, tau, avail, True)
-                    break
-                if tau == prev:
-                    yield TauResult(n, tau, window, True)
-                    break
-                if window >= policy.cap:
-                    yield TauResult(n, tau, window, False)
-                    break
-                prev = tau
-            window = policy.grow(window)
+                z = np.concatenate((z[:keep], prefix_match(arr, last, keep)))
+                occ = np.arange(len(arr), dtype=index)
+                break
+            n = ns[todo]
+            avail = np.minimum(w, len(arr))
+            exhausted = avail < w
+            k = occ.searchsorted(np.maximum(avail - n, 0).astype(index), "right")
+            tau = least[k - 1]  # p = 0 always counts, so k >= 1
+            stable = exhausted | (tau == prev[todo])
+            fail = (tau == 0) & (exhausted | (w >= cap))
+            settle = (tau > 0) & (stable | (w >= cap))
+            again = ~settle & ~fail
+            if fail.any():
+                m = int(np.argmax(fail))
+                stop = int(todo[m])
+                settled[stop] = (
+                    "prefix of depth %d of %s recurs less than twice in a %d-window"
+                    % (n[m], source.name, avail[m])
+                )
+                settle[m:] = again[m:] = False
+            for i, t, a, s in zip(*(v[settle].tolist() for v in (todo, tau, avail, stable))):
+                settled[i] = TauResult(i + first, t, a, s)
+            pending[todo[settle]] = False
+            prev[todo] = tau  # tau > 0 stays > 0 as the window grows
+            window[todo] = np.minimum(2 * w, cap)  # policy.grow of each window
+            todo = todo[again]
+        else:
+            yield from settled[lo:min(hi, stop)]
+            lo = hi
+    if stop < len(ns):
+        raise WindowCapExceeded(settled[stop])
+    if len(arr) < last:
+        raise WindowCapExceeded(_ENDS % (source.name, len(arr), len(arr) + 1))
 
 
 def tau_cylinder(x, n: int, policy: WindowPolicy = DEFAULT_POLICY) -> TauResult:
@@ -195,7 +185,8 @@ class RateSeries:
         return self.depth // 2 + 1
 
     def tail(self) -> list[TauResult]:
-        return [e for e in self.entries if e.n >= self.tail_start]
+        start = self.tail_start
+        return [e for e in self.entries if e.n >= start]
 
     def tail_min(self) -> Fraction:
         return min(self.tail(), key=_BY_RATIO).ratio
@@ -353,49 +344,67 @@ class ReturnTableRow:
     words: tuple[str, ...]  # sorted by (length, lexicographic)
 
 
-def _return_words(text: str, arr: np.ndarray, occ: np.ndarray) -> tuple[str, ...]:
-    """The distinct words text[p:q] over consecutive starts p < q of occ,
-    sorted by (length, lexicographic).
+def _return_words(text: str, arr: np.ndarray, occ: np.ndarray) -> dict[str, int]:
+    """{word: how many pairs give it} over the words text[p:q] of
+    consecutive starts p < q of occ.
 
     The pairs are grouped by their gap g; a group's words are the rows
-    arr[p:p + g], deduplicated exactly as byte strings, and text is sliced
-    once per distinct row.
+    arr[p:p + g], deduplicated and counted exactly as byte strings, and
+    text is sliced once per distinct row.
     """
     gaps = np.diff(occ)
     gaps = gaps.astype(np.min_scalar_type(int(gaps.max())))  # radix-sortable
     order = np.argsort(gaps, kind="stable")
     gaps, starts = gaps[order], occ[:-1][order]
     cuts = np.flatnonzero(np.diff(gaps)) + 1
-    words = []
+    counts = {}
     for g, group in zip(gaps[np.r_[0, cuts]].tolist(), np.split(starts, cuts)):
         rows = arr[group[:, None] + np.arange(g)].view(np.dtype((np.void, g * arr.itemsize)))
-        _, first = np.unique(rows, return_index=True)  # one byte string per row
-        words += sorted(text[p : p + g] for p in group[first].tolist())
-    return tuple(words)
+        _, first, many = np.unique(rows, return_index=True, return_counts=True)
+        for p, c in zip(group[first].tolist(), many.tolist()):
+            counts[text[p : p + g]] = c
+    return counts
 
 
 def return_table(x, depth: int, window: int) -> list[ReturnTableRow]:
     """Return words to each prefix x[0:n], n = 1..depth, from one window.
 
-    The starts of each prefix come from _narrow; a depth whose filter drops
-    no start keeps the previous depth's words, any other reads them off
-    its starts with _return_words.
+    Start p of the window serves the depths up to reach[p] =
+    min(z[p], len(text) - p), z from prefix_match, so the first depth with
+    fewer than two starts is refused before any row is built. The depths
+    up to the next value of reach share their starts and words. A depth
+    that drops only the last start drops only the last pair, and keeps
+    the words unless that pair was the only one giving its word; any
+    other drop reads the words again with _return_words.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     text = as_source(x).prefix(window)
     if not text:
         raise EmptyPattern("empty pattern")
-    arr, occ = _codes(text), np.arange(len(text))
-    rows = []
-    for n in range(1, depth + 1):
-        kept = _narrow(arr, occ, n - 1, n)
-        if len(kept) < 2:
-            raise InsufficientWindow(
-                "need at least 2 occurrences of %r, found %d" % (text[:n], len(kept))
-            )
-        if kept is not occ or not rows:  # the same starts give the same words
-            words = _return_words(text, arr, kept)
-        occ = kept
-        rows.append(ReturnTableRow(n, text[:n], len(words[0]), words))
+    arr = _codes(text)
+    reach = np.minimum(prefix_match(arr, depth), len(arr) - np.arange(len(arr)))
+    second = int(np.partition(reach, -2)[-2]) if len(reach) > 1 else 0
+    if second < depth:
+        n = second + 1
+        raise InsufficientWindow(
+            "need at least 2 occurrences of %r, found %d" % (text[:n], (reach >= n).sum())
+        )
+    occ = np.flatnonzero(reach)
+    ends = reach[occ]
+    counts = _return_words(text, arr, occ)
+    rows, n = [], 1
+    values, many = np.unique(ends, return_counts=True)
+    for v, c in zip(values.tolist(), many.tolist()):
+        words = tuple(sorted((w for w, k in counts.items() if k), key=lambda w: (len(w), w)))
+        rows += [ReturnTableRow(m, text[:m], len(words[0]), words) for m in range(n, v + 1)]
+        n = v + 1
+        if n > depth:
+            break
+        if c == 1 and ends[-1] == v:  # only the last start leaves, and the last pair
+            counts[text[occ[-2] : occ[-1]]] -= 1
+            occ, ends = occ[:-1], ends[:-1]
+        else:
+            occ, ends = occ[ends > v], ends[ends > v]
+            counts = _return_words(text, arr, occ)
     return rows

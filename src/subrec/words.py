@@ -33,6 +33,66 @@ def _text(codes: np.ndarray) -> str:
     return codes.tobytes().decode("latin-1" if codes.dtype == np.uint8 else "utf-32-le")
 
 
+def _mismatches(words: np.ndarray, p: np.ndarray, offs: np.ndarray, item: int):
+    """(hit, d): which starts p differ from the prefix in the words at the
+    offsets offs (a column), and where the first difference lies for
+    those; words[q] holds the 8 bytes from symbol q on. A function of its
+    own, so the gathered block dies with it."""
+    size = len(words) - 1  # reads past the text only meet starts that ran off
+    x = words[np.minimum(offs + p, size)]  # one row per offset: long inner loops
+    x ^= words[np.minimum(offs, size)]
+    nz = x != 0
+    hit = nz.any(axis=0)
+    row = nz[:, hit].argmax(axis=0)
+    x = x[row, np.flatnonzero(hit)].view(np.uint8).reshape(-1, 8)
+    return hit, offs[row, 0] + (x != 0).argmax(axis=1) // item
+
+
+def prefix_match(codes: np.ndarray, last: int, start: int = 0) -> np.ndarray:
+    """z[i] = min(lcp(codes, codes[p:]), last) for each start p = start + i,
+    except that a match running off the end of codes counts as last: such
+    a start only matters inside windows it fits. z comes in the smallest
+    unsigned dtype that holds last.
+
+    The first 8 offsets are compared over the whole text at once, one
+    contiguous compare and a running AND each. The starts that survive
+    them are compared 8 bytes at a time (8 uint8 symbols, or 2 uint32
+    ones) through an unaligned little-endian uint64 view of the padded
+    text, in blocks of words whose width doubles while survivors x width
+    stays within half the text; their first differing symbol is the lowest
+    nonzero byte of the XOR.
+    """
+    size, item = len(codes), codes.itemsize
+    z = np.zeros(size - start, np.min_scalar_type(last))
+    alive = np.ones(size - start, bool)
+    for j in range(min(8, last)):
+        m = size - start - j  # the starts with a symbol at offset j
+        if m > 0:
+            alive[:m] &= codes[start + j :] == codes[j]
+        z += alive
+    if last <= 8:
+        return z
+    index = np.int32 if 2 * size + 8 < 2**31 else np.int64  # holds p + offset
+    live = np.arange(start, size, dtype=index)[alive]
+    del alive
+    buf = np.zeros((size + 8 // item) * item, np.uint8)  # one word of padding
+    buf[: size * item] = codes.view(np.uint8)
+    words = np.ndarray(size + 1, "<u8", buf, 0, (item,))
+    spw, end, budget = 8 // item, min(last, size), max(size // 2, 1)
+    for lo in range(0, len(live), budget):
+        p, j, width = live[lo : lo + budget], 8, 1
+        while len(p) and j < end:
+            offs = np.arange(j, j + width * spw, spw, dtype=index)[:, None]
+            hit, d = _mismatches(words, p, offs, item)
+            q = p[hit]
+            z[q - start] = np.where(q + d >= size, last, np.minimum(d, last))
+            p = p[~hit]
+            j += width * spw
+            width = max(1, min(2 * width, budget // max(len(p), 1), -(-(end - j) // spw)))
+        z[p - start] = last
+    return z
+
+
 def occurrences(pattern: str, text: str) -> list[int]:
     """All start positions of pattern in text, overlaps included."""
     if not pattern:

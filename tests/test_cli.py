@@ -337,6 +337,32 @@ def test_returns_errors(argv, message):
     assert r.stderr == "subrec: error: %s\n" % message
 
 
+def test_returns_refuses_a_prefix_longer_than_its_recurrence_up_front(capsys):
+    # the first depth with one start, 8191, is refused before any row is
+    # built: 8190 rows, each keeping its own prefix, take 3 s and 34 MiB
+    tracemalloc.start()
+    try:
+        with within(1):
+            code = main(["returns", "--preset", "periodic01", "-N", "100000", "--window", "8192"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "subrec: error: need at least 2 occurrences of %r, found 1\n" % ("01" * 4096)[:8191]
+
+
+def test_returns_keeps_its_words_while_depths_only_trim_the_last_start(capsys):
+    # every second depth drops only the start that no longer fits, which
+    # keeps the words: reading those of 500,000 pairs at each takes 6 s
+    with within(3):
+        code = main(["returns", "--preset", "periodic01", "-N", "500", "--window", "1000000"])
+    assert code == 0
+    want = "".join("%d,2,01\n" % n for n in range(1, 501))
+    assert capsys.readouterr().out == "n,tau,return_words\n" + want
+
+
 @pytest.mark.parametrize("command", ["returns", "lr"])
 @pytest.mark.parametrize("window", ["0", "-1"])
 def test_a_window_below_1_is_refused_by_its_flag(command, window, capsys):
@@ -381,7 +407,9 @@ def test_output_file(tmp_path):
 # argv lists are drawn from build_parser()'s own subcommands and options, so
 # an option added to the parser is drawn too. Integers come from INTS, capped
 # per (command, option dest) by CAPS so that each draw fits its time limit;
-# an option with no grammar of its own gets a short string.
+# an option with no grammar of its own gets a short string. rates
+# --window-base and returns --window run to 10**6 uncapped: on periodic01
+# at -N 500, the slowest preset, they take 1.0 s and 0.5 s.
 
 INTS = [0, 1, 2, -1, 3, 5, 17, 100, 1000, 10**6]
 CAPS = {  # a drawn integer above its cap is drawn as the cap
@@ -389,10 +417,8 @@ CAPS = {  # a drawn integer above its cap is drawn as the cap
     ("verify", "window"): 4096,  # morse-delta runs the same scan
     ("xcheck", "depth"): 1000,  # linear in N: about a minute at 10**6
     ("rates", "depth"): 500,
-    ("rates", "window_base"): 100_000,  # periodic01 at -N 500: 2.7 s at 10**6
     ("verify", "depth"): 500,
     ("returns", "depth"): 500,  # each row keeps its prefix: memory quadratic in N
-    ("returns", "window"): 65536,  # periodic01 at -N 500: 6.5 s at 10**6
     ("lr", "max_len"): 100,  # fibonacci at the default window: 3.0 s at 1000
     ("lr", "window"): 100_000,  # fibonacci at --max-len 100: 2.8 s at 10**6
 }

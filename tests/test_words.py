@@ -20,11 +20,13 @@ from subrec import (
     word_counts,
 )
 from subrec.presets import GOLDEN_CF, SQRT2_CF
+from subrec.words import _codes, prefix_match
 from oracles import (
     naive_max_power,
     naive_max_power_witness,
     naive_min_gap,
     naive_occurrences,
+    naive_prefix_match,
     naive_return_words,
 )
 
@@ -124,6 +126,31 @@ def test_power_witness_is_a_factor(text, _k):
     w = max_power_witness(text)
     assert w.factor in text
     assert text[w.position : w.position + len(w.factor)] == w.factor
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.text(alphabet="01", min_size=1, max_size=300)
+    # "€" is not latin-1, so these texts may come as uint32 codes, 2 a word
+    | st.text(alphabet="a\u00e9\u20ac", min_size=1, max_size=120)
+    # a periodic text matches its prefix to the end from every period
+    | st.tuples(st.text(alphabet="01", min_size=1, max_size=5), st.integers(1, 300)).map(
+        lambda bn: (bn[0] * 300)[: bn[1]]
+    ),
+    st.integers(1, 300),
+    st.integers(0, 300),
+)
+@example("0", 1, 0)
+@example("0110", 300, 0)  # shorter than one packed word
+@example("\u20ac", 300, 0)  # one uint32 code, half a packed word
+@example("01" * 1000, 300, 0)  # dense: every even start outlives the first block
+@example("01" * 1000 + "1", 300, 1500)  # the suffix of a grown text, matched alone
+@example("a\u20ac" * 40 + "a\u00e9", 100, 0)  # mismatches in the second code of a word
+def test_prefix_match_matches_oracle(text, last, start):
+    start = min(start, len(text))
+    z = prefix_match(_codes(text), last, start)
+    assert z.dtype == np.min_scalar_type(last)
+    assert z.tolist() == naive_prefix_match(text, last, start)
 
 
 @given(binary1, st.integers(min_value=1, max_value=6))
