@@ -136,7 +136,7 @@ def cmd_rates(args) -> int:
     source = build_source(args)
     series = rate_series(source, args.depth, window_policy(args))
     write_out(series.to_csv(), args.out)
-    bad = sum(1 for e in series.entries if not e.stabilized)
+    bad = int(len(series.n) - series.stabilized.sum())
     print(
         "source=%s depth=%d tail(n>=%d): min=%s max=%s unstabilized=%d"
         % (

@@ -9,15 +9,15 @@ Every depth comes from one encoded text and one array over it,
 words.prefix_match: how far each start matches the prefix. The starts
 of depth n are those matching n symbols or more, so all depths up to the
 next match length share one start set, and the sweep and return_table
-work once per such block of depths, not once per depth.
+work once per such block of depths, not once per depth. The sweep
+writes each block into tau, window and stabilized columns; the columns
+are the record of a RateSeries, and its TauResults are built on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from math import gcd
 
 import numpy as np
 
@@ -71,21 +71,23 @@ class TauResult:
 
 
 def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
-    """TauResult for each depth first..last, in order, as tau_cylinder
-    defines it.
+    """The depths first..last as tau_cylinder defines them, in order, as
+    column chunks (n, tau, window, stabilized): slices of arrays filled in
+    place, one chunk per block of depths that share their starts.
 
     z = prefix_match(text, last) holds each start's match with the prefix,
     so the starts of depth n are the p with z[p] >= n, ascending: those
     inside a window of w symbols are occ[:k] with k = #(p <= w - n), and tau
     is least[k - 1], least being the running minimum of their gaps after a
     leading 0 (no pair yet). A start whose match runs off the text never
-    counts, as it lies past w - n. The depths up to the next value of z
+    counts, as it lies past w - n. The depths up to the least z over occ
     share occ and least, so the Python loop runs once per such block and,
     inside it, once per window round for all its depths still pending; a
     failing depth ends the sweep after the depths before it are yielded.
-    A window longer than the text grows it geometrically up to the cap,
-    and z is matched again only from the first start that could reach the
-    old end.
+    occ travels with its z values, so each block filters one pair of
+    arrays. A window longer than the text grows it geometrically up to the
+    cap, z is matched again only from the first start that could reach the
+    old end, and the next block takes its starts afresh from z.
     """
     cap = policy.cap
     target = max(last, policy.grow(policy.initial(last)))
@@ -93,19 +95,26 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
     done = len(arr) < target
     if len(arr) < first:
         raise WindowCapExceeded(_ENDS % (source.name, len(arr), first))
-    index = np.int32 if max(target, cap) < 2**31 else np.int64
+    index = np.int32 if max(target, cap) < 2**31 else np.int64  # holds any start
     z = prefix_match(arr, last)
     ns = np.arange(first, min(last, len(arr)) + 1)
-    window = np.minimum(np.maximum(policy.base, 50 * ns), cap)  # policy.initial of each n
-    prev = np.zeros(len(ns), np.int64)  # tau in the last window; 0 for none
+    # window is policy.initial of each n, grown per round, then the window read
+    window = np.minimum(np.maximum(policy.base, 50 * ns), cap)
+    tau = np.zeros(len(ns), np.int64)  # tau in the last window; 0 for none
+    stabilized = np.zeros(len(ns), bool)
     pending = np.ones(len(ns), bool)
-    settled = [None] * len(ns)  # a TauResult, or the message ending the sweep
-    lo, stop, occ = 0, len(ns), np.arange(len(arr), dtype=index)
+    lo, stop, occ, failure = 0, len(ns), None, None
     while lo < stop:
-        occ = occ[z[occ] >= ns[lo]]
-        hi = min(int(z[occ].min()) - first + 1, stop)  # ns[lo:hi] start at occ
+        if occ is None:
+            occ = np.flatnonzero(z >= ns[lo]).astype(index)
+            zo = z[occ]
+        else:
+            keep = np.flatnonzero(zo >= ns[lo])  # cheaper than a boolean mask, twice
+            occ, zo = occ[keep], zo[keep]
+        hi = min(int(zo.min()) - first + 1, stop)  # ns[lo:hi] start at occ
         least = np.zeros(len(occ), index)
-        np.minimum.accumulate(np.diff(occ), out=least[1:])
+        np.subtract(occ[1:], occ[:-1], out=least[1:])  # the gaps, in place
+        np.minimum.accumulate(least[1:], out=least[1:])
         todo = lo + np.flatnonzero(pending[lo:hi])
         while len(todo):
             w = window[todo]
@@ -116,38 +125,45 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
                 keep = max(len(arr) - last, 0)
                 arr = np.concatenate((arr, _codes(text[len(arr) :])))
                 z = np.concatenate((z[:keep], prefix_match(arr, last, keep)))
-                occ = np.arange(len(arr), dtype=index)
+                occ = None
                 break
             n = ns[todo]
             avail = np.minimum(w, len(arr))
             exhausted = avail < w
             k = occ.searchsorted(np.maximum(avail - n, 0).astype(index), "right")
-            tau = least[k - 1]  # p = 0 always counts, so k >= 1
-            stable = exhausted | (tau == prev[todo])
-            fail = (tau == 0) & (exhausted | (w >= cap))
-            settle = (tau > 0) & (stable | (w >= cap))
+            t = least[k - 1]  # p = 0 always counts, so k >= 1
+            stable = exhausted | (t == tau[todo])
+            fail = (t == 0) & (exhausted | (w >= cap))
+            settle = (t > 0) & (stable | (w >= cap))
             again = ~settle & ~fail
             if fail.any():
                 m = int(np.argmax(fail))
                 stop = int(todo[m])
-                settled[stop] = (
-                    "prefix of depth %d of %s recurs less than twice in a %d-window"
-                    % (n[m], source.name, avail[m])
+                failure = "prefix of depth %d of %s recurs less than twice in a %d-window" % (
+                    n[m], source.name, avail[m]
                 )
                 settle[m:] = again[m:] = False
-            for i, t, a, s in zip(*(v[settle].tolist() for v in (todo, tau, avail, stable))):
-                settled[i] = TauResult(i + first, t, a, s)
+            tau[todo] = t  # t > 0 stays > 0 as the window grows
+            stabilized[todo] = stable
+            window[todo] = np.where(settle, avail, np.minimum(2 * w, cap))  # policy.grow
             pending[todo[settle]] = False
-            prev[todo] = tau  # tau > 0 stays > 0 as the window grows
-            window[todo] = np.minimum(2 * w, cap)  # policy.grow of each window
             todo = todo[again]
         else:
-            yield from settled[lo:min(hi, stop)]
+            end = min(hi, stop)
+            if lo < end:
+                yield ns[lo:end], tau[lo:end], window[lo:end], stabilized[lo:end]
             lo = hi
-    if stop < len(ns):
-        raise WindowCapExceeded(settled[stop])
+    if failure is not None:
+        raise WindowCapExceeded(failure)
     if len(arr) < last:
         raise WindowCapExceeded(_ENDS % (source.name, len(arr), len(arr) + 1))
+
+
+def _rows(chunks):
+    """The (n, tau, window, stabilized) rows of the sweep's chunks, one
+    chunk at a time, so an error surfaces after the rows before it."""
+    for chunk in chunks:
+        yield from zip(*(c.tolist() for c in chunk))
 
 
 def tau_cylinder(x, n: int, policy: WindowPolicy = DEFAULT_POLICY) -> TauResult:
@@ -158,65 +174,110 @@ def tau_cylinder(x, n: int, policy: WindowPolicy = DEFAULT_POLICY) -> TauResult:
     """
     if n < 1:
         raise ValueError("cylinder depth must be >= 1")
-    return next(_tau_sweep(as_source(x), n, n, policy))
+    return TauResult(*next(_rows(_tau_sweep(as_source(x), n, n, policy))))
 
 
-# orders TauResults by tau / n without building a Fraction (n > 0)
-_BY_RATIO = cmp_to_key(lambda a, b: a.tau * b.n - b.tau * a.n)
+def _column(values) -> np.ndarray:
+    """values as int64, or as Python ints when one does not fit."""
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        return np.array(values, object)
 
 
-@dataclass
+def _same(a, b) -> bool:
+    """Whether two records of one class hold equal fields, arrays compared whole."""
+    return type(a) is type(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in zip(vars(a).values(), vars(b).values())
+    )
+
+
 class RateSeries:
     """tau(z_n)/n for n = 1..depth, with tail summaries.
+
+    The record is four columns: n, tau, window and stabilized, as the
+    sweep fills them; entries builds the TauResults on demand. Ratios are
+    compared exactly, by cross-multiplying int64 values while
+    max(tau)*max(n) fits, and as Fractions otherwise.
 
     liminf/limsup are approximated by min/max of the ratio over the tail
     n > depth/2; the convention is part of the record so finite-depth
     summaries cannot be mistaken for limits.
     """
 
-    source: str
-    depth: int
-    entries: list[TauResult] = field(default_factory=list)
-
     CSV_HEADER = "n,tau,ratio_num,ratio_den,window,stabilized"
+
+    def __init__(self, source: str, depth: int, entries=(), *, columns=None):
+        if columns is None:
+            rows = [(e.n, e.tau, e.window, e.stabilized) for e in entries]
+            columns = [_column(c) for c in zip(*rows)] or [_column([])] * 4
+        self.source, self.depth = source, depth
+        self.n, self.tau, self.window, stabilized = columns
+        self.stabilized = np.asarray(stabilized, bool)
+
+    __eq__ = _same
+
+    @property
+    def entries(self) -> list[TauResult]:
+        columns = (self.n, self.tau, self.window, self.stabilized)
+        return [TauResult(*row) for row in _rows([columns])]
 
     @property
     def tail_start(self) -> int:
         return self.depth // 2 + 1
 
-    def tail(self) -> list[TauResult]:
-        start = self.tail_start
-        return [e for e in self.entries if e.n >= start]
+    def _extreme(self, sign: int) -> Fraction:
+        """The least of sign * tau/n over the tail, as tau/n."""
+        tail = self.n >= self.tail_start
+        tau, n = self.tau[tail], self.n[tail]
+        if not len(n):
+            raise ValueError("no depth n >= %d in the series" % self.tail_start)
+        if int(tau.max()) * int(n.max()) >= 2**63:
+            ratios = map(Fraction, tau.tolist(), n.tolist())
+            return min(ratios) if sign > 0 else max(ratios)
+        tau, n = tau.astype(np.int64), n.astype(np.int64)
+        i = int(np.argmin(sign * tau / n))  # a guess; each step below beats it exactly
+        while len(beat := np.flatnonzero(sign * (tau * n[i] - tau[i] * n) < 0)):
+            i = int(beat[0])
+        return Fraction(int(tau[i]), int(n[i]))
 
     def tail_min(self) -> Fraction:
-        return min(self.tail(), key=_BY_RATIO).ratio
+        return self._extreme(1)
 
     def tail_max(self) -> Fraction:
-        return max(self.tail(), key=_BY_RATIO).ratio
+        return self._extreme(-1)
 
     def stabilized_fraction(self) -> Fraction:
-        if not self.entries:
+        if not len(self.n):
             return Fraction(0)
-        good = sum(1 for e in self.entries if e.stabilized)
-        return Fraction(good, len(self.entries))
+        return Fraction(int(self.stabilized.sum()), len(self.n))
 
     def running_min(self) -> list[Fraction]:
-        out, cur, ratio = [], None, None
-        for e in self.entries:
-            if cur is None or e.tau * cur.n < cur.tau * e.n:
-                cur, ratio = e, e.ratio
-            out.append(ratio)
-        return out
+        """The least tau/n over the first i + 1 rows, for each row i.
+
+        A row can set a new least only if its float ratio is at most the
+        float least before it (exact while tau and n stay below 2**53), so
+        only those rows are compared exactly.
+        """
+        tau, n = self.tau.tolist(), self.n.tolist()
+        rows = range(len(n))
+        if len(n) and max(max(tau), max(n)) < 2**53:
+            r = self.tau / self.n
+            rows = np.r_[0, 1 + np.flatnonzero(r[1:] <= np.minimum.accumulate(r)[:-1])].tolist()
+        marks, ratios = [], []
+        for i in rows:
+            if not marks or tau[i] * n[marks[-1]] < tau[marks[-1]] * n[i]:
+                marks.append(i)
+                ratios.append(Fraction(tau[i], n[i]))
+        at = np.searchsorted(marks, np.arange(len(n)), "right") - 1
+        return [ratios[i] for i in at.tolist()]
 
     def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for e in self.entries:
-            g = gcd(e.tau, e.n)
-            lines.append(
-                "%d,%d,%d,%d,%d,%d"
-                % (e.n, e.tau, e.tau // g, e.n // g, e.window, int(e.stabilized))
-            )
-        return "\n".join(lines) + "\n"
+        g = np.gcd(self.tau, self.n)
+        cols = (self.n, self.tau, self.tau // g, self.n // g, self.window, self.stabilized)
+        body = np.column_stack(cols).ravel().tolist()
+        return self.CSV_HEADER + "\n" + "%d,%d,%d,%d,%d,%d\n" * len(self.n) % tuple(body)
 
 
 def rate_series(x, depth: int, policy: WindowPolicy = DEFAULT_POLICY) -> RateSeries:
@@ -224,7 +285,8 @@ def rate_series(x, depth: int, policy: WindowPolicy = DEFAULT_POLICY) -> RateSer
     if depth < 1:
         raise ValueError("depth must be >= 1")
     source = as_source(x)
-    return RateSeries(source.name, depth, list(_tau_sweep(source, 1, depth, policy)))
+    chunks = list(_tau_sweep(source, 1, depth, policy))
+    return RateSeries(source.name, depth, columns=[np.concatenate(c) for c in zip(*chunks)])
 
 
 @dataclass(frozen=True)
@@ -248,17 +310,17 @@ def sub_invariance_check(
     source = as_source(x)
     # zip asks the right side first at each n, so errors surface in order
     pairs = zip(
-        _tau_sweep(source, 2, depth, policy),
-        _tau_sweep(ShiftedSource(source), 1, depth - 1, policy),
+        _rows(_tau_sweep(source, 2, depth, policy)),
+        _rows(_tau_sweep(ShiftedSource(source), 1, depth - 1, policy)),
     )
     checked = skipped = 0
-    for right, left in pairs:
-        if not (left.stabilized and right.stabilized):
+    for (n, tau, _, stable), (_, shifted, _, shifted_stable) in pairs:
+        if not (stable and shifted_stable):
             skipped += 1
             continue
         checked += 1
-        if left.tau > right.tau:
-            return SubInvarianceReport(False, checked, skipped, (right.n, left.tau, right.tau))
+        if shifted > tau:
+            return SubInvarianceReport(False, checked, skipped, (n, shifted, tau))
     return SubInvarianceReport(True, checked, skipped, None)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import chain
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .contfrac import CFExpansion, ladder, quadratic_of_cf
 from .generators import _BLOCK, _FIXED_ONE, RotationCodingSource, SequenceTooShort, kappa_images
 from .generators import _check_point, _exact_point, _fixed_orbit
 from .quadratic import ONE, ZERO, QuadraticReal
-from .recurrence import DEFAULT_POLICY, WindowPolicy, rate_series
+from .recurrence import DEFAULT_POLICY, WindowPolicy, _same, rate_series
 
 
 @dataclass(frozen=True)
@@ -281,32 +281,46 @@ class CrossCheckRow:
     match: bool
 
 
-@dataclass
 class CrossCheckReport:
-    alpha: str
-    depth: int
-    rows: list[CrossCheckRow]
+    """The rows of cross_check as columns: n, tau_symbolic, tau_geometric,
+    and move, the index into lengths, the distinct atom lengths in depth
+    order. rows and mismatches build their CrossCheckRows on demand, and
+    the CSV formats each distinct length once."""
 
     CSV_HEADER = "n,tau_symbolic,tau_geometric,atom_len_num_approx,match"
 
+    def __init__(self, alpha: str, depth: int, n, tau_symbolic, tau_geometric, lengths, move):
+        self.alpha, self.depth, self.n = alpha, depth, n
+        self.tau_symbolic, self.tau_geometric = tau_symbolic, tau_geometric
+        self.lengths, self.move = lengths, move
+
+    __eq__ = _same
+
+    def _rows(self, which) -> list[CrossCheckRow]:
+        cols = (self.n, self.tau_symbolic, self.tau_geometric, self.move)
+        return [
+            CrossCheckRow(n, s, g, self.lengths[m], s == g)
+            for n, s, g, m in zip(*(c[which].tolist() for c in cols))
+        ]
+
+    @property
+    def rows(self) -> list[CrossCheckRow]:
+        return self._rows(slice(None))
+
     @property
     def mismatches(self) -> list[CrossCheckRow]:
-        return [r for r in self.rows if not r.match]
+        return self._rows(self.tau_symbolic != self.tau_geometric)
 
     @property
     def ok(self) -> bool:
-        return not self.mismatches
+        return bool((self.tau_symbolic == self.tau_geometric).all())
 
     def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        length = approx = None
-        for r in self.rows:
-            if r.atom_length is not length:  # rows of one atom share its length
-                length, approx = r.atom_length, float(r.atom_length)
-            lines.append(
-                "%d,%d,%d,%.12g,%d" % (r.n, r.tau_symbolic, r.tau_geometric, approx, int(r.match))
-            )
-        return "\n".join(lines) + "\n"
+        approx = ["%.12g" % float(length) for length in self.lengths]
+        match = (self.tau_symbolic == self.tau_geometric).tolist()
+        cols = (self.n.tolist(), self.tau_symbolic.tolist(), self.tau_geometric.tolist())
+        body = chain.from_iterable(zip(*cols, map(approx.__getitem__, self.move.tolist()), match))
+        return self.CSV_HEADER + "\n" + "%d,%d,%d,%s,%d\n" * len(self.n) % tuple(body)
 
 
 def cross_check(
@@ -317,15 +331,13 @@ def cross_check(
     Symbolic side: tau of the depth-n cylinder of the spec's coding of 0.
     Geometric side: tau of the depth-n atom of 0. The depths between two
     moves of that atom share its length and tau, and the atoms nest, so
-    one ladder walk over the distinct lengths serves every depth.
+    one ladder walk over the distinct lengths serves every depth, and one
+    searchsorted maps each depth to its move.
     The two must agree exactly at every depth.
     """
     series = rate_series(spec._coding, depth, policy)
     moves = _atom_moves(spec, ZERO, depth)[1:]  # e_1 = 1 - alpha always cuts [0, 1)
     lengths = [r - l for _, l, r in moves]
-    stops = [j for j, _, _ in moves[1:]] + [depth + 1]
-    entries, rows = iter(series.entries), []
-    for (j, _, _), stop, length, geo in zip(moves, stops, lengths, _ladder_taus(spec, lengths)):
-        for entry in islice(entries, stop - j):
-            rows.append(CrossCheckRow(entry.n, entry.tau, geo, length, entry.tau == geo))
-    return CrossCheckReport(str(spec.cf), depth, rows)
+    move = np.searchsorted([j for j, _, _ in moves], series.n, "right") - 1
+    geo = np.array(list(_ladder_taus(spec, lengths)), np.int64)[move]
+    return CrossCheckReport(str(spec.cf), depth, series.n, series.tau, geo, lengths, move)

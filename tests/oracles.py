@@ -89,6 +89,47 @@ def naive_tau(text: str, n: int):
     return naive_min_gap(text[:n], text)
 
 
+# Rate series rows are (n, tau, window, stabilized) tuples.
+
+_BY_RATIO = cmp_to_key(lambda a, b: a[1] * b[0] - b[1] * a[0])  # tau / n, n > 0
+
+
+def naive_tail_extremes(rows, depth: int) -> tuple[Fraction, Fraction]:
+    """(min, max) of tau/n over the rows with n > depth/2, one row
+    compared with another at a time; ValueError when there is none."""
+    tail = [r for r in rows if r[0] >= depth // 2 + 1]
+    low, high = min(tail, key=_BY_RATIO), max(tail, key=_BY_RATIO)
+    return Fraction(low[1], low[0]), Fraction(high[1], high[0])
+
+
+def naive_running_min(rows) -> list[Fraction]:
+    """The least tau/n over the first i + 1 rows, for each row i."""
+    out, cur = [], None
+    for n, tau, _, _ in rows:
+        if cur is None or tau * cur[0] < cur[1] * n:
+            cur = (n, tau)
+        out.append(Fraction(cur[1], cur[0]))
+    return out
+
+
+def naive_rate_csv(rows) -> str:
+    """The rate series CSV, formatted row by row."""
+    lines = ["n,tau,ratio_num,ratio_den,window,stabilized"]
+    for n, tau, window, stabilized in rows:
+        g = math.gcd(tau, n)
+        lines.append("%d,%d,%d,%d,%d,%d" % (n, tau, tau // g, n // g, window, int(stabilized)))
+    return "\n".join(lines) + "\n"
+
+
+def naive_xcheck_csv(rows) -> str:
+    """The cross-check CSV, formatted row by row from (n, tau_symbolic,
+    tau_geometric, atom length as a float, match) tuples."""
+    lines = ["n,tau_symbolic,tau_geometric,atom_len_num_approx,match"]
+    for n, ts, tg, length, match in rows:
+        lines.append("%d,%d,%d,%.12g,%d" % (n, ts, tg, length, int(match)))
+    return "\n".join(lines) + "\n"
+
+
 def naive_return_words(u: str, text: str) -> set[str]:
     occ = naive_occurrences(u, text)
     return {text[a:b] for a, b in zip(occ, occ[1:])}

@@ -415,11 +415,11 @@ INTS = [0, 1, 2, -1, 3, 5, 17, 100, 1000, 10**6]
 CAPS = {  # a drawn integer above its cap is drawn as the cap
     ("power", "window"): 4096,  # the power scan is quadratic in the window (ROADMAP item 7)
     ("verify", "window"): 4096,  # morse-delta runs the same scan
-    ("xcheck", "depth"): 1000,  # linear in N: about a minute at 10**6
+    ("xcheck", "depth"): 10**6,  # linear in N: 1.6-2.4 s and 330 MB at 10**6
     ("rates", "depth"): 500,
     ("verify", "depth"): 500,
     ("returns", "depth"): 500,  # each row keeps its prefix: memory quadratic in N
-    ("lr", "max_len"): 100,  # fibonacci at the default window: 3.0 s at 1000
+    ("lr", "max_len"): 100,  # fibonacci at the default window: 2.4 s at 1000
     ("lr", "window"): 100_000,  # fibonacci at --max-len 100: 2.8 s at 10**6
 }
 STRINGS = {

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -40,7 +42,10 @@ from oracles import (
     NaiveWindowError,
     naive_factor_stats,
     naive_occurrences,
+    naive_rate_csv,
     naive_return_words,
+    naive_running_min,
+    naive_tail_extremes,
     naive_tau,
     naive_windowed_tau,
 )
@@ -144,6 +149,58 @@ def test_rate_summaries_match_their_fraction_definitions(depth, pairs):
         "%d,%d,%d,%d,100,1" % (e.n, e.tau, r.numerator, r.denominator)
         for e, r in zip(entries, ratios)
     ]
+
+
+@st.composite
+def rate_rows(draw):
+    """(depth, rows) with rows (n, tau, window, stabilized); in some draws
+    tau runs to 2**70, so tau * n passes 2**63 and the columns hold
+    Python ints."""
+    depth = draw(st.integers(1, 40))
+    taus = st.integers(1, 60) | st.integers(1, 10**12)
+    if draw(st.booleans()):
+        taus = taus | st.integers(2**53, 2**70)
+    row = st.tuples(st.integers(1, 40), taus, st.integers(1, 10**7), st.booleans())
+    return depth, draw(st.lists(row, max_size=30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rate_rows())
+@example((10, [(6, 2**61, 100, True), (7, 2**61 + 1, 100, False)]))  # int64 tau, tau * n >= 2**63
+@example((4, [(3, 3 * 2**53 + 1, 1, True), (3, 3 * 2**53, 1, True), (4, 4 * 2**53 + 1, 1, True)]))
+@example((40, [(1, 2, 3, True), (20, 7, 3, False)]))  # no row in the tail
+# the second ratio is the smaller, though its float is equal, then greater
+@example((1, [(2**30, 2**30 + 1, 1, True), (2**30 + 1, 2**30 + 2, 1, True)]))
+@example((1, [(40, 9007199255480685, 1, True), (27, 6079859497449462, 1, True)]))
+def test_rate_columns_match_the_row_references(case):
+    # ratios that floats cannot tell apart must still be ordered exactly
+    depth, rows = case
+    entries = [TauResult(*r) for r in rows]
+    rs = RateSeries("x", depth, entries)
+    assert rs.entries == entries
+    assert rs.to_csv() == naive_rate_csv(rows)
+    assert rs.running_min() == naive_running_min(rows)
+    try:
+        want = naive_tail_extremes(rows, depth)
+    except ValueError:
+        for got in (rs.tail_min, rs.tail_max):
+            with pytest.raises(ValueError):
+                got()
+    else:
+        assert (rs.tail_min(), rs.tail_max()) == want
+    assert (rs == RateSeries("x", depth, entries)) is True
+    assert rs != RateSeries("y", depth, entries)
+    assert pickle.loads(pickle.dumps(rs)) == rs == copy.deepcopy(rs)
+
+
+def test_a_swept_series_reads_like_its_entries():
+    rs = rate_series(get_preset("fibonacci"), 300, WindowPolicy(100, 1600))
+    rows = [(e.n, e.tau, e.window, e.stabilized) for e in rs.entries]
+    assert not all(r[3] for r in rows)  # the cap leaves some depths unstabilized
+    assert RateSeries(rs.source, 300, rs.entries) == rs
+    assert rs.to_csv() == naive_rate_csv(rows)
+    assert rs.running_min() == naive_running_min(rows)
+    assert (rs.tail_min(), rs.tail_max()) == naive_tail_extremes(rows, 300)
 
 
 def test_rate_series_on_finite_kappa_source():
@@ -588,6 +645,19 @@ def test_long_sweep_table_and_fixed_point_finish_fast():
     assert [r.n for r in rows] == list(range(1, 17)) and len(rows[-1].words) == 2
     assert len(text) == 2**20
     assert all(text[k] == "01"[bin(k).count("1") % 2] for k in range(0, 2**20, 4099))
+
+
+def test_a_deep_rate_series_pays_per_block_not_per_row():
+    # 0.75-0.9 s with its CSV and tail summaries, 1.1-1.3 s with a TauResult
+    # per depth and rows compared and formatted one by one; the bound fails
+    # a doubling of the columnar time, not that difference
+    with within(1.8):
+        rs = rate_series(get_preset("fibonacci"), 100_000)
+        csv = rs.to_csv()
+        low, high = rs.tail_min(), rs.tail_max()
+    assert len(rs.n) == 100_000 and rs.stabilized.all()
+    assert (low, high) == (Fraction(3001, 4000), Fraction(75025, 50001))
+    assert csv.count("\n") == 100_001 and csv.endswith("\n100000,75025,3001,4000,10000000,1\n")
 
 
 def test_power_report_on_a_long_thue_morse_prefix_finishes_fast():
