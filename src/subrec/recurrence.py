@@ -185,21 +185,12 @@ def _column(values) -> np.ndarray:
         return np.array(values, object)
 
 
-def _same(a, b) -> bool:
-    """Whether two records of one class hold equal fields, arrays compared whole."""
-    return type(a) is type(b) and all(
-        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
-        for x, y in zip(vars(a).values(), vars(b).values())
-    )
-
-
 class RateSeries:
     """tau(z_n)/n for n = 1..depth, with tail summaries.
 
     The record is four columns: n, tau, window and stabilized, as the
-    sweep fills them; entries builds the TauResults on demand. Ratios are
-    compared exactly, by cross-multiplying int64 values while
-    max(tau)*max(n) fits, and as Fractions otherwise.
+    sweep fills them; entries builds the TauResults on demand, and
+    RateSeries(source, depth, entries) builds the columns from them.
 
     liminf/limsup are approximated by min/max of the ratio over the tail
     n > depth/2; the convention is part of the record so finite-depth
@@ -208,45 +199,58 @@ class RateSeries:
 
     CSV_HEADER = "n,tau,ratio_num,ratio_den,window,stabilized"
 
-    def __init__(self, source: str, depth: int, entries=(), *, columns=None):
-        if columns is None:
-            rows = [(e.n, e.tau, e.window, e.stabilized) for e in entries]
-            columns = [_column(c) for c in zip(*rows)] or [_column([])] * 4
+    def __init__(self, source: str, depth: int, entries=()):
+        rows = [(e.n, e.tau, e.window, e.stabilized) for e in entries]
+        columns = [_column(c) for c in zip(*rows)] or [_column([])] * 4
         self.source, self.depth = source, depth
         self.n, self.tau, self.window, stabilized = columns
         self.stabilized = np.asarray(stabilized, bool)
 
-    __eq__ = _same
+    @classmethod
+    def _from_columns(cls, source: str, depth: int, n, tau, window, stabilized) -> RateSeries:
+        series = cls(source, depth)
+        series.n, series.tau, series.window, series.stabilized = n, tau, window, stabilized
+        return series
+
+    @property
+    def _columns(self) -> tuple:
+        return self.n, self.tau, self.window, self.stabilized
+
+    def __eq__(self, other) -> bool:
+        fields = (self.source, self.depth)
+        same = type(other) is type(self) and fields == (other.source, other.depth)
+        return same and all(map(np.array_equal, self._columns, other._columns))
+
+    def __repr__(self) -> str:
+        return "RateSeries(source=%r, depth=%d, rows=%d)" % (self.source, self.depth, len(self.n))
 
     @property
     def entries(self) -> list[TauResult]:
-        columns = (self.n, self.tau, self.window, self.stabilized)
-        return [TauResult(*row) for row in _rows([columns])]
+        return [TauResult(*row) for row in _rows([self._columns])]
 
     @property
     def tail_start(self) -> int:
         return self.depth // 2 + 1
 
-    def _extreme(self, sign: int) -> Fraction:
-        """The least of sign * tau/n over the tail, as tau/n."""
+    def _extreme(self, least: bool) -> Fraction:
+        """The least (or greatest) tau/n over the tail, compared exactly
+        among the rows whose float ratio lies within a few ulps of the
+        float extreme: each float ratio is within 3 ulps of its value."""
         tail = self.n >= self.tail_start
         tau, n = self.tau[tail], self.n[tail]
         if not len(n):
             raise ValueError("no depth n >= %d in the series" % self.tail_start)
-        if int(tau.max()) * int(n.max()) >= 2**63:
-            ratios = map(Fraction, tau.tolist(), n.tolist())
-            return min(ratios) if sign > 0 else max(ratios)
-        tau, n = tau.astype(np.int64), n.astype(np.int64)
-        i = int(np.argmin(sign * tau / n))  # a guess; each step below beats it exactly
-        while len(beat := np.flatnonzero(sign * (tau * n[i] - tau[i] * n) < 0)):
-            i = int(beat[0])
-        return Fraction(int(tau[i]), int(n[i]))
+        r = np.asarray(tau / n, float)
+        best = r.min() if least else r.max()
+        near = np.flatnonzero(abs(r - best) <= 8 * np.finfo(float).eps * best)
+        ratios = map(Fraction, tau[near].tolist(), n[near].tolist())
+        return min(ratios) if least else max(ratios)
 
     def tail_min(self) -> Fraction:
-        return self._extreme(1)
+        return self._extreme(True)
 
     def tail_max(self) -> Fraction:
-        return self._extreme(-1)
+        return self._extreme(False)
 
     def stabilized_fraction(self) -> Fraction:
         if not len(self.n):
@@ -254,24 +258,13 @@ class RateSeries:
         return Fraction(int(self.stabilized.sum()), len(self.n))
 
     def running_min(self) -> list[Fraction]:
-        """The least tau/n over the first i + 1 rows, for each row i.
-
-        A row can set a new least only if its float ratio is at most the
-        float least before it (exact while tau and n stay below 2**53), so
-        only those rows are compared exactly.
-        """
-        tau, n = self.tau.tolist(), self.n.tolist()
-        rows = range(len(n))
-        if len(n) and max(max(tau), max(n)) < 2**53:
-            r = self.tau / self.n
-            rows = np.r_[0, 1 + np.flatnonzero(r[1:] <= np.minimum.accumulate(r)[:-1])].tolist()
-        marks, ratios = [], []
-        for i in rows:
-            if not marks or tau[i] * n[marks[-1]] < tau[marks[-1]] * n[i]:
-                marks.append(i)
-                ratios.append(Fraction(tau[i], n[i]))
-        at = np.searchsorted(marks, np.arange(len(n)), "right") - 1
-        return [ratios[i] for i in at.tolist()]
+        """The least tau/n over the first i + 1 rows, for each row i."""
+        out, least = [], None
+        for tau, n in zip(self.tau.tolist(), self.n.tolist()):
+            if least is None or tau * least.denominator < least.numerator * n:
+                least = Fraction(tau, n)
+            out.append(least)
+        return out
 
     def to_csv(self) -> str:
         g = np.gcd(self.tau, self.n)
@@ -286,7 +279,7 @@ def rate_series(x, depth: int, policy: WindowPolicy = DEFAULT_POLICY) -> RateSer
         raise ValueError("depth must be >= 1")
     source = as_source(x)
     chunks = list(_tau_sweep(source, 1, depth, policy))
-    return RateSeries(source.name, depth, columns=[np.concatenate(c) for c in zip(*chunks)])
+    return RateSeries._from_columns(source.name, depth, *map(np.concatenate, zip(*chunks)))
 
 
 @dataclass(frozen=True)

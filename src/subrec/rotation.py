@@ -19,7 +19,7 @@ from .contfrac import CFExpansion, ladder, quadratic_of_cf
 from .generators import _BLOCK, _FIXED_ONE, RotationCodingSource, SequenceTooShort, kappa_images
 from .generators import _check_point, _exact_point, _fixed_orbit
 from .quadratic import ONE, ZERO, QuadraticReal
-from .recurrence import DEFAULT_POLICY, WindowPolicy, _same, rate_series
+from .recurrence import DEFAULT_POLICY, WindowPolicy, rate_series
 
 
 @dataclass(frozen=True)
@@ -294,13 +294,23 @@ class CrossCheckReport:
         self.tau_symbolic, self.tau_geometric = tau_symbolic, tau_geometric
         self.lengths, self.move = lengths, move
 
-    __eq__ = _same
+    @property
+    def _columns(self) -> tuple:
+        return self.n, self.tau_symbolic, self.tau_geometric, self.move
+
+    def __eq__(self, other) -> bool:
+        fields = (self.alpha, self.depth, self.lengths)
+        same = type(other) is type(self) and fields == (other.alpha, other.depth, other.lengths)
+        return same and all(map(np.array_equal, self._columns, other._columns))
+
+    def __repr__(self) -> str:
+        fields = (self.alpha, self.depth, len(self.n), self.ok)
+        return "CrossCheckReport(alpha=%r, depth=%d, rows=%d, ok=%s)" % fields
 
     def _rows(self, which) -> list[CrossCheckRow]:
-        cols = (self.n, self.tau_symbolic, self.tau_geometric, self.move)
         return [
             CrossCheckRow(n, s, g, self.lengths[m], s == g)
-            for n, s, g, m in zip(*(c[which].tolist() for c in cols))
+            for n, s, g, m in zip(*(c[which].tolist() for c in self._columns))
         ]
 
     @property

@@ -198,6 +198,7 @@ def test_a_swept_series_reads_like_its_entries():
     rows = [(e.n, e.tau, e.window, e.stabilized) for e in rs.entries]
     assert not all(r[3] for r in rows)  # the cap leaves some depths unstabilized
     assert RateSeries(rs.source, 300, rs.entries) == rs
+    assert repr(rs) == "RateSeries(source='fibonacci', depth=300, rows=300)"
     assert rs.to_csv() == naive_rate_csv(rows)
     assert rs.running_min() == naive_running_min(rows)
     assert (rs.tail_min(), rs.tail_max()) == naive_tail_extremes(rows, 300)
@@ -647,10 +648,15 @@ def test_long_sweep_table_and_fixed_point_finish_fast():
     assert all(text[k] == "01"[bin(k).count("1") % 2] for k in range(0, 2**20, 4099))
 
 
-def test_a_deep_rate_series_pays_per_block_not_per_row():
+def per_row(*args):
+    raise AssertionError("a record built per depth")
+
+
+def test_a_deep_rate_series_pays_per_block_not_per_row(monkeypatch):
     # 0.75-0.9 s with its CSV and tail summaries, 1.1-1.3 s with a TauResult
-    # per depth and rows compared and formatted one by one; the bound fails
-    # a doubling of the columnar time, not that difference
+    # per depth and rows compared and formatted one by one; the bound only
+    # fails a doubling, so building a TauResult at all fails the test
+    monkeypatch.setattr("subrec.recurrence.TauResult", per_row)
     with within(1.8):
         rs = rate_series(get_preset("fibonacci"), 100_000)
         csv = rs.to_csv()

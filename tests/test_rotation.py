@@ -414,13 +414,19 @@ def test_cross_check_reports_a_mismatch_from_its_columns():
     report.tau_geometric[[6, 20]] += 1
     assert not report.ok
     assert [r.n for r in report.mismatches] == [7, 21]
+    assert repr(report) == "CrossCheckReport(alpha=%r, depth=40, rows=40, ok=False)" % str(GOLDEN_CF)
     assert [r.match for r in report.rows].count(False) == 2
     assert report.to_csv().splitlines()[7].endswith(",0")
     assert report != cross_check(RotationSpec(GOLDEN_CF), 40)
 
 
-def test_a_deep_cross_check_pays_per_block_not_per_row():
+def test_a_deep_cross_check_pays_per_block_not_per_row(monkeypatch):
     # about 0.85 s; with a row object per depth it took about 2.2 s
+    def per_row(*args):
+        raise AssertionError("a record built per depth")
+
+    monkeypatch.setattr("subrec.recurrence.TauResult", per_row)
+    monkeypatch.setattr("subrec.rotation.CrossCheckRow", per_row)
     spec = RotationSpec(CFExpansion((), (1, 1, 1, 1)))
     with within(1.8):
         report = cross_check(spec, 200_000, WindowPolicy(base=1000))
