@@ -88,6 +88,8 @@ def window_policy(args) -> WindowPolicy:
         raise ValueError("--window-base and --window-cap must be >= 1")
     if cap < base:
         raise ValueError("window cap %d below initial window %d" % (cap, base))
+    if cap >= 2**63:  # the windows are int64
+        raise ValueError("words are limited to 2**62 symbols, %d requested" % cap)
     return WindowPolicy(base=base, cap=cap)
 
 
@@ -364,24 +366,17 @@ def cmd_verify(args) -> int:
 
 # ------------------------------------------------------------ config plumbing
 
-CONFIG_KEYS = {
-    "preset": str,
-    "cf": str,
-    "kappa": str,
-    "method": str,
-    "length": int,
-    "depth": int,
-    "window": int,
-    "window_base": int,
-    "window_cap": int,
-    "max_len": int,
-    "seed": int,
-    "out": str,
-}
-
-
 def load_config(path: str) -> dict:
-    """Flat key=value lines; blank lines and # comments ignored."""
+    """Flat key=value lines; blank lines and # comments ignored. The keys
+    are the subcommands' options that take a value, by dest (the long flag
+    name with - as _), each read with its option's type."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    keys = {
+        a.dest: a.type or str
+        for p in sub.choices.values()
+        for a in p._actions
+        if a.option_strings and a.nargs != 0 and a.dest != "config"
+    }
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -392,9 +387,9 @@ def load_config(path: str) -> dict:
                 raise ValueError("%s:%d: expected key=value" % (path, lineno))
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in CONFIG_KEYS:
+            if key not in keys:
                 raise ValueError("%s:%d: unknown key %r" % (path, lineno, key))
-            values[key] = CONFIG_KEYS[key](val.strip())
+            values[key] = keys[key](val.strip())
     return values
 
 

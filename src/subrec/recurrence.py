@@ -43,16 +43,17 @@ _ENDS = "source %s ends after %d symbols, cylinder depth %d unreachable"
 @dataclass(frozen=True)
 class WindowPolicy:
     """The first window is max(base, 50 n) symbols for depth n; each
-    round doubles it, never past cap."""
+    round doubles it, never past cap. Both rules take an int or an array
+    of them, and give a numpy int or an array."""
 
     base: int = 10_000
     cap: int = 10_000_000
 
-    def initial(self, n: int) -> int:
-        return min(max(self.base, 50 * n), self.cap)
+    def initial(self, n):
+        return np.clip(50 * n, self.base, self.cap)
 
-    def grow(self, window: int) -> int:
-        return min(2 * window, self.cap)
+    def grow(self, window):
+        return np.minimum(2 * window, self.cap)
 
 
 DEFAULT_POLICY = WindowPolicy()
@@ -73,7 +74,8 @@ class TauResult:
 def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
     """The depths first..last as tau_cylinder defines them, in order, as
     column chunks (n, tau, window, stabilized): slices of arrays filled in
-    place, one chunk per block of depths that share their starts.
+    place, one chunk per block of depths that share their starts. Every
+    window comes from policy.initial and policy.grow.
 
     z = prefix_match(text, last) holds each start's match with the prefix,
     so the starts of depth n are the p with z[p] >= n, ascending: those
@@ -90,7 +92,7 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
     old end, and the next block takes its starts afresh from z.
     """
     cap = policy.cap
-    target = max(last, policy.grow(policy.initial(last)))
+    target = max(last, int(policy.grow(policy.initial(last))))
     arr = _codes(source.prefix(target))
     done = len(arr) < target
     if len(arr) < first:
@@ -98,8 +100,7 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
     index = np.int32 if max(target, cap) < 2**31 else np.int64  # holds any start
     z = prefix_match(arr, last)
     ns = np.arange(first, min(last, len(arr)) + 1)
-    # window is policy.initial of each n, grown per round, then the window read
-    window = np.minimum(np.maximum(policy.base, 50 * ns), cap)
+    window = policy.initial(ns)  # grown per round, then the window read
     tau = np.zeros(len(ns), np.int64)  # tau in the last window; 0 for none
     stabilized = np.zeros(len(ns), bool)
     pending = np.ones(len(ns), bool)
@@ -145,7 +146,7 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
                 settle[m:] = again[m:] = False
             tau[todo] = t  # t > 0 stays > 0 as the window grows
             stabilized[todo] = stable
-            window[todo] = np.where(settle, avail, np.minimum(2 * w, cap))  # policy.grow
+            window[todo] = np.where(settle, avail, policy.grow(w))
             pending[todo[settle]] = False
             todo = todo[again]
         else:
@@ -177,20 +178,12 @@ def tau_cylinder(x, n: int, policy: WindowPolicy = DEFAULT_POLICY) -> TauResult:
     return TauResult(*next(_rows(_tau_sweep(as_source(x), n, n, policy))))
 
 
-def _column(values) -> np.ndarray:
-    """values as int64, or as Python ints when one does not fit."""
-    try:
-        return np.array(values, np.int64)
-    except OverflowError:
-        return np.array(values, object)
-
-
 class RateSeries:
     """tau(z_n)/n for n = 1..depth, with tail summaries.
 
     The record is four columns: n, tau, window and stabilized, as the
-    sweep fills them; entries builds the TauResults on demand, and
-    RateSeries(source, depth, entries) builds the columns from them.
+    sweep fills them, and entries builds the TauResults on demand. tau is
+    int64, or holds Python ints where a value does not fit.
 
     liminf/limsup are approximated by min/max of the ratio over the tail
     n > depth/2; the convention is part of the record so finite-depth
@@ -199,18 +192,9 @@ class RateSeries:
 
     CSV_HEADER = "n,tau,ratio_num,ratio_den,window,stabilized"
 
-    def __init__(self, source: str, depth: int, entries=()):
-        rows = [(e.n, e.tau, e.window, e.stabilized) for e in entries]
-        columns = [_column(c) for c in zip(*rows)] or [_column([])] * 4
+    def __init__(self, source: str, depth: int, n, tau, window, stabilized):
         self.source, self.depth = source, depth
-        self.n, self.tau, self.window, stabilized = columns
-        self.stabilized = np.asarray(stabilized, bool)
-
-    @classmethod
-    def _from_columns(cls, source: str, depth: int, n, tau, window, stabilized) -> RateSeries:
-        series = cls(source, depth)
-        series.n, series.tau, series.window, series.stabilized = n, tau, window, stabilized
-        return series
+        self.n, self.tau, self.window, self.stabilized = n, tau, window, stabilized
 
     @property
     def _columns(self) -> tuple:
@@ -279,7 +263,7 @@ def rate_series(x, depth: int, policy: WindowPolicy = DEFAULT_POLICY) -> RateSer
         raise ValueError("depth must be >= 1")
     source = as_source(x)
     chunks = list(_tau_sweep(source, 1, depth, policy))
-    return RateSeries._from_columns(source.name, depth, *map(np.concatenate, zip(*chunks)))
+    return RateSeries(source.name, depth, *map(np.concatenate, zip(*chunks)))
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ def prefix_match(codes: np.ndarray, last: int, start: int = 0) -> np.ndarray:
     if last <= 8:
         return z
     index = np.int32 if 2 * size + 8 < 2**31 else np.int64  # holds p + offset
-    live = np.arange(start, size, dtype=index)[alive]
+    live = (np.flatnonzero(alive) + start).astype(index)
     del alive
     buf = np.zeros((size + 8 // item) * item, np.uint8)  # one word of padding
     buf[: size * item] = codes.view(np.uint8)

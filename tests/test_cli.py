@@ -186,6 +186,13 @@ HOSTILE_ARGV = {
     "length-beyond-2-62": (
         ["generate", "--preset", "golden-rotation", "--length", "99999999999999999999"], 1, ""
     ),
+    "window-cap-beyond-int64": (
+        ["rates", "--preset", "fibonacci", "-N", "5", "--window-cap", "99999999999999999999"], 1, ""
+    ),
+    "windows-beyond-int64": (
+        ["xcheck", "--cf", "[0;(1)]", "-N", "5", "--window-base", "9" * 20, "--window-cap", "9" * 20],
+        1, "",
+    ),
 }
 
 
@@ -404,8 +411,9 @@ def test_output_file(tmp_path):
 
 
 # ------------------------------------------------------------ CLI contract
-# argv lists are drawn from build_parser()'s own subcommands and options, so
-# an option added to the parser is drawn too. Integers come from INTS, capped
+# argv lists are drawn from build_parser()'s own subcommands and options,
+# and its top-level ones (--config) before the subcommand, so an option
+# added to the parser is drawn too. Integers come from INTS, capped
 # per (command, option dest) by CAPS so that each draw fits its time limit;
 # an option with no grammar of its own gets a short string. rates
 # --window-base and returns --window run to 10**6 uncapped: on periodic01
@@ -418,7 +426,9 @@ CAPS = {  # a drawn integer above its cap is drawn as the cap
     ("xcheck", "depth"): 10**6,  # linear in N: 1.6-2.4 s and 330 MB at 10**6
     ("rates", "depth"): 500,
     ("verify", "depth"): 500,
-    ("returns", "depth"): 500,  # each row keeps its prefix: memory quadratic in N
+    # periodic01 at --window 10**6 meets prefix_match's periodic worst case
+    # (ROADMAP item 8): 6.8 of 6.9 s in prefix_match at 8000, 19 s at 20000
+    ("returns", "depth"): 500,
     ("lr", "max_len"): 100,  # fibonacci at the default window: 2.4 s at 1000
     ("lr", "window"): 100_000,  # fibonacci at --max-len 100: 2.8 s at 10**6
 }
@@ -455,10 +465,14 @@ def argv_lists(draw):
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     command = draw(st.sampled_from(sorted(sub.choices)))
+    argv = []
+    for action in parser._actions:  # --config, given before the subcommand
+        if action.option_strings and action.nargs != 0 and draw(st.sampled_from([False] * 3 + [True])):
+            argv += [draw(st.sampled_from(action.option_strings)), str(draw(_values(None, action)))]
+    argv.append(command)
     actions = sub.choices[command]._actions
     optionals = [a for a in actions if a.option_strings and a.nargs != 0]
     picked = draw(st.sets(st.sampled_from(optionals), max_size=4))
-    argv = [command]
     for action in actions:
         if not action.option_strings:  # a positional, e.g. the verify suite
             if draw(st.sampled_from([True] * 9 + [False])):
@@ -484,7 +498,7 @@ def test_every_drawn_argv_is_answered_by_a_documented_exit_code(argv):
     if "--help" in argv:
         assert out.startswith("usage: subrec")
         return
-    head = HEADS[argv[0]]
+    head = HEADS[next(a for a in argv if a in HEADS)]
     if head is None:
         assert out.endswith("\n") and set(out[:-1]) <= set("01")
     elif isinstance(head, str):

@@ -57,6 +57,34 @@ def test_window_policy_schedule():
     assert pol.initial(300) == 15_000
     assert pol.initial(100_000) == 1_000_000
     assert pol.grow(600_000) == 1_000_000
+    assert WindowPolicy(base=5000, cap=100).initial(1) == 100  # the cap wins over base
+    ns = np.array([1, 300, 100_000])
+    assert pol.initial(ns).tolist() == [10_000, 15_000, 1_000_000]
+    assert pol.grow(np.array([1, 600_000])).tolist() == [2, 1_000_000]
+
+
+class CapFirst(WindowPolicy):
+    def initial(self, n):
+        return np.full_like(n, self.cap)
+
+
+class Quadruple(WindowPolicy):
+    def grow(self, window):
+        return np.minimum(4 * window, self.cap)
+
+
+def test_the_sweep_takes_its_windows_from_the_policy():
+    fib = get_preset("fibonacci")
+    rs = rate_series(fib, 300, CapFirst(100, 1600))
+    assert (rs.window == 1600).all() and not rs.stabilized.any()
+    assert tau_cylinder(fib, 300, CapFirst(100, 1600)) == TauResult(300, 233, 1600, False)
+    doubled = rate_series(fib, 300, WindowPolicy(1, 10**6))
+    quadrupled = rate_series(fib, 300, Quadruple(1, 10**6))
+    assert quadrupled.tau.tolist() == doubled.tau.tolist()
+    assert quadrupled.stabilized.all() and doubled.stabilized.all()
+    for n, w in zip(quadrupled.n.tolist(), quadrupled.window.tolist()):
+        assert w in {50 * n * 4**k for k in range(5)}
+    assert not np.array_equal(quadrupled.window, doubled.window)
 
 
 def test_periodic_tau_is_period():
@@ -123,6 +151,15 @@ def test_rate_series_csv_round_trip():
     assert int(window) > 0 and stab == "1"
 
 
+def series(source, depth, rows):
+    """The RateSeries of rows (n, tau, window, stabilized), its tau column
+    holding Python ints when a tau does not fit int64."""
+    n, tau, window, stabilized = zip(*rows) if rows else ((),) * 4
+    big = any(t >= 2**63 for t in tau)
+    columns = np.array(n, np.int64), np.array(tau, object if big else np.int64)
+    return RateSeries(source, depth, *columns, np.array(window, np.int64), np.array(stabilized, bool))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(1, 40),
@@ -133,8 +170,9 @@ def test_rate_series_csv_round_trip():
 )
 def test_rate_summaries_match_their_fraction_definitions(depth, pairs):
     # small n and tau make equal ratios in lowest and in higher terms
-    entries = [TauResult(n, tau, 100, True) for n, tau in pairs]
-    rs = RateSeries("x", depth, entries)
+    rows = [(n, tau, 100, True) for n, tau in pairs]
+    entries = [TauResult(*r) for r in rows]
+    rs = series("x", depth, rows)
     ratios = [Fraction(e.tau, e.n) for e in entries]
     tail = [r for e, r in zip(entries, ratios) if e.n >= depth // 2 + 1]
     for got, want in ((rs.tail_min, min), (rs.tail_max, max)):
@@ -154,7 +192,7 @@ def test_rate_summaries_match_their_fraction_definitions(depth, pairs):
 @st.composite
 def rate_rows(draw):
     """(depth, rows) with rows (n, tau, window, stabilized); in some draws
-    tau runs to 2**70, so tau * n passes 2**63 and the columns hold
+    tau runs to 2**70, so tau * n passes 2**63 and the tau column holds
     Python ints."""
     depth = draw(st.integers(1, 40))
     taus = st.integers(1, 60) | st.integers(1, 10**12)
@@ -176,7 +214,7 @@ def test_rate_columns_match_the_row_references(case):
     # ratios that floats cannot tell apart must still be ordered exactly
     depth, rows = case
     entries = [TauResult(*r) for r in rows]
-    rs = RateSeries("x", depth, entries)
+    rs = series("x", depth, rows)
     assert rs.entries == entries
     assert rs.to_csv() == naive_rate_csv(rows)
     assert rs.running_min() == naive_running_min(rows)
@@ -188,8 +226,8 @@ def test_rate_columns_match_the_row_references(case):
                 got()
     else:
         assert (rs.tail_min(), rs.tail_max()) == want
-    assert (rs == RateSeries("x", depth, entries)) is True
-    assert rs != RateSeries("y", depth, entries)
+    assert (rs == series("x", depth, rows)) is True
+    assert rs != series("y", depth, rows)
     assert pickle.loads(pickle.dumps(rs)) == rs == copy.deepcopy(rs)
 
 
@@ -197,7 +235,7 @@ def test_a_swept_series_reads_like_its_entries():
     rs = rate_series(get_preset("fibonacci"), 300, WindowPolicy(100, 1600))
     rows = [(e.n, e.tau, e.window, e.stabilized) for e in rs.entries]
     assert not all(r[3] for r in rows)  # the cap leaves some depths unstabilized
-    assert RateSeries(rs.source, 300, rs.entries) == rs
+    assert series(rs.source, 300, rows) == rs
     assert repr(rs) == "RateSeries(source='fibonacci', depth=300, rows=300)"
     assert rs.to_csv() == naive_rate_csv(rows)
     assert rs.running_min() == naive_running_min(rows)
@@ -586,6 +624,7 @@ def test_examples_reach_every_window_branch():
 @example(*ENDS_BEFORE_DEPTH)
 @example(*GROWS_PAST_FIRST_READ)
 @example(*GAP_AT_FIRST_NEW_POSITION)
+@example(("preset", "fibonacci"), 10_000, 2**31, 16)  # a cap of 2**31 switches to int64 starts
 def test_sweep_matches_naive_window_loop(spec, base, cap, depth):
     policy = WindowPolicy(base, cap)
     want = naive_taus(spec, base, cap, depth)

@@ -463,12 +463,15 @@ def test_values_round_trip_through_pickle_and_copies(clone):
 
 
 def test_cross_check_row_agrees_with_tau_cylinder():
-    report = cross_check(SQRT2, 30)
-    assert report.ok
     src = get_preset("sqrt2-rotation")
-    assert [r.n for r in report.rows] == list(range(1, 31))
-    for row in report.rows:
-        assert row.tau_symbolic == tau_cylinder(src, row.n).tau
+    default = cross_check(SQRT2, 30)
+    # a cap of 2**31 switches the sweep to int64 starts
+    for policy in (WindowPolicy(), WindowPolicy(10_000, 2**31)):
+        report = cross_check(SQRT2, 30, policy)
+        assert report.ok and report == default
+        assert [r.n for r in report.rows] == list(range(1, 31))
+        for row in report.rows:
+            assert row.tau_symbolic == tau_cylinder(src, row.n, policy).tau
 
 
 @st.composite
