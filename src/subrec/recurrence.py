@@ -44,10 +44,16 @@ _ENDS = "source %s ends after %d symbols, cylinder depth %d unreachable"
 class WindowPolicy:
     """The first window is max(base, 50 n) symbols for depth n; each
     round doubles it, never past cap. Both rules take an int or an array
-    of them, and give a numpy int or an array."""
+    of them, and give a numpy int or an array. The windows are int64, so a
+    base or cap at or above 2**63 is refused; base > cap is allowed."""
 
     base: int = 10_000
     cap: int = 10_000_000
+
+    def __post_init__(self):
+        top = max(self.base, self.cap)
+        if top >= 2**63:
+            raise ValueError("words are limited to 2**62 symbols, %d requested" % top)
 
     def initial(self, n):
         return np.clip(50 * n, self.base, self.cap)

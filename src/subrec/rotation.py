@@ -3,7 +3,9 @@
 The circle is [0, 1) with t -> t + alpha mod 1 and cells [0, 1-alpha),
 [1-alpha, 1). Depth-n refinements have endpoints (-j*alpha) mod 1, so all
 geometry lives in the quadratic field of alpha and every comparison is
-exact. This is the independent oracle for the symbolic computations.
+exact: 64-bit fixed-point ranges decide it where they are apart, exact
+arithmetic in the field where they are not. This is the independent oracle
+for the symbolic computations.
 """
 
 from __future__ import annotations
@@ -30,18 +32,19 @@ class RotationSpec:
     no period or a value outside (0, 1), so alpha is an irrational angle
     and its convergent denominators drive tau_length.
 
-    Every geometric quantity reads one table, extended on demand up to the
-    longest depth or word asked for and kept for the life of the spec:
-    the endpoints e_j = {-j*alpha}, the ladder rungs
-    (q_i, |q_i*alpha - p_i|) and the coding of 0. The table takes part in
-    no comparison, hash or repr, and, like a word source, a spec is not
-    thread-safe. exact_fallbacks counts the depths that atom_of and
-    cross_check had to settle by exact comparison.
+    Every geometric quantity reads tables extended on demand and kept for
+    the life of the spec: the arcs {d*alpha} by index difference d, the
+    ladder rungs (q_i, |q_i*alpha - p_i|), the taus of the lengths already
+    asked for, and the coding of 0. The tables take part in no comparison,
+    hash or repr, and, like a word source, a spec is not thread-safe.
+    exact_fallbacks counts the points and depths that the fixed-point
+    passes had to settle by exact comparison.
     """
 
     cf: CFExpansion
     alpha: QuadraticReal = field(init=False)
-    _ends: list = field(init=False, compare=False, repr=False)
+    _arcs: dict = field(init=False, compare=False, repr=False)
+    _taus: dict = field(init=False, compare=False, repr=False)
     _rungs: list = field(init=False, compare=False, repr=False)
     _ladder: Iterator = field(init=False, compare=False, repr=False)
     exact_fallbacks: int = field(init=False, compare=False, repr=False)
@@ -49,7 +52,8 @@ class RotationSpec:
     def __post_init__(self):
         init = object.__setattr__
         init(self, "alpha", quadratic_of_cf(self.cf))
-        init(self, "_ends", [ZERO])
+        init(self, "_arcs", {0: ONE})
+        init(self, "_taus", {})
         init(self, "_rungs", [])
         init(self, "_ladder", ladder(self.cf))
         init(self, "exact_fallbacks", 0)
@@ -59,20 +63,35 @@ class RotationSpec:
         return cls(cf)
 
     def __reduce__(self):
-        # a copy is rebuilt from cf alone; the table and its live ladder stay behind
+        # a copy is rebuilt from cf alone; the tables and the live ladder stay behind
         return RotationSpec, (self.cf,)
-
-    def _orbit(self, n: int) -> list:
-        """The endpoint list, holding at least e_0..e_n."""
-        ends = self._ends
-        for _ in range(len(ends), n + 1):
-            ends.append((ends[-1] - self.alpha).mod1())
-        return ends
 
     @cached_property
     def _coding(self) -> RotationCodingSource:
         """The coding of 0: symbol k is 1 exactly when 1 - e_{k+1} < alpha."""
         return RotationCodingSource(self.alpha, ZERO, "rotation %s" % self.cf)
+
+    @cached_property
+    def _step(self) -> int:
+        """b = floor((1 - alpha) * 2**64): e_j = {j*(1 - alpha)}, so e_j * 2**64
+        lies in (x_j, x_j + j) for x_j = j*b mod 2**64, unless that range
+        passes 2**64 (it wraps: e_j may lie near 0 or near 1)."""
+        return _FIXED_ONE - 1 - self._coding._a
+
+    def _point(self, j: int) -> QuadraticReal:
+        """e_j = {-j*alpha}, exactly."""
+        return _exact_point(self.alpha, ZERO, -j)
+
+    def _arc(self, d: int) -> QuadraticReal:
+        """{d*alpha}: the arc from e_i up to the next cut e_r when d = i - r,
+        or up to 1 when r = 0; 1 for d = 0, the uncut circle."""
+        arc = self._arcs.get(d)
+        if arc is None:
+            arc = self._arcs[d] = (self.alpha * d).mod1()
+        return arc
+
+    def _fallbacks(self, count: int):
+        object.__setattr__(self, "exact_fallbacks", self.exact_fallbacks + count)
 
     def _rung(self, i: int) -> tuple[int, QuadraticReal]:
         """(q_i, |q_i*alpha - p_i|), the i-th rung of the convergent ladder."""
@@ -95,19 +114,51 @@ class IntervalAtom:
         return self.right - self.left
 
 
-def partition_points(spec: RotationSpec, n: int) -> list[QuadraticReal]:
-    """Endpoints (-j*alpha) mod 1 for 0 <= j <= n, sorted ascending."""
+def _circle_order(spec: RotationSpec, n: int) -> np.ndarray:
+    """The j of e_j = {-j*alpha}, 0 <= j <= n, in ascending order of e_j.
+
+    One stable argsort of the keys x_j of RotationSpec._step, after a point
+    whose range wraps takes the exact floor of e_j * 2**64 as its range.
+    Positions k and k + 1 are surely in order when every range up to k ends
+    below the key at k + 1; each run of points that no such boundary parts
+    is sorted exactly. Both kinds of point count in spec.exact_fallbacks.
+    """
     if n < 0:
         raise ValueError("depth must be >= 0")
-    return sorted(spec._orbit(n)[: n + 1])
+    j = np.arange(n + 1, dtype=np.uint64)
+    x = j * np.uint64(spec._step)  # uint64 wraps: this is the mod 1
+    top = x + j  # floor(e_j * 2**64) <= top
+    wrapped = np.flatnonzero(top < x).tolist()
+    for i in wrapped:
+        x[i] = top[i] = (spec._point(i) * _FIXED_ONE).floor()
+    order = np.argsort(x, kind="stable")
+    x, top = x[order], top[order]
+    edges = np.flatnonzero(np.maximum.accumulate(top)[:-1] >= x[1:])
+    exact = len(wrapped)
+    if len(edges):  # a run k..m of unsure boundaries joins positions k..m + 1
+        for run in np.split(edges, np.flatnonzero(np.diff(edges) != 1) + 1):
+            lo, hi = int(run[0]), int(run[-1]) + 2
+            order[lo:hi] = sorted(order[lo:hi].tolist(), key=spec._point)
+            exact += hi - lo
+    spec._fallbacks(exact)
+    return order
+
+
+def partition_points(spec: RotationSpec, n: int) -> list[QuadraticReal]:
+    """Endpoints (-j*alpha) mod 1 for 0 <= j <= n, sorted ascending."""
+    return list(map(spec._point, _circle_order(spec, n).tolist()))
 
 
 def atom_lengths(spec: RotationSpec, n: int) -> list[QuadraticReal]:
-    """Lengths of all depth-n atoms, in circle order."""
-    pts = partition_points(spec, n)
-    out = [b - a for a, b in zip(pts, pts[1:])]
-    out.append(ONE - pts[-1])
-    return out
+    """Lengths of all depth-n atoms, in circle order.
+
+    The atom from e_i up to the next endpoint e_r is {(i - r)*alpha} long,
+    and the last one, up to 1 (r = 0), {i*alpha}: by the three-distance
+    theorem a depth adds at most three arcs to the spec's table."""
+    order = _circle_order(spec, n)
+    diffs, which = np.unique(order - np.roll(order, -1), return_inverse=True)
+    arcs = [spec._arc(d) for d in diffs.tolist()]
+    return list(map(arcs.__getitem__, which.tolist()))
 
 
 def _atom_moves(spec: RotationSpec, t: QuadraticReal, n: int) -> list[tuple]:
@@ -153,7 +204,7 @@ def _atom_moves(spec: RotationSpec, t: QuadraticReal, n: int) -> list[tuple]:
                 ends[side], marks[side] = e, (mark, ones - mark)[side]
                 moves.append((j, *ends))
             j += 1
-    object.__setattr__(spec, "exact_fallbacks", spec.exact_fallbacks + exact)
+    spec._fallbacks(exact)
     return moves
 
 
@@ -194,7 +245,11 @@ def tau_length(spec: RotationSpec, length: QuadraticReal) -> int:
     |q_i*alpha - p_i| shrinks along the ladder. That is ||q_i*alpha|| except at q_0 when
     alpha > 1/2; then a_1 = 1, and q_1 = 1 tests 1 - alpha next.
     """
-    return next(_ladder_taus(spec, (length,)))
+    taus = spec._taus  # keyed by the integer form: a hash of the value builds Fractions
+    tau = taus.get(length._v)
+    if tau is None:
+        tau = taus[length._v] = next(_ladder_taus(spec, (length,)))
+    return tau
 
 
 def tau_length_linear(spec: RotationSpec, length: QuadraticReal) -> int:
@@ -214,43 +269,70 @@ def tau_length_linear(spec: RotationSpec, length: QuadraticReal) -> int:
 _BINARY = frozenset("01")
 
 
-def cylinder_interval(spec: RotationSpec, word: str) -> IntervalAtom | None:
-    """The set {t : the coding of t starts with word}: the depth-len(word)
-    atom with that coding, or None when word is not a factor.
+def _cylinder_ends(spec: RotationSpec, word: str) -> tuple[int, int] | None:
+    """(i, r) for the cylinder [e_i, e_r) of word, r = 0 standing for the
+    right end 1; None when word is not a factor.
 
     Symbol j >= 1 of t is 1 on the arc [c, c + alpha) with c = e_j; its
     other end e_{j-1} is already a cut, so only c can split the atom: if
-    l < c < r, symbol 0 keeps [l, c) and symbol 1 keeps [c, r); otherwise
-    every point of [l, r) has the symbol of l = e_i: symbol j - i - 1 of
-    the coding of 0, 1 when {l - c} = {(j-i)*alpha} < alpha. The endpoints
-    and that coding grow by doubling as the word is read, so a word that
-    stops being a factor early never builds them in full.
+    e_i < c < e_r, symbol 0 keeps [e_i, c) and symbol 1 keeps [c, e_r);
+    otherwise every point of the atom has the symbol of e_i: symbol
+    j - i - 1 of the coding of 0, 1 when {e_i - c} = {(j-i)*alpha} < alpha.
+    The test reads the fixed-point ranges of RotationSpec._step, and is
+    settled exactly, and counted in spec.exact_fallbacks, where they overlap
+    or c's wraps; an end's range is c's, or c's exact floor, so never wraps.
+    The coding grows by doubling as the word is read, so a word that stops
+    being a factor early never builds it in full.
     """
     if not _BINARY.issuperset(word):
         stray = next(sym for sym in word if sym not in _BINARY)
         raise ValueError("symbols must be 0 or 1, got %r" % stray)
-    ends, bits = spec._orbit(0), ""
-    i, right = 0, ONE
+    step, ones, bits = spec._step, _FIXED_ONE - 1, ""
+    i = r = exact = 0
+    lx = lt = 0  # e_i * 2**64 lies in [lx, lt + 1)
+    rx = rt = _FIXED_ONE  # and e_r * 2**64 in [rx, rt + 1); 1 while r = 0
     for j, sym in enumerate(word, 1):
-        if j == len(ends):
-            spec._orbit(min(2 * j, len(word)))  # extends ends in place
         if j > len(bits):  # a numpy pass takes as long for 64 symbols as for 2
             bits = spec._coding.prefix(max(2 * j, 64))
-        c = ends[j]
-        if ends[i] < c < right:
+        x = j * step & ones
+        top = x + j
+        if lt < x and top < rx:
+            inside = True
+        elif top < lx or rt < x and top <= ones:
+            inside = False
+        else:
+            exact += 1
+            point = spec._point(j)
+            inside = spec._point(i) < point < (spec._point(r) if r else ONE)
+            x = top = (point * _FIXED_ONE).floor()
+        if inside:
             if sym == "0":
-                right = c
+                r, rx, rt = j, x, top
             else:
-                i = j
+                i, lx, lt = j, x, top
         elif bits[j - i - 1] != sym:
+            spec._fallbacks(exact)
             return None
-    return IntervalAtom(ends[i], right, len(word))
+    spec._fallbacks(exact)
+    return i, r
+
+
+def cylinder_interval(spec: RotationSpec, word: str) -> IntervalAtom | None:
+    """The set {t : the coding of t starts with word}: the depth-len(word)
+    atom with that coding, or None when word is not a factor. Only its two
+    endpoints are built as exact values."""
+    ends = _cylinder_ends(spec, word)
+    if ends is None:
+        return None
+    i, r = ends
+    return IntervalAtom(spec._point(i), spec._point(r) if r else ONE, len(word))
 
 
 def cylinder_measure(spec: RotationSpec, word: str) -> QuadraticReal:
-    """Exact measure of the cylinder of word; 0 when word is not a factor."""
-    atom = cylinder_interval(spec, word)
-    return ZERO if atom is None else atom.length
+    """Exact measure of the cylinder of word; 0 when word is not a factor.
+    The cylinder [e_i, e_r) is {(i - r)*alpha} long (see atom_lengths)."""
+    ends = _cylinder_ends(spec, word)
+    return ZERO if ends is None else spec._arc(ends[0] - ends[1])
 
 
 def mu_tower_values(spec: RotationSpec, steps):

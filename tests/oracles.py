@@ -207,6 +207,21 @@ def _sorted_endpoints(ax: Fraction, ay: Fraction, d: int, n: int):
     return sorted(points, key=cmp_to_key(cmp)), cmp
 
 
+def exact_sorted_orbit(alpha, n: int) -> list:
+    """The points {-j*alpha}, 0 <= j <= n, each one subtraction from the
+    last, sorted by exact comparison, for an exact alpha with mod1()."""
+    points = [alpha - alpha]
+    for _ in range(n):
+        points.append((points[-1] - alpha).mod1())
+    return sorted(points)
+
+
+def exact_atom_lengths(alpha, n: int) -> list:
+    """The gaps of exact_sorted_orbit in circle order, the last one up to 1."""
+    points = exact_sorted_orbit(alpha, n)
+    return [b - a for a, b in zip(points, points[1:])] + [1 - points[-1]]
+
+
 def naive_atom(alpha, t, n: int):
     """The depth-n atom [l, r) containing t, read off the sorted endpoints
     {-j*alpha}, 0 <= j <= n.

@@ -63,6 +63,21 @@ def test_window_policy_schedule():
     assert pol.grow(np.array([1, 600_000])).tolist() == [2, 1_000_000]
 
 
+@pytest.mark.parametrize("call", [
+    lambda: WindowPolicy(10**20, 10**20).initial(5),
+    lambda: rate_series(get_preset("fibonacci"), 5, WindowPolicy(10_000, 10**20)),
+    lambda: WindowPolicy(2**63, 5),
+], ids=["initial", "rate_series", "base-above-cap"])
+def test_window_policy_refuses_windows_beyond_int64(call):
+    with pytest.raises(ValueError, match=r"^words are limited to 2\*\*62 symbols, \d+ requested$"):
+        call()
+
+
+def test_window_policy_takes_the_largest_int64_window():
+    assert WindowPolicy(2**63 - 1, 2**63 - 1).initial(5) == 2**63 - 1
+    assert WindowPolicy(base=2**63 - 1, cap=100).initial(5) == 100  # base > cap stays allowed
+
+
 class CapFirst(WindowPolicy):
     def initial(self, n):
         return np.full_like(n, self.cap)

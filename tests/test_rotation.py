@@ -41,7 +41,7 @@ from subrec.presets import (
     sqrt2_kappa_steps,
 )
 from guards import within
-from oracles import naive_atom, naive_cylinder, naive_xcheck_csv
+from oracles import exact_atom_lengths, exact_sorted_orbit, naive_atom, naive_cylinder, naive_xcheck_csv
 
 GOLDEN = rotation_spec("fibonacci")
 SQRT2 = rotation_spec("sqrt2")
@@ -96,6 +96,45 @@ def test_three_distance(cf, n):
         assert lengths[2] == lengths[0] + lengths[1]
 
 
+# a partial quotient 2**66 puts alpha within 2**-66 of a rational with a
+# small denominator, so circle neighbours fall inside the fixed-point bound
+NEAR_RATIONAL = CFExpansion((2, 3), (2**66,))
+
+
+def large_quotient_cfs():
+    """periodic_cfs with one partial quotient in 2**60..2**70 put in front
+    of the period."""
+    return st.tuples(periodic_cfs(), st.integers(60, 70)).map(
+        lambda t: CFExpansion(t[0].preperiod, (2 ** t[1],) + t[0].period)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(periodic_cfs(9), large_quotient_cfs()), st.integers(0, 300))
+@example(GOLDEN_CF, 0)
+@example(NEAR_RATIONAL, 300)
+def test_atom_order_matches_the_exact_sort(cf, n):
+    spec = RotationSpec(cf)
+    assert partition_points(spec, n) == exact_sorted_orbit(spec.alpha, n)
+    assert atom_lengths(spec, n) == exact_atom_lengths(spec.alpha, n)
+
+
+@pytest.mark.parametrize("cf", [NEAR_RATIONAL, CFExpansion((), (2**62, 1)), CFExpansion((1,), (2**60, 2))])
+def test_near_ties_in_the_orbit_are_sorted_exactly(cf):
+    spec = RotationSpec(cf)
+    assert atom_lengths(spec, 100) == exact_atom_lengths(spec.alpha, 100)
+    assert spec.exact_fallbacks > 0
+
+
+def test_no_depth_of_the_atoms_takes_seconds():
+    # an exact sort of these endpoints takes about 1.8 s
+    spec = RotationSpec(GOLDEN_CF)
+    with within(1):
+        lengths = atom_lengths(spec, 10**5)
+    assert len(lengths) == 10**5 + 1 and len(set(lengths)) <= 3
+    assert spec.exact_fallbacks == 0
+
+
 def test_atom_of_zero_shrinks():
     prev = None
     for n in range(1, 30):
@@ -142,9 +181,7 @@ def atom_queries(draw):
     of a depth 1..n. A partial quotient near 2**64 puts alpha within
     2**-64 of a rational, which brings fixed-point near-ties down to the
     first depths."""
-    cf = draw(periodic_cfs())
-    if draw(st.booleans()):
-        cf = CFExpansion(cf.preperiod, (2 ** draw(st.integers(60, 70)),) + cf.period)
+    cf = draw(st.one_of(periodic_cfs(), large_quotient_cfs()))
     alpha = quadratic_of_cf(cf)
     n = draw(st.integers(0, 300))
     kind = draw(st.sampled_from(["zero", "orbit", "rational", "endpoint", "near"]))
@@ -170,7 +207,7 @@ def atom_queries(draw):
 @example((SQRT2_CF, QuadraticReal(0), 0, False))
 @example((GOLDEN_CF, (-GOLDEN.alpha * 5).mod1(), 5, True))
 @example((GOLDEN_CF, (-GOLDEN.alpha * 300).mod1(), 300, True))
-@example((CFExpansion((2, 3), (2**66,)), QuadraticReal(Fraction(1, 3)), 30, False))
+@example((NEAR_RATIONAL, QuadraticReal(Fraction(1, 3)), 30, False))
 def test_atom_of_matches_sorted_partition(query):
     cf, t, n, on_cut = query
     spec = RotationSpec.from_cf(cf)
@@ -191,7 +228,7 @@ def test_a_deep_atom_is_found_in_fixed_point(j):
     with within(2):
         deep = atom_of(spec, t, 10**6)
     assert deep.left <= t < deep.right and deep.depth == 10**6
-    ends = spec._orbit(20_000)
+    ends = partition_points(spec, 20_000)
     atom = atom_of(spec, t, 20_000)
     assert atom.left == max(e for e in ends if e <= t)
     assert atom.right == min((e for e in ends if e > t), default=ONE)
@@ -277,6 +314,16 @@ def test_a_long_non_factor_is_refused_without_building_its_orbit():
     assert peak < 1 << 16
 
 
+def test_a_long_cylinder_is_read_in_fixed_point():
+    # an exact endpoint per symbol takes about 0.4 s here
+    spec = RotationSpec(GOLDEN_CF)
+    word = sturmian_source(GOLDEN_CF, "rotation").prefix(10**5 + 100)[100:]
+    with within(1):
+        measure = cylinder_measure(spec, word)
+    assert cylinder_interval(spec, word) == atom_of(spec, (spec.alpha * 100).mod1(), 10**5)
+    assert measure == cylinder_interval(spec, word).length and spec.exact_fallbacks == 0
+
+
 @st.composite
 def cylinder_queries(draw):
     """(cf, word): a factor of length 1..40 of the coding of 0, that factor
@@ -300,6 +347,7 @@ def cylinder_queries(draw):
 @example((GOLDEN_CF, "0110"))
 @example((SQRT2_CF, "1" * 3))
 @example((CFExpansion((1,), (9,)), "1" * 12))
+@example((NEAR_RATIONAL, sturmian_source(NEAR_RATIONAL, "rotation").prefix(37)[7:]))
 def test_cylinder_interval_matches_sorted_partition(query):
     cf, word = query
     spec = RotationSpec.from_cf(cf)
@@ -445,7 +493,7 @@ CLONES = {
 def test_values_round_trip_through_pickle_and_copies(clone):
     cf = CFExpansion((3,), (1, 4))
     spec = RotationSpec(cf)
-    atom_lengths(spec, 40)  # fills the spec's orbit table
+    atom_lengths(spec, 40)  # fills the spec's arc table
     atom = atom_of(spec, ZERO, 40)
     report = cross_check(spec, 30)
     for value in (spec.alpha, atom, report, QuadraticReal(Fraction(2, 3))):
@@ -515,6 +563,8 @@ def geometry_answer(spec, kind, arg):
 @given(warm_queries())
 @example((GOLDEN_CF, [("cylinder", "01" * 30), ("tau", 40), ("atoms", 3), ("cylinder", "1")]))
 @example((SQRT2_CF, [("atom_of", ((-SQRT2.alpha * 50).mod1(), 50)), ("cylinder", "0"), ("atoms", 0)]))
+@example((NEAR_RATIONAL, [("atoms", 100), ("cylinder", sturmian_source(NEAR_RATIONAL, "rotation").prefix(67)[7:]),
+                          ("atom_of", (QuadraticReal(Fraction(1, 3)), 30))]))
 def test_a_warmed_spec_answers_like_a_fresh_one_and_the_oracles(query):
     # the spec memoises its orbit and ladder up to the largest size asked;
     # every later, smaller question must read the same as on a fresh spec
