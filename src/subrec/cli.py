@@ -88,7 +88,7 @@ def window_policy(args) -> WindowPolicy:
         raise ValueError("--window-base and --window-cap must be >= 1")
     if cap < base:
         raise ValueError("window cap %d below initial window %d" % (cap, base))
-    return WindowPolicy(base=base, cap=cap)  # refuses a cap at or above 2**63
+    return WindowPolicy(base=base, cap=cap)  # refuses a base or cap at or above 2**62
 
 
 def add_window_args(p: argparse.ArgumentParser):

@@ -19,8 +19,8 @@ from .words import _codes, _text
 
 # No source builds more than _MAX_LENGTH symbols: a longer request could
 # never be held, and is refused before anything is allocated. Below it the
-# error bound j + 1 of _fixed_orbit, in units of 2**-64 over blocks of
-# _BLOCK points, stays far inside the 64-bit range.
+# error bound j + 1 of RotationCodingSource's fixed-point orbit, in units
+# of 2**-64 over blocks of _BLOCK points, stays far inside the 64-bit range.
 _MAX_LENGTH = 1 << 62
 _FIXED_ONE = 1 << 64
 _BLOCK = 1 << 13
@@ -177,12 +177,14 @@ class WordSource:
     """Prefixes of one word; subclasses fill _extend.
 
     _extend(n) leaves at least n symbols in _buf, or, for a finite word,
-    all of it with max_length set. Sources resume from their own state,
-    so prefixes always nest. They are not thread-safe.
+    all of it with max_length set. endless is True for a word known never
+    to end. Sources resume from their own state, so prefixes always nest.
+    They are not thread-safe.
     """
 
     name = "word"
     max_length: int | None = None
+    endless = False
 
     def __init__(self):
         self._buf = ""
@@ -202,6 +204,8 @@ class WordSource:
 
 
 class PeriodicSource(WordSource):
+    endless = True
+
     def __init__(self, block: str):
         super().__init__()
         if not block:
@@ -216,6 +220,8 @@ class PeriodicSource(WordSource):
 
 class FixedPointSource(WordSource):
     """Fixed point of m starting with seed."""
+
+    endless = True
 
     def __init__(self, m: Morphism, seed: str, name: str | None = None):
         super().__init__()
@@ -252,6 +258,7 @@ class StandardWordSource(WordSource):
     def __init__(self, cf: CFExpansion, name: str | None = None):
         super().__init__()
         self.cf = cf
+        self.endless = cf.is_periodic
         self.name = name or ("standard %s" % cf)
         # (s_{i-1}, |s_i|, i); s_i is _buf[1 : 1 + |s_i|], the only copy
         # kept between extensions, or s_0 = "0" while _buf holds no s_i
@@ -288,36 +295,20 @@ def _check_point(t0, alpha: QuadraticReal, name: str) -> QuadraticReal:
     return t0
 
 
-def _fixed_orbit(a: int, t: int, cut: int, lo: int, hi: int):
-    """x_j = (t + j*a) mod 2**64 for lo <= j < hi, and the masks of the j
-    whose point {t0 + j*alpha} lies surely below c and surely above it.
-
-    For a = floor(alpha * 2**64), t = floor(t0 * 2**64) and
-    cut = floor(c * 2**64), the point times 2**64 lies in [x_j, x_j + j + 1).
-    A j in neither mask has that range reach 2**64 (it wraps) or hold cut,
-    and is left to _exact_point.
-    """
-    j = np.arange(lo, hi, dtype=np.uint64)
-    x = np.uint64(t) + j * np.uint64(a)  # uint64 wraps: this is the mod 1
-    top = x + j + np.uint64(1)
-    fits = top > x  # the range ends below 2**64
-    return x, fits & (top <= np.uint64(cut)), fits & (x > np.uint64(cut))
-
-
-def _exact_point(alpha: QuadraticReal, t0: QuadraticReal, j: int) -> QuadraticReal:
-    """{t0 + j*alpha}, exactly, for a j that _fixed_orbit cannot place."""
-    return (t0 + alpha * j).mod1()
-
-
 class RotationCodingSource(WordSource):
     """Coding of the rotation orbit of t0 under t -> t + alpha mod 1.
 
     Symbol 0 on [0, 1-alpha), symbol 1 on [1-alpha, 1): symbol k is
     floor(t0 + (k+1)*alpha) - floor(t0 + k*alpha), which is 1 exactly when
-    {t0 + (k+1)*alpha} < alpha. _fixed_orbit computes the symbols in blocks,
-    with the cut at alpha and j = k + 1, so each depends on k alone; a k it
-    cannot settle is settled exactly and counted in exact_fallbacks.
+    {t0 + (k+1)*alpha} < alpha. The symbols are computed in blocks of
+    64-bit fixed point, each from k alone: with a = floor(alpha * 2**64),
+    t = floor(t0 * 2**64) and j = k + 1, {t0 + j*alpha} * 2**64 lies in
+    [x_j, x_j + j + 1) for x_j = (t + j*a) mod 2**64, so it lies surely
+    below or above alpha unless that range holds a or reaches 2**64 (it
+    wraps). Such a k is settled exactly and counted in exact_fallbacks.
     """
+
+    endless = True
 
     def __init__(self, alpha: QuadraticReal, t0=0, name: str | None = None):
         super().__init__()
@@ -330,17 +321,21 @@ class RotationCodingSource(WordSource):
         self.t0 = t0
         self.name = name or ("rotation t0=%s" % t0)
         self.exact_fallbacks = 0
-        self._a = (alpha * _FIXED_ONE).floor()
-        self._t = (t0 * _FIXED_ONE).floor()
+        self._a = np.uint64((alpha * _FIXED_ONE).floor())
+        self._t = np.uint64((t0 * _FIXED_ONE).floor())
 
     def _extend(self, n: int):
         blocks = []
         for lo in range(len(self._buf), n, _BLOCK):
-            _, one, zero = _fixed_orbit(self._a, self._t, self._a, lo + 1, min(lo + _BLOCK, n) + 1)
+            j = np.arange(lo + 1, min(lo + _BLOCK, n) + 1, dtype=np.uint64)
+            x = self._t + j * self._a  # uint64 wraps: this is the mod 1
+            top = x + j + np.uint64(1)
+            fits = top > x  # the range ends below 2**64
+            one, zero = fits & (top <= self._a), fits & (x > self._a)
             sym = one.view(np.uint8) + np.uint8(48)
             for i in np.flatnonzero(one == zero).tolist():  # neither is sure
                 self.exact_fallbacks += 1
-                sym[i] = 48 + (_exact_point(self.alpha, self.t0, lo + i + 1) < self.alpha)
+                sym[i] = 48 + ((self.t0 + self.alpha * (lo + i + 1)).mod1() < self.alpha)
             blocks.append(sym.tobytes().decode("ascii"))
         self._buf += "".join(blocks)
 
@@ -359,7 +354,7 @@ class KappaSource(WordSource):
     def __init__(self, steps, name: str | None = None):
         super().__init__()
         if callable(steps):
-            self.rule, self.depth = steps, None
+            self.rule, self.depth, self.endless = steps, None, True
             self.name = name or "kappa rule %s" % getattr(steps, "__name__", steps)
         else:
             steps = list(steps)
@@ -399,6 +394,7 @@ class ShiftedSource(WordSource):
     def __init__(self, inner: WordSource):
         super().__init__()
         self.inner = inner
+        self.endless = inner.endless
         if inner.max_length is not None:
             self.max_length = max(inner.max_length - 1, 0)
         self.name = "shift of %s" % inner.name

@@ -38,6 +38,7 @@ class WindowCapExceeded(RuntimeError):
 
 
 _ENDS = "source %s ends after %d symbols, cylinder depth %d unreachable"
+_FEW = "prefix of depth %d of %s recurs less than twice in a %d-window"
 
 
 @dataclass(frozen=True)
@@ -45,14 +46,15 @@ class WindowPolicy:
     """The first window is max(base, 50 n) symbols for depth n; each
     round doubles it, never past cap. Both rules take an int or an array
     of them, and give a numpy int or an array. The windows are int64, so a
-    base or cap at or above 2**63 is refused; base > cap is allowed."""
+    base or cap at or above 2**62 is refused, and grow's doubling stays in
+    range; base > cap is allowed."""
 
     base: int = 10_000
     cap: int = 10_000_000
 
     def __post_init__(self):
         top = max(self.base, self.cap)
-        if top >= 2**63:
+        if top >= 2**62:
             raise ValueError("words are limited to 2**62 symbols, %d requested" % top)
 
     def initial(self, n):
@@ -96,9 +98,14 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
     arrays. A window longer than the text grows it geometrically up to the
     cap, z is matched again only from the first start that could reach the
     old end, and the next block takes its starts afresh from z.
+    No window passes the cap, so no depth at or past it recurs in one, and
+    the text is never read past it. Only a word not known to be endless is
+    read to depth first, as whether it gets there decides the error.
     """
     cap = policy.cap
-    target = max(last, int(policy.grow(policy.initial(last))))
+    if first > cap and source.endless:
+        raise WindowCapExceeded(_FEW % (first, source.name, cap))
+    target = max(min(max(last, int(policy.grow(policy.initial(last)))), cap), first)
     arr = _codes(source.prefix(target))
     done = len(arr) < target
     if len(arr) < first:
@@ -146,9 +153,7 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
             if fail.any():
                 m = int(np.argmax(fail))
                 stop = int(todo[m])
-                failure = "prefix of depth %d of %s recurs less than twice in a %d-window" % (
-                    n[m], source.name, avail[m]
-                )
+                failure = _FEW % (n[m], source.name, avail[m])
                 settle[m:] = again[m:] = False
             tau[todo] = t  # t > 0 stays > 0 as the window grows
             stabilized[todo] = stable

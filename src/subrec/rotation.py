@@ -1,25 +1,26 @@
 """Exact geometric model: rotation by alpha with the two-cell partition.
 
 The circle is [0, 1) with t -> t + alpha mod 1 and cells [0, 1-alpha),
-[1-alpha, 1). Depth-n refinements have endpoints (-j*alpha) mod 1, so all
-geometry lives in the quadratic field of alpha and every comparison is
-exact: 64-bit fixed-point ranges decide it where they are apart, exact
-arithmetic in the field where they are not. This is the independent oracle
-for the symbolic computations.
+[1-alpha, 1). Depth-n refinements have endpoints e_j = (-j*alpha) mod 1,
+j <= n, so all geometry lives in the quadratic field of alpha. By the
+three-distance theorem the endpoints come in a permutation that two
+integers off the convergent ladder determine (_extremes), so ordering
+them is integer arithmetic and every value is exact. This is the
+independent oracle for the symbolic computations.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count, takewhile
 
 import numpy as np
 
 from .contfrac import CFExpansion, ladder, quadratic_of_cf
-from .generators import _BLOCK, _FIXED_ONE, RotationCodingSource, SequenceTooShort, kappa_images
-from .generators import _check_point, _exact_point, _fixed_orbit
+from .generators import RotationCodingSource, SequenceTooShort, _check_point, kappa_images
 from .quadratic import ONE, ZERO, QuadraticReal
 from .recurrence import DEFAULT_POLICY, WindowPolicy, rate_series
 
@@ -30,33 +31,32 @@ class RotationSpec:
 
     alpha is the exact value of cf. quadratic_of_cf refuses expansions with
     no period or a value outside (0, 1), so alpha is an irrational angle
-    and its convergent denominators drive tau_length.
+    and its convergent denominators drive tau_length and the circle order.
 
     Every geometric quantity reads tables extended on demand and kept for
     the life of the spec: the arcs {d*alpha} by index difference d, the
-    ladder rungs (q_i, |q_i*alpha - p_i|), the taus of the lengths already
-    asked for, and the coding of 0. The tables take part in no comparison,
-    hash or repr, and, like a word source, a spec is not thread-safe.
-    exact_fallbacks counts the points and depths that the fixed-point
-    passes had to settle by exact comparison.
+    convergent denominators q_i, the taus of the lengths already asked
+    for, the coding of 0, and j - a(j) for the depths j the cylinders have
+    read (see _extremes). The tables take part in no comparison, hash or
+    repr, and, like a word source, a spec is not thread-safe.
     """
 
     cf: CFExpansion
     alpha: QuadraticReal = field(init=False)
     _arcs: dict = field(init=False, compare=False, repr=False)
     _taus: dict = field(init=False, compare=False, repr=False)
-    _rungs: list = field(init=False, compare=False, repr=False)
+    _denominators: list = field(init=False, compare=False, repr=False)
+    _leads: list = field(init=False, compare=False, repr=False)
     _ladder: Iterator = field(init=False, compare=False, repr=False)
-    exact_fallbacks: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         init = object.__setattr__
         init(self, "alpha", quadratic_of_cf(self.cf))
         init(self, "_arcs", {0: ONE})
         init(self, "_taus", {})
-        init(self, "_rungs", [])
+        init(self, "_denominators", [])
+        init(self, "_leads", [])
         init(self, "_ladder", ladder(self.cf))
-        init(self, "exact_fallbacks", 0)
 
     @classmethod
     def from_cf(cls, cf: CFExpansion) -> "RotationSpec":
@@ -71,16 +71,9 @@ class RotationSpec:
         """The coding of 0: symbol k is 1 exactly when 1 - e_{k+1} < alpha."""
         return RotationCodingSource(self.alpha, ZERO, "rotation %s" % self.cf)
 
-    @cached_property
-    def _step(self) -> int:
-        """b = floor((1 - alpha) * 2**64): e_j = {j*(1 - alpha)}, so e_j * 2**64
-        lies in (x_j, x_j + j) for x_j = j*b mod 2**64, unless that range
-        passes 2**64 (it wraps: e_j may lie near 0 or near 1)."""
-        return _FIXED_ONE - 1 - self._coding._a
-
     def _point(self, j: int) -> QuadraticReal:
         """e_j = {-j*alpha}, exactly."""
-        return _exact_point(self.alpha, ZERO, -j)
+        return (self.alpha * -j).mod1()
 
     def _arc(self, d: int) -> QuadraticReal:
         """{d*alpha}: the arc from e_i up to the next cut e_r when d = i - r,
@@ -90,17 +83,18 @@ class RotationSpec:
             arc = self._arcs[d] = (self.alpha * d).mod1()
         return arc
 
-    def _fallbacks(self, count: int):
-        object.__setattr__(self, "exact_fallbacks", self.exact_fallbacks + count)
+    def _denominator(self, i: int) -> int:
+        """q_i, the i-th convergent denominator of cf."""
+        qs = self._denominators
+        while len(qs) <= i:
+            qs.append(next(self._ladder)[1])
+        return qs[i]
 
     def _rung(self, i: int) -> tuple[int, QuadraticReal]:
-        """(q_i, |q_i*alpha - p_i|), the i-th rung of the convergent ladder."""
-        rungs = self._rungs
-        while len(rungs) <= i:
-            p, q = next(self._ladder)
-            gap = self.alpha * q - p
-            rungs.append((q, -gap if gap.sign() < 0 else gap))
-        return rungs[i]
+        """(q_i, |q_i*alpha - p_i|), the i-th rung of the convergent ladder.
+        q_i*alpha - p_i has the sign of (-1)**i, so the gap is an arc."""
+        q = self._denominator(i)
+        return q, self._arc(-q if i % 2 else q)
 
 
 @dataclass(frozen=True)
@@ -114,34 +108,42 @@ class IntervalAtom:
         return self.right - self.left
 
 
-def _circle_order(spec: RotationSpec, n: int) -> np.ndarray:
-    """The j of e_j = {-j*alpha}, 0 <= j <= n, in ascending order of e_j.
+def _extremes(spec: RotationSpec, n):
+    """(a, b): the j in 1..n of the least and of the greatest e_j, for a
+    depth n >= 1 or an array of them, as numpy ints or arrays.
 
-    One stable argsort of the keys x_j of RotationSpec._step, after a point
-    whose range wraps takes the exact floor of e_j * 2**64 as its range.
-    Positions k and k + 1 are surely in order when every range up to k ends
-    below the key at k + 1; each run of points that no such boundary parts
-    is sorted exactly. Both kinds of point count in spec.exact_fallbacks.
+    With q_k the last ladder denominator <= n, q_{-1} = 0 and
+    m = q_{k-1} + floor((n - q_{k-1}) / q_k) * q_k, (a, b) is (q_k, m) for
+    odd k and (m, q_k) for even k. By the three-distance theorem
+    (Alessandri and Berthe 1998) the successor of e_j on the circle is
+    e_{j+a} for j < b and e_{j-b} otherwise, for every j < a + b, and
+    n < a + b. So the values k*a mod (a + b), k = 0, 1, ..., less those
+    above n, are the j in ascending order of e_j, and the new cut e_j lies
+    just right of e_{j-a(j)}.
     """
+    n = np.asarray(n)
+    denominators = map(spec._denominator, count())
+    qs = np.array([0, *takewhile(int(n.max()).__ge__, denominators)])  # q_{-1}, q_0, ..., q_k
+    at = qs.searchsorted(n, "right") - 1  # q_k is qs[at], so k = at - 1
+    q, prev = qs[at], qs[at - 1]
+    m = prev + (n - prev) // q * q
+    a = q + (m - q) * (at & 1)  # m for even k
+    return a, m + q - a
+
+
+def _circle_order(spec: RotationSpec, n: int) -> np.ndarray:
+    """The j of e_j, 0 <= j <= n, in ascending order of e_j: k*a mod s
+    for k = 0..s - 1 with s = a + b (see _extremes), less the values above
+    n. The products are taken in blocks that keep them below 2**63."""
     if n < 0:
         raise ValueError("depth must be >= 0")
-    j = np.arange(n + 1, dtype=np.uint64)
-    x = j * np.uint64(spec._step)  # uint64 wraps: this is the mod 1
-    top = x + j  # floor(e_j * 2**64) <= top
-    wrapped = np.flatnonzero(top < x).tolist()
-    for i in wrapped:
-        x[i] = top[i] = (spec._point(i) * _FIXED_ONE).floor()
-    order = np.argsort(x, kind="stable")
-    x, top = x[order], top[order]
-    edges = np.flatnonzero(np.maximum.accumulate(top)[:-1] >= x[1:])
-    exact = len(wrapped)
-    if len(edges):  # a run k..m of unsure boundaries joins positions k..m + 1
-        for run in np.split(edges, np.flatnonzero(np.diff(edges) != 1) + 1):
-            lo, hi = int(run[0]), int(run[-1]) + 2
-            order[lo:hi] = sorted(order[lo:hi].tolist(), key=spec._point)
-            exact += hi - lo
-    spec._fallbacks(exact)
-    return order
+    a, b = map(int, _extremes(spec, n)) if n else (0, 1)  # depth 0: e_0 alone
+    s = a + b
+    block = (2**63 - s) // max(a, 1)
+    order = np.concatenate(
+        [(k * a % s + np.arange(min(block, s - k)) * a) % s for k in range(0, s, block)]
+    )
+    return order[order <= n]
 
 
 def partition_points(spec: RotationSpec, n: int) -> list[QuadraticReal]:
@@ -161,60 +163,25 @@ def atom_lengths(spec: RotationSpec, n: int) -> list[QuadraticReal]:
     return list(map(arcs.__getitem__, which.tolist()))
 
 
-def _atom_moves(spec: RotationSpec, t: QuadraticReal, n: int) -> list[tuple]:
-    """(j, l, r) for j = 0 and each depth j <= n where the atom [l, r) of t
-    changes.
-
-    x_j = {t + j*alpha} is t - e_j if e_j <= t, else 1 + t - e_j, so l and
-    r come from the least x_j <= t and the greatest x_j > t (x_0 = t on
-    both sides). _fixed_orbit with the cut at t gives each x_j its side.
-    Each side's record lies in [m, m + w) for its mark m and the block's
-    widest range w (right keys are complemented: both sides seek a least
-    key). A depth with no sure side, or near its side's mark, is settled
-    exactly and counted in spec.exact_fallbacks.
-    """
-    alpha, ones = spec.alpha, _FIXED_ONE - 1
-    low = (t * _FIXED_ONE).floor()
-    marks, ends, moves = [low, ones - low], [ZERO, ONE], [(0, ZERO, ONE)]
-    exact, j = 0, 1
-    while j <= n:
-        stop = min(j + _BLOCK, n + 1)
-        x, below, above = _fixed_orbit(spec._coding._a, low, low, j, stop)
-        sides = np.stack((below, above))
-        keys = np.empty((2, len(x) + 1), dtype=np.uint64)
-        keys[:, 0] = marks
-        keys[:, 1:] = np.where(sides, (x, ~x), np.uint64(ones))
-        prev = np.minimum.accumulate(keys, axis=1)[:, :-1]
-        keys = keys[:, 1:]
-        near = sides & (np.where(keys < prev, prev - keys, keys - prev) < np.uint64(stop))
-        unsure = np.flatnonzero(~sides.any(axis=0) | near.any(axis=0))
-        end = int(unsure[0]) if len(unsure) else len(x)
-        for i in np.flatnonzero((keys < prev)[:, :end].any(axis=0)).tolist():
-            side = int(keys[1, i] < prev[1, i])
-            ends[side], marks[side] = _exact_point(alpha, ZERO, -j - i), int(keys[side, i])
-            moves.append((j + i, *ends))
-        j += end
-        if j < stop:
-            exact += 1
-            point = _exact_point(alpha, t, j)
-            side = int(point > t)
-            e = t - point + side  # e_j
-            if (e < ends[1]) if side else (ends[0] < e):
-                mark = (point * _FIXED_ONE).floor()
-                ends[side], marks[side] = e, (mark, ones - mark)[side]
-                moves.append((j, *ends))
-            j += 1
-    spec._fallbacks(exact)
-    return moves
-
-
 def atom_of(spec: RotationSpec, t: QuadraticReal, n: int) -> IntervalAtom:
-    """The depth-n atom [l, r) containing t in [0, 1), rational or in alpha's field."""
+    """The depth-n atom [l, r) containing t in [0, 1), rational or in alpha's field.
+
+    The points e_{k*a mod s}, k = 0..s - 1 with s = a + b (see _extremes),
+    ascend, so the last k with e <= t is found by bisection, one exact
+    comparison per step. Of two neighbours in that sequence at most one
+    index lies above n, so l and r are each at most one step further out;
+    past the last point the atom ends at 1.
+    """
     t = _check_point(t, spec.alpha, "t")
     if n < 0:
         raise ValueError("depth must be >= 0")
-    _, left, right = _atom_moves(spec, t, n)[-1]
-    return IntervalAtom(left, right, n)
+    a, b = map(int, _extremes(spec, n)) if n else (0, 1)
+    s = a + b
+    k = bisect_right(range(s), t, key=lambda i: spec._point(i * a % s)) - 1
+    lo = k if k * a % s <= n else k - 1
+    hi = k + 1 if (k + 1) * a % s <= n else k + 2
+    right = spec._point(hi * a % s) if hi < s else ONE
+    return IntervalAtom(spec._point(lo * a % s), right, n)
 
 
 def _ladder_taus(spec: RotationSpec, lengths):
@@ -274,46 +241,32 @@ def _cylinder_ends(spec: RotationSpec, word: str) -> tuple[int, int] | None:
     right end 1; None when word is not a factor.
 
     Symbol j >= 1 of t is 1 on the arc [c, c + alpha) with c = e_j; its
-    other end e_{j-1} is already a cut, so only c can split the atom: if
-    e_i < c < e_r, symbol 0 keeps [e_i, c) and symbol 1 keeps [c, e_r);
-    otherwise every point of the atom has the symbol of e_i: symbol
-    j - i - 1 of the coding of 0, 1 when {e_i - c} = {(j-i)*alpha} < alpha.
-    The test reads the fixed-point ranges of RotationSpec._step, and is
-    settled exactly, and counted in spec.exact_fallbacks, where they overlap
-    or c's wraps; an end's range is c's, or c's exact floor, so never wraps.
-    The coding grows by doubling as the word is read, so a word that stops
-    being a factor early never builds it in full.
+    other end e_{j-1} is already a cut, so only c can split the atom. c
+    lies just right of e_{j-a(j)} (see _extremes), so it splits [e_i, e_r)
+    exactly when i == j - a(j): symbol 0 keeps [e_i, c) and symbol 1 keeps
+    [c, e_r). Otherwise every point of the atom has the symbol of e_i:
+    symbol j - i - 1 of the coding of 0. The coding and a(j) grow by
+    doubling as the word is read, so a word that stops being a factor
+    early never builds them in full.
     """
     if not _BINARY.issuperset(word):
         stray = next(sym for sym in word if sym not in _BINARY)
         raise ValueError("symbols must be 0 or 1, got %r" % stray)
-    step, ones, bits = spec._step, _FIXED_ONE - 1, ""
-    i = r = exact = 0
-    lx = lt = 0  # e_i * 2**64 lies in [lx, lt + 1)
-    rx = rt = _FIXED_ONE  # and e_r * 2**64 in [rx, rt + 1); 1 while r = 0
+    bits, leads = "", spec._leads  # leads[j - 1] = j - a(j)
+    i = r = 0
     for j, sym in enumerate(word, 1):
         if j > len(bits):  # a numpy pass takes as long for 64 symbols as for 2
             bits = spec._coding.prefix(max(2 * j, 64))
-        x = j * step & ones
-        top = x + j
-        if lt < x and top < rx:
-            inside = True
-        elif top < lx or rt < x and top <= ones:
-            inside = False
-        else:
-            exact += 1
-            point = spec._point(j)
-            inside = spec._point(i) < point < (spec._point(r) if r else ONE)
-            x = top = (point * _FIXED_ONE).floor()
-        if inside:
+            if len(leads) < len(bits):
+                depths = np.arange(len(leads) + 1, len(bits) + 1)
+                leads += (depths - _extremes(spec, depths)[0]).tolist()
+        if leads[j - 1] == i:
             if sym == "0":
-                r, rx, rt = j, x, top
+                r = j
             else:
-                i, lx, lt = j, x, top
+                i = j
         elif bits[j - i - 1] != sym:
-            spec._fallbacks(exact)
             return None
-    spec._fallbacks(exact)
     return i, r
 
 
@@ -421,15 +374,17 @@ def cross_check(
     """Symbolic vs geometric recurrence times at t = 0, depths 1..depth.
 
     Symbolic side: tau of the depth-n cylinder of the spec's coding of 0.
-    Geometric side: tau of the depth-n atom of 0. The depths between two
-    moves of that atom share its length and tau, and the atoms nest, so
-    one ladder walk over the distinct lengths serves every depth, and one
-    searchsorted maps each depth to its move.
+    Geometric side: tau of the depth-n atom of 0, [0, e_a) with a = a(n)
+    of _extremes, so it moves where a(n) changes. The depths between two
+    moves share its length and tau, and the atoms nest, so one ladder walk
+    over the distinct lengths serves every depth, and a running count of
+    the moves maps each depth to its length.
     The two must agree exactly at every depth.
     """
     series = rate_series(spec._coding, depth, policy)
-    moves = _atom_moves(spec, ZERO, depth)[1:]  # e_1 = 1 - alpha always cuts [0, 1)
-    lengths = [r - l for _, l, r in moves]
-    move = np.searchsorted([j for j, _, _ in moves], series.n, "right") - 1
+    least = _extremes(spec, series.n)[0]
+    moved = np.r_[True, least[1:] != least[:-1]]
+    lengths = [spec._point(j) for j in least[moved].tolist()]
+    move = np.cumsum(moved) - 1
     geo = np.array(list(_ladder_taus(spec, lengths)), np.int64)[move]
     return CrossCheckReport(str(spec.cf), depth, series.n, series.tau, geo, lengths, move)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -193,6 +194,18 @@ HOSTILE_ARGV = {
         ["xcheck", "--cf", "[0;(1)]", "-N", "5", "--window-base", "9" * 20, "--window-cap", "9" * 20],
         1, "",
     ),
+    # a window above 2**62 would double past int64
+    "windows-doubling-past-int64": (
+        ["rates", "--preset", "fibonacci", "-N", "5",
+         "--window-base", str(2**62 + 1), "--window-cap", str(2**63 - 1)],
+        1, "",
+    ),
+    # depth 987 is the first not to recur in 2000 symbols; no depth at or
+    # past the cap needs its symbols read
+    "depth-far-past-the-window-cap": (
+        ["rates", "--preset", "fibonacci", "-N", "30000000", "--window-base", "1000", "--window-cap", "2000"],
+        2, "",
+    ),
 }
 
 
@@ -201,7 +214,8 @@ def test_hostile_argv_is_answered_by_an_exit_code(case, capsys):
     argv, expected, head = HOSTILE_ARGV[case]
     tracemalloc.start()
     try:
-        with within(10):
+        with within(10), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(argv)  # an exception escaping main fails the test
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -209,6 +223,7 @@ def test_hostile_argv_is_answered_by_an_exit_code(case, capsys):
     out, err = capsys.readouterr()
     assert code in (0, 1, 2, 3) and code == expected
     assert peak < 16 << 20
+    assert [str(w.message) for w in caught] == [] and "Warning" not in err
     if code == 0:
         assert out.startswith(head)
     else:

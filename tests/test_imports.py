@@ -89,21 +89,31 @@ def referenced_names(tree, skip=None) -> set[str]:
     return out
 
 
+def private_definitions(module: str, tree) -> list[tuple[str, str, ast.AST]]:
+    """(owner, name, node) for each `_name` (not a dunder) defined at module
+    level, or as a method, property or cached property in a module-level
+    class body."""
+    found = [(module, name, node) for node in tree.body for name in defined_names(node)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            owner = "%s.%s" % (module, cls.name)
+            found += [(owner, node.name, node) for node in cls.body
+                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [d for d in found if d[1].startswith("_") and not d[1].startswith("__")]
+
+
 def dead_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level `_name`s (not dunders) that no module references outside
-    the statement defining them."""
+    """Private definitions that no module references outside the statement
+    defining them."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
     dead = []
     for module, tree in trees.items():
-        for node in tree.body:
-            for name in defined_names(node):
-                if not name.startswith("_") or name.startswith("__"):
-                    continue
-                if not any(
-                    name in referenced_names(t, skip=node if m == module else None)
-                    for m, t in trees.items()
-                ):
-                    dead.append("%s.%s (line %d)" % (module, name, node.lineno))
+        for owner, name, node in private_definitions(module, tree):
+            if not any(
+                name in referenced_names(t, skip=node if m == module else None)
+                for m, t in trees.items()
+            ):
+                dead.append("%s.%s (line %d)" % (owner, name, node.lineno))
     return dead
 
 
@@ -114,6 +124,28 @@ def test_the_check_sees_a_dead_private_name():
     }
     sources["a"] += "def _shared():\n    pass\n"
     assert dead_private_names(sources) == ["a._LIMIT (line 1)", "a._rec (line 4)"]
+
+
+def test_the_check_sees_a_dead_private_class_member():
+    sources = {
+        "a": (
+            "class C:\n"
+            "    def __init__(self):\n"
+            "        self._used()\n"
+            "    def _used(self):\n"
+            "        pass\n"
+            "    def _again(self):\n"
+            "        return self._again()\n"
+            "    @property\n"
+            "    def _size(self):\n"
+            "        return 1\n"
+            "    @cached_property\n"
+            "    def _table(self):\n"
+            "        return {}\n"
+        ),
+        "b": "def f(c):\n    return c._table\n",
+    }
+    assert dead_private_names(sources) == ["a.C._again (line 6)", "a.C._size (line 9)"]
 
 
 def test_no_dead_private_name():

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -67,15 +68,42 @@ def test_window_policy_schedule():
     lambda: WindowPolicy(10**20, 10**20).initial(5),
     lambda: rate_series(get_preset("fibonacci"), 5, WindowPolicy(10_000, 10**20)),
     lambda: WindowPolicy(2**63, 5),
-], ids=["initial", "rate_series", "base-above-cap"])
+    lambda: WindowPolicy(10_000, 2**62),  # grow would double a window past int64
+], ids=["initial", "rate_series", "base-above-cap", "cap-at-2-62"])
 def test_window_policy_refuses_windows_beyond_int64(call):
     with pytest.raises(ValueError, match=r"^words are limited to 2\*\*62 symbols, \d+ requested$"):
         call()
 
 
-def test_window_policy_takes_the_largest_int64_window():
-    assert WindowPolicy(2**63 - 1, 2**63 - 1).initial(5) == 2**63 - 1
-    assert WindowPolicy(base=2**63 - 1, cap=100).initial(5) == 100  # base > cap stays allowed
+def test_window_policy_takes_the_largest_window_it_can_double():
+    policy = WindowPolicy(2**62 - 1, 2**62 - 1)
+    assert policy.initial(5) == 2**62 - 1 and policy.grow(policy.initial(5)) == 2**62 - 1
+    assert WindowPolicy(base=2**62 - 1, cap=100).initial(5) == 100  # base > cap stays allowed
+
+
+def test_the_sweep_reads_no_symbol_past_the_window_cap():
+    # no depth at or past the cap recurs in a cap-window; reading 30000000
+    # symbols first took 2.5 s and 921 MB
+    policy = WindowPolicy(1000, 2000)
+    fib = get_preset("fibonacci")
+    tracemalloc.start()
+    try:
+        with within(1):
+            with pytest.raises(WindowCapExceeded, match="^prefix of depth 987 of fibonacci recurs"):
+                rate_series(fib, 30_000_000, policy)
+            with pytest.raises(WindowCapExceeded, match="^prefix of depth 10000000000 of fibonacci "
+                               "recurs less than twice in a 2000-window$"):
+                tau_cylinder(fib, 10**10, policy)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # a word that may end is read to the depth, which decides the error
+    short = StandardWordSource(CFExpansion((3,)))
+    with pytest.raises(WindowCapExceeded, match="^source standard .* ends after 4 symbols, cylinder depth 10"):
+        tau_cylinder(short, 10, WindowPolicy(1, 2))
+    with pytest.raises(WindowCapExceeded, match="^prefix of depth 10 of shift of fibonacci recurs"):
+        tau_cylinder(ShiftedSource(fib), 10, WindowPolicy(1, 2))
 
 
 class CapFirst(WindowPolicy):

@@ -1,8 +1,10 @@
 import copy
 import pickle
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -40,6 +42,7 @@ from subrec.presets import (
     rotation_spec,
     sqrt2_kappa_steps,
 )
+from subrec.rotation import _extremes
 from guards import within
 from oracles import exact_atom_lengths, exact_sorted_orbit, naive_atom, naive_cylinder, naive_xcheck_csv
 
@@ -97,7 +100,8 @@ def test_three_distance(cf, n):
 
 
 # a partial quotient 2**66 puts alpha within 2**-66 of a rational with a
-# small denominator, so circle neighbours fall inside the fixed-point bound
+# small denominator, so circle neighbours lie closer than 64-bit fixed
+# point can tell apart
 NEAR_RATIONAL = CFExpansion((2, 3), (2**66,))
 
 
@@ -123,7 +127,35 @@ def test_atom_order_matches_the_exact_sort(cf, n):
 def test_near_ties_in_the_orbit_are_sorted_exactly(cf):
     spec = RotationSpec(cf)
     assert atom_lengths(spec, 100) == exact_atom_lengths(spec.alpha, 100)
-    assert spec.exact_fallbacks > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(periodic_cfs(9), large_quotient_cfs()), st.integers(1, 300))
+@example(GOLDEN_CF, 1)  # alpha > 1/2: q_0 = q_1 = 1
+@example(GOLDEN_CF, 300)
+@example(CFExpansion((), (2**62, 1)), 300)
+@example(NEAR_RATIONAL, 300)
+def test_extremes_are_the_least_and_the_greatest_endpoint(cf, n):
+    spec = RotationSpec(cf)
+    points = [spec._point(j) for j in range(n + 1)]
+    want, least, greatest = [], 1, 1
+    for j in range(1, n + 1):
+        least = min(least, j, key=points.__getitem__)
+        greatest = max(greatest, j, key=points.__getitem__)
+        want.append((least, greatest))
+    a, b = _extremes(spec, np.arange(1, n + 1))
+    assert list(zip(a.tolist(), b.tolist())) == want
+    assert tuple(map(int, _extremes(spec, n))) == want[-1]
+
+
+def test_the_atoms_of_an_angle_near_a_rational_take_no_exact_sort():
+    # a 64-bit fixed-point order settled 114,285 of these points exactly, in 0.7 s
+    spec = RotationSpec(NEAR_RATIONAL)
+    with within(1):
+        lengths = atom_lengths(spec, 10**5)
+    counts = Counter(lengths)
+    assert len(lengths) == 10**5 + 1 and len(counts) <= 3
+    assert sum((length * k for length, k in counts.items()), ZERO) == 1
 
 
 def test_no_depth_of_the_atoms_takes_seconds():
@@ -132,7 +164,6 @@ def test_no_depth_of_the_atoms_takes_seconds():
     with within(1):
         lengths = atom_lengths(spec, 10**5)
     assert len(lengths) == 10**5 + 1 and len(set(lengths)) <= 3
-    assert spec.exact_fallbacks == 0
 
 
 def test_atom_of_zero_shrinks():
@@ -217,8 +248,7 @@ def test_atom_of_matches_sorted_partition(query):
     assert atom.left <= t < atom.right
     assert atom.depth == n
     if on_cut:
-        # x_j = {t + j*alpha} is exactly 0, so its fixed-point range wraps
-        assert spec.exact_fallbacks >= 1
+        assert atom.left == t
 
 
 @pytest.mark.parametrize("j", [0, 777])
@@ -233,6 +263,20 @@ def test_a_deep_atom_is_found_in_fixed_point(j):
     assert atom.left == max(e for e in ends if e <= t)
     assert atom.right == min((e for e in ends if e > t), default=ONE)
     assert deep.right - deep.left < atom.right - atom.left
+
+
+@pytest.mark.parametrize("t", [ZERO, QuadraticReal(Fraction(1, 3)), (-GOLDEN.alpha * 777).mod1()],
+                         ids=["zero", "third", "cut-777"])
+def test_an_atom_at_depth_10_18_is_found_by_bisection(t):
+    spec = RotationSpec(GOLDEN_CF)
+    with within(1):
+        deep = atom_of(spec, t, 10**18)
+    assert deep.left <= t < deep.right and deep.depth == 10**18
+    shallow = atom_of(spec, t, 10**6)
+    assert shallow.left <= deep.left and deep.right <= shallow.right
+    assert deep.right - deep.left < shallow.right - shallow.left
+    if t == shallow.left:
+        assert deep.left == t
 
 
 def test_atom_of_refuses_a_point_outside_the_field():
@@ -321,7 +365,7 @@ def test_a_long_cylinder_is_read_in_fixed_point():
     with within(1):
         measure = cylinder_measure(spec, word)
     assert cylinder_interval(spec, word) == atom_of(spec, (spec.alpha * 100).mod1(), 10**5)
-    assert measure == cylinder_interval(spec, word).length and spec.exact_fallbacks == 0
+    assert measure == cylinder_interval(spec, word).length
 
 
 @st.composite
@@ -566,7 +610,7 @@ def geometry_answer(spec, kind, arg):
 @example((NEAR_RATIONAL, [("atoms", 100), ("cylinder", sturmian_source(NEAR_RATIONAL, "rotation").prefix(67)[7:]),
                           ("atom_of", (QuadraticReal(Fraction(1, 3)), 30))]))
 def test_a_warmed_spec_answers_like_a_fresh_one_and_the_oracles(query):
-    # the spec memoises its orbit and ladder up to the largest size asked;
+    # the spec memoises its tables up to the largest size asked;
     # every later, smaller question must read the same as on a fresh spec
     cf, queries = query
     warm = RotationSpec(cf)
