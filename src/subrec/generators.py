@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .contfrac import CFExpansion, InsufficientCoefficients, quadratic_of_cf
+from .contfrac import CFExpansion, _last_two, quadratic_of_cf
 from .quadratic import ONE, ZERO, QuadraticReal
 from .words import _codes, _text
 
@@ -22,6 +22,7 @@ from .words import _codes, _text
 # error bound j + 1 of RotationCodingSource's fixed-point orbit, in units
 # of 2**-64 over blocks of _BLOCK points, stays far inside the 64-bit range.
 _MAX_LENGTH = 1 << 62
+_TOO_LONG = "words are limited to 2**62 symbols, %d requested"
 _FIXED_ONE = 1 << 64
 _BLOCK = 1 << 13
 
@@ -176,15 +177,15 @@ def parse_kappa(text: str) -> list[Morphism]:
 class WordSource:
     """Prefixes of one word; subclasses fill _extend.
 
-    _extend(n) leaves at least n symbols in _buf, or, for a finite word,
-    all of it with max_length set. endless is True for a word known never
-    to end. Sources resume from their own state, so prefixes always nest.
-    They are not thread-safe.
+    max_length is fixed when the source is built: None for an endless
+    word, otherwise its exact length. prefix clips every request to it,
+    so _extend(n) only has to leave at least n symbols in _buf. Sources
+    resume from their own state, so prefixes always nest. They are not
+    thread-safe.
     """
 
     name = "word"
     max_length: int | None = None
-    endless = False
 
     def __init__(self):
         self._buf = ""
@@ -193,19 +194,18 @@ class WordSource:
         """First n symbols (fewer only if the source is finite)."""
         if n < 0:
             raise ValueError("length must be >= 0")
-        if len(self._buf) < n and (self.max_length is None or len(self._buf) < self.max_length):
-            if min(n, self.max_length or n) > _MAX_LENGTH:
-                raise ValueError("words are limited to 2**62 symbols, %d requested" % n)
-            self._extend(n)
-        return self._buf[:n]
+        m = n if self.max_length is None else min(n, self.max_length)
+        if len(self._buf) < m:
+            if m > _MAX_LENGTH:
+                raise ValueError(_TOO_LONG % n)
+            self._extend(m)
+        return self._buf[:m]
 
     def _extend(self, n: int):
         raise NotImplementedError
 
 
 class PeriodicSource(WordSource):
-    endless = True
-
     def __init__(self, block: str):
         super().__init__()
         if not block:
@@ -220,8 +220,6 @@ class PeriodicSource(WordSource):
 
 class FixedPointSource(WordSource):
     """Fixed point of m starting with seed."""
-
-    endless = True
 
     def __init__(self, m: Morphism, seed: str, name: str | None = None):
         super().__init__()
@@ -249,8 +247,9 @@ class StandardWordSource(WordSource):
 
     Convention: "0" followed by the limit of the standard-word recurrence
     s_k = s_{k-1}^(a_k) s_{k-2} with seeds s_-1 = "1", s_0 = "0" and first
-    step s_1 = s_0^(a_1 - 1) s_-1. A finite expansion pins down only
-    "0" + s_k for its last k; the source ends there. A step whose
+    step s_1 = s_0^(a_1 - 1) s_-1. A finite expansion [0; a_1..a_K] pins
+    down only "0" + s_K, q_K + 1 symbols as |s_k| = q_k, the convergent
+    denominator; the source ends there. A step whose
     repetitions of s_{k-1} already cover a request is built only as far
     as asked, so a huge partial quotient costs only the symbols read.
     """
@@ -258,7 +257,8 @@ class StandardWordSource(WordSource):
     def __init__(self, cf: CFExpansion, name: str | None = None):
         super().__init__()
         self.cf = cf
-        self.endless = cf.is_periodic
+        if not cf.is_periodic:
+            self.max_length = _last_two(cf, len(cf.preperiod))[3] + 1
         self.name = name or ("standard %s" % cf)
         # (s_{i-1}, |s_i|, i); s_i is _buf[1 : 1 + |s_i|], the only copy
         # kept between extensions, or s_0 = "0" while _buf holds no s_i
@@ -267,15 +267,12 @@ class StandardWordSource(WordSource):
     def _extend(self, n: int):
         prev, cur, i = self._prev, self._buf[1 : 1 + self._size] or "0", self._i
         part = None
-        try:
-            while i == 0 or len(cur) < n - 1:
-                a = self.cf.coefficient(i + 1) - (i == 0)
-                if a * len(cur) >= n - 1:  # s_i^a alone covers the request
-                    part = (cur * -(-(n - 1) // len(cur)))[: n - 1]
-                    break
-                prev, cur, i = cur, cur * a + prev, i + 1
-        except InsufficientCoefficients:
-            self.max_length = len(cur) + 1
+        while i == 0 or len(cur) < n - 1:
+            a = self.cf.coefficient(i + 1) - (i == 0)
+            if a * len(cur) >= n - 1:  # s_i^a alone covers the request
+                part = (cur * -(-(n - 1) // len(cur)))[: n - 1]
+                break
+            prev, cur, i = cur, cur * a + prev, i + 1
         self._prev, self._size, self._i = prev, len(cur), i
         self._buf = "0" + (cur if part is None else part)
 
@@ -307,8 +304,6 @@ class RotationCodingSource(WordSource):
     below or above alpha unless that range holds a or reaches 2**64 (it
     wraps). Such a k is settled exactly and counted in exact_fallbacks.
     """
-
-    endless = True
 
     def __init__(self, alpha: QuadraticReal, t0=0, name: str | None = None):
         super().__init__()
@@ -354,7 +349,7 @@ class KappaSource(WordSource):
     def __init__(self, steps, name: str | None = None):
         super().__init__()
         if callable(steps):
-            self.rule, self.depth, self.endless = steps, None, True
+            self.rule, self.depth = steps, None
             self.name = name or "kappa rule %s" % getattr(steps, "__name__", steps)
         else:
             steps = list(steps)
@@ -366,7 +361,7 @@ class KappaSource(WordSource):
         self._j, self._last, self._u = 0, "0", "1"
 
     def _extend(self, n: int):
-        while len(self._buf) < n and self._j != self.depth:
+        while len(self._buf) < n:
             v, self._u = _fold(self._buf + self._last, self._u, self.rule(self._j + 1))
             self._j += 1
             if self._j == self.depth:
@@ -384,9 +379,6 @@ class FixedTextSource(WordSource):
         self.max_length = len(text)
         self.name = name
 
-    def _extend(self, n: int):
-        pass
-
 
 class ShiftedSource(WordSource):
     """The same word with its first symbol dropped."""
@@ -394,7 +386,6 @@ class ShiftedSource(WordSource):
     def __init__(self, inner: WordSource):
         super().__init__()
         self.inner = inner
-        self.endless = inner.endless
         if inner.max_length is not None:
             self.max_length = max(inner.max_length - 1, 0)
         self.name = "shift of %s" % inner.name

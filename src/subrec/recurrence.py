@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .generators import ShiftedSource, as_source
+from .generators import _MAX_LENGTH, _TOO_LONG, ShiftedSource, as_source
 from .words import (
     EmptyPattern,
     InsufficientWindow,
@@ -54,8 +54,8 @@ class WindowPolicy:
 
     def __post_init__(self):
         top = max(self.base, self.cap)
-        if top >= 2**62:
-            raise ValueError("words are limited to 2**62 symbols, %d requested" % top)
+        if top >= _MAX_LENGTH:
+            raise ValueError(_TOO_LONG % top)
 
     def initial(self, n):
         return np.clip(50 * n, self.base, self.cap)
@@ -98,19 +98,18 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
     arrays. A window longer than the text grows it geometrically up to the
     cap, z is matched again only from the first start that could reach the
     old end, and the next block takes its starts afresh from z.
-    No window passes the cap, so no depth at or past it recurs in one, and
-    the text is never read past it. Only a word not known to be endless is
-    read to depth first, as whether it gets there decides the error.
+    No window passes the cap, so the text is never read past the cap or
+    the word's max_length, and a first depth past either is refused
+    before any symbol is read.
     """
-    cap = policy.cap
-    if first > cap and source.endless:
+    cap, length = policy.cap, source.max_length
+    bound = cap if length is None else min(cap, length)  # no read goes past it
+    if first > bound:
+        if length is not None and length < first:
+            raise WindowCapExceeded(_ENDS % (source.name, length, first))
         raise WindowCapExceeded(_FEW % (first, source.name, cap))
-    target = max(min(max(last, int(policy.grow(policy.initial(last)))), cap), first)
-    arr = _codes(source.prefix(target))
-    done = len(arr) < target
-    if len(arr) < first:
-        raise WindowCapExceeded(_ENDS % (source.name, len(arr), first))
-    index = np.int32 if max(target, cap) < 2**31 else np.int64  # holds any start
+    arr = _codes(source.prefix(min(max(last, int(policy.grow(policy.initial(last)))), cap)))
+    index = np.int32 if cap < 2**31 else np.int64  # holds any start
     z = prefix_match(arr, last)
     ns = np.arange(first, min(last, len(arr)) + 1)
     window = policy.initial(ns)  # grown per round, then the window read
@@ -132,10 +131,8 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
         todo = lo + np.flatnonzero(pending[lo:hi])
         while len(todo):
             w = window[todo]
-            if w.max() > len(arr) and not done:
-                size = min(max(int(w.max()), 2 * len(arr)), cap)
-                text = source.prefix(size)
-                done = len(text) < size
+            if w.max() > len(arr) and len(arr) < bound:
+                text = source.prefix(min(max(int(w.max()), 2 * len(arr)), cap))
                 keep = max(len(arr) - last, 0)
                 arr = np.concatenate((arr, _codes(text[len(arr) :])))
                 z = np.concatenate((z[:keep], prefix_match(arr, last, keep)))

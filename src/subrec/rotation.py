@@ -20,7 +20,14 @@ from itertools import chain, count, takewhile
 import numpy as np
 
 from .contfrac import CFExpansion, ladder, quadratic_of_cf
-from .generators import RotationCodingSource, SequenceTooShort, _check_point, kappa_images
+from .generators import (
+    _MAX_LENGTH,
+    _TOO_LONG,
+    RotationCodingSource,
+    SequenceTooShort,
+    _check_point,
+    kappa_images,
+)
 from .quadratic import ONE, ZERO, QuadraticReal
 from .recurrence import DEFAULT_POLICY, WindowPolicy, rate_series
 
@@ -119,11 +126,15 @@ def _extremes(spec: RotationSpec, n):
     e_{j+a} for j < b and e_{j-b} otherwise, for every j < a + b, and
     n < a + b. So the values k*a mod (a + b), k = 0, 1, ..., less those
     above n, are the j in ascending order of e_j, and the new cut e_j lies
-    just right of e_{j-a(j)}.
+    just right of e_{j-a(j)}. a + b <= 2n stays in int64, as a depth at
+    or above 2**62 is refused.
     """
     n = np.asarray(n)
+    top = int(n.max())
+    if top >= _MAX_LENGTH:
+        raise ValueError(_TOO_LONG % top)
     denominators = map(spec._denominator, count())
-    qs = np.array([0, *takewhile(int(n.max()).__ge__, denominators)])  # q_{-1}, q_0, ..., q_k
+    qs = np.array([0, *takewhile(top.__ge__, denominators)])  # q_{-1}, q_0, ..., q_k
     at = qs.searchsorted(n, "right") - 1  # q_k is qs[at], so k = at - 1
     q, prev = qs[at], qs[at - 1]
     m = prev + (n - prev) // q * q

@@ -107,6 +107,11 @@ def test_finite_cf_word_ends_where_its_digits_do():
     assert "yields only 11 symbols" in r.stderr
     r = run_cli("generate", "--cf", "[0;1,2,3]", "--length", "11")
     assert (r.returncode, r.stdout) == (0, "01101101101\n")
+    # its length is known before any symbol is read, so a request past the
+    # 2**62 limit is clipped to it as a finite --kappa tower's is
+    r = run_cli("generate", "--cf", "[0;1,2,3]", "--length", "99999999999999999999")
+    assert r.returncode == 1 and r.stdout == ""
+    assert "yields only 11 symbols (99999999999999999999 requested)" in r.stderr
     # rates scans the finite word to its end, as it does for --kappa
     r = run_cli("rates", "--cf", "[0; 1,2,3]", "-N", "4")
     assert r.returncode == 0

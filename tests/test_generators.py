@@ -1,6 +1,6 @@
 import tracemalloc
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -504,8 +504,9 @@ def test_standard_source_on_finite_expansion():
     assert src.prefix(4) == word[:4]
 
     src = StandardWordSource(CFExpansion((1, 2, 3)))
-    assert src.prefix(5) == word[:5] and src.max_length is None
-    assert src.prefix(11) == word and src.max_length is None
+    assert src.max_length == 11  # q_3 + 1, before any symbol is read
+    assert src.prefix(5) == word[:5] and src.max_length == 11
+    assert src.prefix(11) == word and src.max_length == 11
     assert src.prefix(12) == word and src.max_length == 11
 
     t = tau_cylinder(StandardWordSource(CFExpansion((1, 2, 3))), 2)
@@ -524,22 +525,39 @@ def test_standard_source_builds_part_steps_that_match_the_oracle(digits, lengths
     src = StandardWordSource(CFExpansion(tuple(digits)))
     for n in lengths:
         assert src.prefix(n) == naive_standard_word(digits, n)
-    if src.max_length is not None:
+    if src.max_length <= max(lengths):
         assert src.max_length == len(naive_standard_word(digits, src.max_length + 1))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 6) | st.integers(50, 3000), min_size=1, max_size=6).filter(
+        lambda digits: prod(a + 1 for a in digits) <= 100_000  # bounds q_K
+    )
+)
+def test_a_finite_standard_word_knows_its_length_when_built(digits):
+    # "0" + s_K has q_K + 1 symbols, read off the convergent ladder
+    word = naive_standard_word(digits, 10**6)
+    src = StandardWordSource(CFExpansion(tuple(digits)))
+    assert src.max_length == len(word) and src._buf == ""
+    shifted = ShiftedSource(StandardWordSource(CFExpansion(tuple(digits))))
+    assert shifted.max_length == len(word) - 1
+    assert src.prefix(len(word) + 5) == word
+    assert shifted.prefix(len(word) + 5) == word[1:]
+
+
 @pytest.mark.parametrize(
-    "cf, lead, block",
+    "cf, lead, block, length",
     [
-        (CFExpansion((10**12,)), "", "0"),  # "0" + 0^(a_1 - 1) 1
-        (CFExpansion((10**12,), (1,)), "", "0"),
-        (CFExpansion((1, 10**12)), "0", "1"),  # "0" + s_1^(a_2) s_0, s_1 = 1
-        (CFExpansion((3,), (10**12,)), "0", "001"),  # s_1 = 001
-        (CFExpansion((1, 10**20)), "0", "1"),  # s_1 * a_2 overflowed a str repeat
+        (CFExpansion((10**12,)), "", "0", 10**12 + 1),  # "0" + 0^(a_1 - 1) 1
+        (CFExpansion((10**12,), (1,)), "", "0", None),
+        (CFExpansion((1, 10**12)), "0", "1", 10**12 + 2),  # "0" + s_1^(a_2) s_0, s_1 = 1
+        (CFExpansion((3,), (10**12,)), "0", "001", None),  # s_1 = 001
+        (CFExpansion((1, 10**20)), "0", "1", 10**20 + 2),  # s_1 * a_2 overflowed a str repeat
     ],
     ids=["a1", "a1-periodic", "a2", "a2-periodic", "a2-beyond-int64"],
 )
-def test_a_huge_partial_quotient_costs_only_the_symbols_read(cf, lead, block):
+def test_a_huge_partial_quotient_costs_only_the_symbols_read(cf, lead, block, length):
     # building the whole step asked for about 10**12 symbols
     src = StandardWordSource(cf)
     tracemalloc.start()
@@ -551,7 +569,7 @@ def test_a_huge_partial_quotient_costs_only_the_symbols_read(cf, lead, block):
         tracemalloc.stop()
     assert peak < 1 << 16
     assert words == [(lead + block * n)[:n] for n in (10, 5000, 7)]
-    assert src.max_length is None
+    assert src.max_length == length
 
 
 @settings(max_examples=60, deadline=None)
@@ -617,4 +635,10 @@ def test_shifted_and_fixed_text_sources():
     src = FixedTextSource("0100101")
     assert src.prefix(3) == "010"
     shifted = ShiftedSource(PeriodicSource("01"))
-    assert shifted.prefix(5) == "10101"
+    assert shifted.prefix(5) == "10101" and shifted.max_length is None
+    # a shift of a finite source knows its length when built
+    for inner in (src, KappaSource([rho(1), gamma(1)]), StandardWordSource(CFExpansion((1, 2, 3)))):
+        shifted = ShiftedSource(inner)
+        assert shifted.max_length == inner.max_length - 1
+        word = shifted.prefix(100)
+        assert len(word) == shifted.max_length and word == inner.prefix(100)[1:]

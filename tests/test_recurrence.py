@@ -83,7 +83,8 @@ def test_window_policy_takes_the_largest_window_it_can_double():
 
 def test_the_sweep_reads_no_symbol_past_the_window_cap():
     # no depth at or past the cap recurs in a cap-window; reading 30000000
-    # symbols first took 2.5 s and 921 MB
+    # symbols first took 2.5 s and 921 MB, and building the finite
+    # unbounded word to that depth 3.4 s and 394 MB
     policy = WindowPolicy(1000, 2000)
     fib = get_preset("fibonacci")
     tracemalloc.start()
@@ -94,11 +95,14 @@ def test_the_sweep_reads_no_symbol_past_the_window_cap():
             with pytest.raises(WindowCapExceeded, match="^prefix of depth 10000000000 of fibonacci "
                                "recurs less than twice in a 2000-window$"):
                 tau_cylinder(fib, 10**10, policy)
+            with pytest.raises(WindowCapExceeded, match="^prefix of depth 30000000 of unbounded "
+                               "recurs less than twice in a 2000-window$"):
+                tau_cylinder(get_preset("unbounded"), 3 * 10**7, policy)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    # a word that may end is read to the depth, which decides the error
+    # a word's max_length, known before any symbol is read, decides the error
     short = StandardWordSource(CFExpansion((3,)))
     with pytest.raises(WindowCapExceeded, match="^source standard .* ends after 4 symbols, cylinder depth 10"):
         tau_cylinder(short, 10, WindowPolicy(1, 2))

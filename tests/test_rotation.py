@@ -1,6 +1,7 @@
 import copy
 import pickle
 import tracemalloc
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -277,6 +278,22 @@ def test_an_atom_at_depth_10_18_is_found_by_bisection(t):
     assert deep.right - deep.left < shallow.right - shallow.left
     if t == shallow.left:
         assert deep.left == t
+
+
+def test_a_depth_at_or_above_2_62_is_refused_without_overflow():
+    # a + b <= 2n must stay below 2**63; past it numpy warned and raised
+    # OverflowError
+    spec = RotationSpec(GOLDEN_CF)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert atom_of(spec, ZERO, 2**62 - 1).left == ZERO
+        for n in (2**62, 2**63 - 1, 10**30):
+            refusal = "^words are limited to 2\\*\\*62 symbols, %d requested$" % n
+            with pytest.raises(ValueError, match=refusal):
+                atom_of(spec, ZERO, n)
+        for read in (atom_lengths, partition_points):
+            with pytest.raises(ValueError, match="2\\*\\*62"):
+                read(spec, 10**30)
 
 
 def test_atom_of_refuses_a_point_outside_the_field():
