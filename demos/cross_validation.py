@@ -9,10 +9,10 @@ first return time of the matching orbit interval under the rotation.
 The two must agree exactly, digit for digit, with no floats involved.
 """
 
-from subrec import QuadraticReal, cross_check, tau_length
-from subrec.presets import rotation_spec
+from subrec import QuadraticReal, RotationSpec, cross_check, tau_length
+from subrec.presets import GOLDEN_CF, SQRT2_CF
 
-spec = rotation_spec("fibonacci")
+spec = RotationSpec(GOLDEN_CF)
 rep = cross_check(spec, 40)
 
 print("alpha      :", rep.alpha)
@@ -33,5 +33,5 @@ for den in (2, 10, 100, 1000):
     print("return within 1/%-4d : %d steps" % (den, tau_length(spec, eps)))
 
 # the sqrt(2) rotation gives a different word, same exact agreement
-rep2 = cross_check(rotation_spec("sqrt2"), 40)
+rep2 = cross_check(RotationSpec(SQRT2_CF), 40)
 print("\nsqrt2 mismatches:", len(rep2.mismatches))

@@ -11,9 +11,9 @@ measures they produce.
 from fractions import Fraction
 from itertools import islice
 
-from subrec import CFExpansion, QuadraticReal, cylinder_measure, mu_tower_values
+from subrec import CFExpansion, QuadraticReal, RotationSpec, cylinder_measure, mu_tower_values
 from subrec.contfrac import ladder
-from subrec.presets import golden_kappa_steps, rotation_spec
+from subrec.presets import golden_kappa_steps
 
 # the golden angle 1/phi = (sqrt(5) - 1) / 2, as an exact field element
 alpha = QuadraticReal(Fraction(-1, 2), Fraction(1, 2), 5)
@@ -43,7 +43,7 @@ for g in sorted(gaps):
     print("  ", g, "=", float(g))
 
 # cylinder measures of short factors, exact and summing to 1 per length
-spec = rotation_spec("fibonacci")
+spec = RotationSpec(cf)
 for w in ("0", "1", "01", "10", "11"):
     print("measure[%s] = %s" % (w, cylinder_measure(spec, w)))
 

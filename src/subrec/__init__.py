@@ -34,7 +34,6 @@ from .generators import (
     kappa_prefix,
     parse_kappa,
     rho,
-    sturmian_source,
     thue_morse,
 )
 from .quadratic import ONE, ZERO, QuadraticReal

@@ -21,11 +21,11 @@ from .contfrac import parse_cf
 from .generators import (
     KappaSource,
     SequenceTooShort,
+    StandardWordSource,
     gamma,
     kappa_image_lengths,
     parse_kappa,
     rho,
-    sturmian_source,
 )
 from .recurrence import (
     DEFAULT_POLICY,
@@ -77,7 +77,8 @@ def build_source(args):
     if args.preset:
         return presets.get_preset(args.preset)
     if args.cf:
-        return sturmian_source(parse_cf(args.cf), args.method or "standard")
+        cf = parse_cf(args.cf)
+        return RotationSpec(cf).coding if args.method == "rotation" else StandardWordSource(cf)
     return KappaSource(parse_kappa(args.kappa))
 
 
@@ -198,12 +199,14 @@ def cmd_xcheck(args) -> int:
     if args.cf and args.preset:
         raise ValueError("pick exactly one of --preset, --cf")
     if args.cf:
-        spec = RotationSpec(parse_cf(args.cf))
+        cf = parse_cf(args.cf)
     elif args.preset:
-        spec = presets.rotation_spec(args.preset)
+        cf = presets.PRESET_CF.get(args.preset)
+        if cf is None or not cf.is_periodic:
+            raise ValueError("no exact rotation model for %r" % (args.preset,))
     else:
         raise ValueError("xcheck needs --cf or a preset with an exact angle")
-    report = cross_check(spec, _fallback(args, "depth", 200), window_policy(args))
+    report = cross_check(RotationSpec(cf), _fallback(args, "depth", 200), window_policy(args))
     write_out(report.to_csv(), args.out)
     if not report.ok:
         first = report.mismatches[0]

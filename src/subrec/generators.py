@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .contfrac import CFExpansion, _last_two, quadratic_of_cf
+from .contfrac import CFExpansion, _last_two
 from .quadratic import ONE, ZERO, QuadraticReal
 from .words import _codes, _text
 
@@ -400,12 +400,3 @@ def as_source(x) -> WordSource:
     if isinstance(x, str):
         return FixedTextSource(x)
     raise TypeError("cannot treat %r as a word source" % type(x))
-
-
-def sturmian_source(cf: CFExpansion, method: str = "standard") -> WordSource:
-    """Sturmian word of the given angle, symbolic or geometric route."""
-    if method == "standard":
-        return StandardWordSource(cf)
-    if method == "rotation":
-        return RotationCodingSource(quadratic_of_cf(cf), 0, "rotation %s" % cf)
-    raise ValueError("unknown method %r" % method)

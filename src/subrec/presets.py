@@ -15,7 +15,6 @@ from .generators import (
     rho,
     thue_morse,
 )
-from .rotation import RotationSpec
 
 GOLDEN_CF = CFExpansion((), (1,))
 SQRT2_CF = CFExpansion((), (2,))
@@ -93,11 +92,3 @@ def get_preset(name: str) -> WordSource:
         raise ValueError(
             "unknown preset %r (have: %s)" % (name, ", ".join(preset_names()))
         ) from None
-
-
-def rotation_spec(name: str) -> RotationSpec:
-    """RotationSpec of a preset whose expansion is periodic."""
-    cf = PRESET_CF.get(name)
-    if cf is None or not cf.is_periodic:
-        raise ValueError("no exact rotation model for %r" % (name,))
-    return RotationSpec(cf)

@@ -85,19 +85,21 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
     place, one chunk per block of depths that share their starts. Every
     window comes from policy.initial and policy.grow.
 
-    z = prefix_match(text, last) holds each start's match with the prefix,
-    so the starts of depth n are the p with z[p] >= n, ascending: those
-    inside a window of w symbols are occ[:k] with k = #(p <= w - n), and tau
-    is least[k - 1], least being the running minimum of their gaps after a
-    leading 0 (no pair yet). A start whose match runs off the text never
-    counts, as it lies past w - n. The depths up to the least z over occ
-    share occ and least, so the Python loop runs once per such block and,
-    inside it, once per window round for all its depths still pending; a
-    failing depth ends the sweep after the depths before it are yielded.
-    occ travels with its z values, so each block filters one pair of
-    arrays. A window longer than the text grows it geometrically up to the
-    cap, z is matched again only from the first start that could reach the
-    old end, and the next block takes its starts afresh from z.
+    z = prefix_match(text, min(last, len(text))) holds each start's match
+    with the prefix, so the starts of depth n are the p with z[p] >= n,
+    ascending: those inside a window of w symbols are occ[:k] with
+    k = #(p <= w - n), and tau is least[k - 1], least being the running
+    minimum of their gaps after a leading 0 (no pair yet). A start whose
+    match runs off the text never counts, as it lies past w - n. The
+    depths up to the least z over occ share occ and least, so the Python
+    loop runs once per such block and, inside it, once per window round
+    for all its depths still pending; a failing depth ends the sweep after
+    the depths before it are yielded. occ travels with its z values, so
+    each block filters one pair of arrays. A window longer than the text
+    grows it geometrically up to the cap, z is matched again over the
+    whole text, and the block starts over from its first windows: a
+    depth's value reads the text only up to its last window, so it does
+    not change.
     No window passes the cap, so the text is never read past the cap or
     the word's max_length, and a first depth past either is refused
     before any symbol is read.
@@ -110,12 +112,11 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
         raise WindowCapExceeded(_FEW % (first, source.name, cap))
     arr = _codes(source.prefix(min(max(last, int(policy.grow(policy.initial(last)))), cap)))
     index = np.int32 if cap < 2**31 else np.int64  # holds any start
-    z = prefix_match(arr, last)
+    z = prefix_match(arr, min(last, len(arr)))
     ns = np.arange(first, min(last, len(arr)) + 1)
     window = policy.initial(ns)  # grown per round, then the window read
     tau = np.zeros(len(ns), np.int64)  # tau in the last window; 0 for none
     stabilized = np.zeros(len(ns), bool)
-    pending = np.ones(len(ns), bool)
     lo, stop, occ, failure = 0, len(ns), None, None
     while lo < stop:
         if occ is None:
@@ -128,14 +129,13 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
         least = np.zeros(len(occ), index)
         np.subtract(occ[1:], occ[:-1], out=least[1:])  # the gaps, in place
         np.minimum.accumulate(least[1:], out=least[1:])
-        todo = lo + np.flatnonzero(pending[lo:hi])
+        todo = np.arange(lo, hi)
         while len(todo):
             w = window[todo]
             if w.max() > len(arr) and len(arr) < bound:
-                text = source.prefix(min(max(int(w.max()), 2 * len(arr)), cap))
-                keep = max(len(arr) - last, 0)
-                arr = np.concatenate((arr, _codes(text[len(arr) :])))
-                z = np.concatenate((z[:keep], prefix_match(arr, last, keep)))
+                arr = _codes(source.prefix(min(max(int(w.max()), 2 * len(arr)), cap)))
+                z = prefix_match(arr, min(last, len(arr)))
+                tau[lo:], window[lo:] = 0, policy.initial(ns[lo:])
                 occ = None
                 break
             n = ns[todo]
@@ -155,7 +155,6 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
             tau[todo] = t  # t > 0 stays > 0 as the window grows
             stabilized[todo] = stable
             window[todo] = np.where(settle, avail, policy.grow(w))
-            pending[todo[settle]] = False
             todo = todo[again]
         else:
             end = min(hi, stop)
@@ -164,8 +163,6 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
             lo = hi
     if failure is not None:
         raise WindowCapExceeded(failure)
-    if len(arr) < last:
-        raise WindowCapExceeded(_ENDS % (source.name, len(arr), len(arr) + 1))
 
 
 def _rows(chunks):

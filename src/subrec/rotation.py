@@ -74,7 +74,7 @@ class RotationSpec:
         return RotationSpec, (self.cf,)
 
     @cached_property
-    def _coding(self) -> RotationCodingSource:
+    def coding(self) -> RotationCodingSource:
         """The coding of 0: symbol k is 1 exactly when 1 - e_{k+1} < alpha."""
         return RotationCodingSource(self.alpha, ZERO, "rotation %s" % self.cf)
 
@@ -267,7 +267,7 @@ def _cylinder_ends(spec: RotationSpec, word: str) -> tuple[int, int] | None:
     i = r = 0
     for j, sym in enumerate(word, 1):
         if j > len(bits):  # a numpy pass takes as long for 64 symbols as for 2
-            bits = spec._coding.prefix(max(2 * j, 64))
+            bits = spec.coding.prefix(max(2 * j, 64))
             if len(leads) < len(bits):
                 depths = np.arange(len(leads) + 1, len(bits) + 1)
                 leads += (depths - _extremes(spec, depths)[0]).tolist()
@@ -392,7 +392,7 @@ def cross_check(
     the moves maps each depth to its length.
     The two must agree exactly at every depth.
     """
-    series = rate_series(spec._coding, depth, policy)
+    series = rate_series(spec.coding, depth, policy)
     least = _extremes(spec, series.n)[0]
     moved = np.r_[True, least[1:] != least[:-1]]
     lengths = [spec._point(j) for j in least[moved].tolist()]

@@ -48,11 +48,11 @@ def _mismatches(words: np.ndarray, p: np.ndarray, offs: np.ndarray, item: int):
     return hit, offs[row, 0] + (x != 0).argmax(axis=1) // item
 
 
-def prefix_match(codes: np.ndarray, last: int, start: int = 0) -> np.ndarray:
-    """z[i] = min(lcp(codes, codes[p:]), last) for each start p = start + i,
-    except that a match running off the end of codes counts as last: such
-    a start only matters inside windows it fits. z comes in the smallest
-    unsigned dtype that holds last.
+def prefix_match(codes: np.ndarray, last: int) -> np.ndarray:
+    """z[p] = min(lcp(codes, codes[p:]), last) for each start p, except
+    that a match running off the end of codes counts as last: such a start
+    only matters inside windows it fits. z comes in the smallest unsigned
+    dtype that holds last.
 
     The first 8 offsets are compared over the whole text at once, one
     contiguous compare and a running AND each. The starts that survive
@@ -63,17 +63,17 @@ def prefix_match(codes: np.ndarray, last: int, start: int = 0) -> np.ndarray:
     nonzero byte of the XOR.
     """
     size, item = len(codes), codes.itemsize
-    z = np.zeros(size - start, np.min_scalar_type(last))
-    alive = np.ones(size - start, bool)
+    z = np.zeros(size, np.min_scalar_type(last))
+    alive = np.ones(size, bool)
     for j in range(min(8, last)):
-        m = size - start - j  # the starts with a symbol at offset j
+        m = size - j  # the starts with a symbol at offset j
         if m > 0:
-            alive[:m] &= codes[start + j :] == codes[j]
+            alive[:m] &= codes[j:] == codes[j]
         z += alive
     if last <= 8:
         return z
     index = np.int32 if 2 * size + 8 < 2**31 else np.int64  # holds p + offset
-    live = (np.flatnonzero(alive) + start).astype(index)
+    live = np.flatnonzero(alive).astype(index)
     del alive
     buf = np.zeros((size + 8 // item) * item, np.uint8)  # one word of padding
     buf[: size * item] = codes.view(np.uint8)
@@ -85,11 +85,11 @@ def prefix_match(codes: np.ndarray, last: int, start: int = 0) -> np.ndarray:
             offs = np.arange(j, j + width * spw, spw, dtype=index)[:, None]
             hit, d = _mismatches(words, p, offs, item)
             q = p[hit]
-            z[q - start] = np.where(q + d >= size, last, np.minimum(d, last))
+            z[q] = np.where(q + d >= size, last, np.minimum(d, last))
             p = p[~hit]
             j += width * spw
             width = max(1, min(2 * width, budget // max(len(p), 1), -(-(end - j) // spw)))
-        z[p - start] = last
+        z[p] = last
     return z
 
 

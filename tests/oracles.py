@@ -61,12 +61,12 @@ def naive_windowed_tau(prefix, name: str, n: int, base: int, cap: int):
         window = min(2 * window, cap)
 
 
-def naive_prefix_match(text: str, last: int, start: int = 0) -> list[int]:
-    """For each start p >= start, how many leading symbols text[p:] shares
-    with text, at most last; a match that reaches the end of text counts
-    as last."""
+def naive_prefix_match(text: str, last: int) -> list[int]:
+    """For each start p, how many leading symbols text[p:] shares with
+    text, at most last; a match that reaches the end of text counts as
+    last."""
     out = []
-    for p in range(start, len(text)):
+    for p in range(len(text)):
         m = 0
         while m < last and p + m < len(text) and text[p + m] == text[m]:
             m += 1

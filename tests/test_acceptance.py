@@ -11,6 +11,7 @@ on purpose.  The library is not bent to make them pass.
 import pytest
 
 from subrec import (
+    RotationSpec,
     cylinder_measure,
     lr_constant_estimate,
     mu_tower_values,
@@ -25,10 +26,9 @@ from subrec.presets import (
     get_preset,
     golden_kappa_steps,
     preset_names,
-    rotation_spec,
 )
 
-GOLDEN = rotation_spec("fibonacci")
+GOLDEN = RotationSpec(GOLDEN_CF)
 
 
 def report(num: int, name: str, clauses: list[tuple[str, bool]]) -> bool:

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subrec import RotationCodingSource, parse_cf, quadratic_of_cf, rate_series
 from subrec.cli import SUITES, build_parser, main
-from subrec.presets import preset_names
+from subrec.presets import PRESET_CF, preset_names
 from guards import within
 
 PY = [sys.executable, "-m", "subrec.cli"]
@@ -157,6 +158,27 @@ def test_xcheck_refuses_two_sources(capsys):
     assert main(["xcheck", "--preset", "fibonacci", "--cf", "[0;(2)]", "-N", "5"]) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", "subrec: error: pick exactly one of --preset, --cf\n")
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_xcheck_of_a_preset_checks_its_periodic_expansion(preset, capsys):
+    code = main(["xcheck", "--preset", preset, "-N", "40"])
+    got = (code, *capsys.readouterr())
+    cf = PRESET_CF.get(preset)
+    if cf is None or not cf.is_periodic:
+        assert got == (1, "", "subrec: error: no exact rotation model for %r\n" % preset)
+    else:
+        assert got == (main(["xcheck", "--cf", str(cf), "-N", "40"]), *capsys.readouterr())
+        assert got[0] == 0
+
+
+@pytest.mark.parametrize("cf", ["[0;(1)]", "[0;(2)]", "[0;(1,2,3)]", "[0;3,(1,4)]"])
+def test_rates_by_rotation_reads_the_coding_of_0(cf, capsys):
+    code = main(["rates", "--cf", cf, "--method", "rotation", "-N", "60"])
+    out, err = capsys.readouterr()
+    coding = RotationCodingSource(quadratic_of_cf(parse_cf(cf)), 0)
+    assert (code, out) == (0, rate_series(coding, 60).to_csv())
+    assert err.startswith("source=rotation %s depth=60 " % parse_cf(cf))
 
 
 def test_in_process_calls_read_like_fresh_processes(capsys):

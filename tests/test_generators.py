@@ -18,6 +18,7 @@ from subrec import (
     PeriodicSource,
     QuadraticReal,
     RotationCodingSource,
+    RotationSpec,
     SequenceTooShort,
     ShiftedSource,
     StandardWordSource,
@@ -28,7 +29,6 @@ from subrec import (
     parse_kappa,
     quadratic_of_cf,
     rho,
-    sturmian_source,
     tau_cylinder,
     thue_morse,
 )
@@ -408,11 +408,10 @@ def test_a_finite_source_below_the_limit_answers_any_length():
 
 
 def test_sturmian_source_methods_agree():
-    a = sturmian_source(GOLDEN_CF, "standard").prefix(300)
-    b = sturmian_source(GOLDEN_CF, "rotation").prefix(300)
-    assert a == b
-    with pytest.raises(ValueError):
-        sturmian_source(GOLDEN_CF, "nope")
+    # the standard word and the spec's coding of 0: the two --method roads
+    coding = RotationSpec(GOLDEN_CF).coding
+    assert StandardWordSource(GOLDEN_CF).prefix(300) == coding.prefix(300)
+    assert coding.name == "rotation %s" % GOLDEN_CF
 
 
 @pytest.mark.parametrize("name", preset_names())

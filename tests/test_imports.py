@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
-private name a module defines is used somewhere in the package, and no
-module holds an `assert` statement, which `python -O` strips.
+private name a module defines is used somewhere in the package, no
+module holds an `assert` statement, which `python -O` strips, and no
+module imports one in a later layer.
 
 The package __init__ is left out of the import check: it imports names to
 re-export them.
@@ -150,3 +151,41 @@ def test_the_check_sees_a_dead_private_class_member():
 
 def test_no_dead_private_name():
     assert dead_private_names({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+# the package's layers, lowest first: a module imports only earlier ones
+LAYERS = ["quadratic", "contfrac", "words", "generators", "recurrence", "rotation", "presets", "cli"]
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules that source imports, by `from .module import
+    name` or `from . import module`."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_the_check_sees_a_package_import():
+    source = (
+        "import numpy as np\n"
+        "from . import presets\n"
+        "from .words import _codes\n"
+        "def f():\n"
+        "    from .rotation.inner import g\n"
+    )
+    assert package_imports(source) == {"presets", "rotation", "words"}
+
+
+def test_presets_import_only_contfrac_and_generators():
+    assert package_imports((SRC / "presets.py").read_text()) == {"contfrac", "generators"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_imports_a_later_layer(path):
+    later = LAYERS[LAYERS.index(path.stem) + 1 :]
+    assert sorted(package_imports(path.read_text()).intersection(later)) == []

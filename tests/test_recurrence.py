@@ -110,6 +110,21 @@ def test_the_sweep_reads_no_symbol_past_the_window_cap():
         tau_cylinder(ShiftedSource(fib), 10, WindowPolicy(1, 2))
 
 
+def test_the_sweep_matches_no_further_than_its_text():
+    # the prefix match is capped at the text read, 2**20 symbols, not at the
+    # depth, so its arrays are uint32: a traced peak of 77.4 MiB, against
+    # 82.4 MiB when they were uint64
+    tracemalloc.start()
+    try:
+        with pytest.raises(WindowCapExceeded, match="^prefix of depth 534348 of fibonacci "
+                           "recurs less than twice in a 1048576-window$"):
+            rate_series(get_preset("fibonacci"), 10**15, WindowPolicy(1000, 2**20))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 << 20
+
+
 class CapFirst(WindowPolicy):
     def initial(self, n):
         return np.full_like(n, self.cap)

@@ -30,7 +30,6 @@ from subrec import (
     occurrences,
     partition_points,
     quadratic_of_cf,
-    sturmian_source,
     tau_cylinder,
     tau_length,
     tau_length_linear,
@@ -40,15 +39,14 @@ from subrec.presets import (
     SQRT2_CF,
     get_preset,
     golden_kappa_steps,
-    rotation_spec,
     sqrt2_kappa_steps,
 )
 from subrec.rotation import _extremes
 from guards import within
 from oracles import exact_atom_lengths, exact_sorted_orbit, naive_atom, naive_cylinder, naive_xcheck_csv
 
-GOLDEN = rotation_spec("fibonacci")
-SQRT2 = rotation_spec("sqrt2")
+GOLDEN = RotationSpec(GOLDEN_CF)
+SQRT2 = RotationSpec(SQRT2_CF)
 ALPHA = GOLDEN.alpha  # (sqrt(5)-1)/2
 
 
@@ -378,7 +376,7 @@ def test_a_long_non_factor_is_refused_without_building_its_orbit():
 def test_a_long_cylinder_is_read_in_fixed_point():
     # an exact endpoint per symbol takes about 0.4 s here
     spec = RotationSpec(GOLDEN_CF)
-    word = sturmian_source(GOLDEN_CF, "rotation").prefix(10**5 + 100)[100:]
+    word = RotationSpec(GOLDEN_CF).coding.prefix(10**5 + 100)[100:]
     with within(1):
         measure = cylinder_measure(spec, word)
     assert cylinder_interval(spec, word) == atom_of(spec, (spec.alpha * 100).mod1(), 10**5)
@@ -395,7 +393,7 @@ def cylinder_queries(draw):
     if kind == "random":
         return cf, draw(st.text("01", min_size=n, max_size=n))
     i = draw(st.integers(0, 400))
-    word = sturmian_source(cf, "rotation").prefix(i + n)[i:]
+    word = RotationSpec(cf).coding.prefix(i + n)[i:]
     if kind == "flipped":
         j = draw(st.integers(0, n - 1))
         word = word[:j] + "10"[int(word[j])] + word[j + 1 :]
@@ -408,7 +406,7 @@ def cylinder_queries(draw):
 @example((GOLDEN_CF, "0110"))
 @example((SQRT2_CF, "1" * 3))
 @example((CFExpansion((1,), (9,)), "1" * 12))
-@example((NEAR_RATIONAL, sturmian_source(NEAR_RATIONAL, "rotation").prefix(37)[7:]))
+@example((NEAR_RATIONAL, RotationSpec(NEAR_RATIONAL).coding.prefix(37)[7:]))
 def test_cylinder_interval_matches_sorted_partition(query):
     cf, word = query
     spec = RotationSpec.from_cf(cf)
@@ -596,7 +594,7 @@ def warm_queries(draw):
         kind = draw(st.sampled_from(["cylinder", "tau", "atoms", "atom_of"]))
         if kind == "cylinder":
             i = draw(st.integers(0, 300))
-            word = sturmian_source(cf, "rotation").prefix(i + n)[i:]
+            word = RotationSpec(cf).coding.prefix(i + n)[i:]
             if word and draw(st.booleans()):
                 j = draw(st.integers(0, n - 1))
                 word = word[:j] + "10"[int(word[j])] + word[j + 1 :]
@@ -624,7 +622,7 @@ def geometry_answer(spec, kind, arg):
 @given(warm_queries())
 @example((GOLDEN_CF, [("cylinder", "01" * 30), ("tau", 40), ("atoms", 3), ("cylinder", "1")]))
 @example((SQRT2_CF, [("atom_of", ((-SQRT2.alpha * 50).mod1(), 50)), ("cylinder", "0"), ("atoms", 0)]))
-@example((NEAR_RATIONAL, [("atoms", 100), ("cylinder", sturmian_source(NEAR_RATIONAL, "rotation").prefix(67)[7:]),
+@example((NEAR_RATIONAL, [("atoms", 100), ("cylinder", RotationSpec(NEAR_RATIONAL).coding.prefix(67)[7:]),
                           ("atom_of", (QuadraticReal(Fraction(1, 3)), 30))]))
 def test_a_warmed_spec_answers_like_a_fresh_one_and_the_oracles(query):
     # the spec memoises its tables up to the largest size asked;

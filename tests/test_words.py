@@ -138,19 +138,16 @@ def test_power_witness_is_a_factor(text, _k):
         lambda bn: (bn[0] * 300)[: bn[1]]
     ),
     st.integers(1, 300),
-    st.integers(0, 300),
 )
-@example("0", 1, 0)
-@example("0110", 300, 0)  # shorter than one packed word
-@example("\u20ac", 300, 0)  # one uint32 code, half a packed word
-@example("01" * 1000, 300, 0)  # dense: every even start outlives the first block
-@example("01" * 1000 + "1", 300, 1500)  # the suffix of a grown text, matched alone
-@example("a\u20ac" * 40 + "a\u00e9", 100, 0)  # mismatches in the second code of a word
-def test_prefix_match_matches_oracle(text, last, start):
-    start = min(start, len(text))
-    z = prefix_match(_codes(text), last, start)
+@example("0", 1)
+@example("0110", 300)  # shorter than one packed word
+@example("\u20ac", 300)  # one uint32 code, half a packed word
+@example("01" * 1000, 300)  # dense: every even start outlives the first block
+@example("a\u20ac" * 40 + "a\u00e9", 100)  # mismatches in the second code of a word
+def test_prefix_match_matches_oracle(text, last):
+    z = prefix_match(_codes(text), last)
     assert z.dtype == np.min_scalar_type(last)
-    assert z.tolist() == naive_prefix_match(text, last, start)
+    assert z.tolist() == naive_prefix_match(text, last)
 
 
 @given(binary1, st.integers(min_value=1, max_value=6))
