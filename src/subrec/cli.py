@@ -201,6 +201,7 @@ def cmd_xcheck(args) -> int:
     if args.cf:
         cf = parse_cf(args.cf)
     elif args.preset:
+        presets.get_preset(args.preset)  # refuses an unknown name as every command does
         cf = presets.PRESET_CF.get(args.preset)
         if cf is None or not cf.is_periodic:
             raise ValueError("no exact rotation model for %r" % (args.preset,))

@@ -39,6 +39,7 @@ class WindowCapExceeded(RuntimeError):
 
 _ENDS = "source %s ends after %d symbols, cylinder depth %d unreachable"
 _FEW = "prefix of depth %d of %s recurs less than twice in a %d-window"
+_QUOTED = 32  # the longest prefix a refusal quotes whole; a longer one by its head
 
 
 @dataclass(frozen=True)
@@ -431,8 +432,9 @@ def return_table(x, depth: int, window: int) -> list[ReturnTableRow]:
     second = int(np.partition(reach, -2)[-2]) if len(reach) > 1 else 0
     if second < depth:
         n = second + 1
+        quoted = repr(text[:n]) if n <= _QUOTED else "%r... (length %d)" % (text[:_QUOTED], n)
         raise InsufficientWindow(
-            "need at least 2 occurrences of %r, found %d" % (text[:n], (reach >= n).sum())
+            "need at least 2 occurrences of %s, found %d" % (quoted, (reach >= n).sum())
         )
     occ = np.flatnonzero(reach)
     ends = reach[occ]

@@ -74,6 +74,15 @@ def naive_prefix_match(text: str, last: int) -> list[int]:
     return out
 
 
+def naive_lce(text: str, i: int, j: int, cap: int) -> int:
+    """How many symbols text[i:] and text[j:] share from their start, at
+    most cap."""
+    m = 0
+    while m < cap and max(i, j) + m < len(text) and text[i + m] == text[j + m]:
+        m += 1
+    return m
+
+
 def naive_factor_stats(text: str, length: int) -> dict[str, tuple]:
     """{factor: (count, min gap, max gap)}, gaps None for a lone factor."""
     out = {}
@@ -164,6 +173,27 @@ def naive_max_power_witness(text: str) -> tuple[Fraction, str, int]:
             e = Fraction(period + run, period)
             if e > best[0]:
                 best = (e, text[i : i + period], i)
+    return best
+
+
+def scan_max_power_witness(text: str) -> tuple[Fraction, str, int]:
+    """naive_max_power_witness in one pass per period: the longest run of
+    positions i with text[i] == text[i + p], the leftmost first, is the
+    best factor of period p. Quadratic, so it reaches texts of some
+    thousands of symbols; it stops at the first p with n/p <= best."""
+    n = len(text)
+    best = (Fraction(1), text[:1], 0)
+    for period in range(1, n):
+        if Fraction(n, period) <= best[0]:
+            break
+        run = top = at = 0
+        for i in range(n - period):
+            run = run + 1 if text[i] == text[i + period] else 0
+            if run > top:
+                top, at = run, i - run + 1
+        e = Fraction(period + top, period)
+        if e > best[0]:
+            best = (e, text[at : at + period], at)
     return best
 
 

@@ -160,6 +160,15 @@ def test_xcheck_refuses_two_sources(capsys):
     assert (out, err) == ("", "subrec: error: pick exactly one of --preset, --cf\n")
 
 
+def test_xcheck_refuses_an_unknown_preset_as_every_command_does(capsys):
+    assert main(["xcheck", "--preset", "nope"]) == 1
+    xcheck = capsys.readouterr()
+    assert main(["rates", "--preset", "nope", "-N", "5"]) == 1
+    assert xcheck == capsys.readouterr()
+    assert xcheck.out == ""
+    assert xcheck.err == "subrec: error: unknown preset 'nope' (have: %s)\n" % ", ".join(preset_names())
+
+
 @pytest.mark.parametrize("preset", preset_names())
 def test_xcheck_of_a_preset_checks_its_periodic_expansion(preset, capsys):
     code = main(["xcheck", "--preset", preset, "-N", "40"])
@@ -199,10 +208,9 @@ def test_in_process_calls_read_like_fresh_processes(capsys):
 
 
 # Fixed hostile argv, each run in process: (argv, exit code, stdout head).
-# Two inputs stay out until they have caps: `power --window 1000000`, whose
-# power scan is quadratic in the window (ROADMAP item 7), and
-# `xcheck -N 1000000`, whose time is linear in N, about a minute at 10**6
-# (ROADMAP item 8).
+# `power --window 1000000` (up to 3 s and 155 MB, on thue-morse) and
+# `xcheck -N 1000000` (1.6-2.4 s, 330 MB) stay out, as they need more than
+# the 16 MiB allowed here; the contract test below draws both.
 HOSTILE_ARGV = {
     "unparsable-depth": (["rates", "--preset", "fibonacci", "-N", "x"], 1, ""),
     "help": (["--help"], 0, "usage: subrec"),
@@ -378,6 +386,11 @@ def test_config_cannot_pick_the_suite(tmp_path):
         # a window shorter than the depth ends at the first lone prefix
         (["--preset", "periodic01", "--window", "2"], "need at least 2 occurrences of '0', found 1"),
         (["--preset", "fibonacci", "--window", "5", "-N", "3"], "need at least 2 occurrences of '010', found 1"),
+        # a prefix of up to 32 symbols is quoted whole, a longer one by its head
+        (["--preset", "periodic01", "--window", "33", "-N", "40"],
+         "need at least 2 occurrences of %r, found 1" % ("01" * 16)),
+        (["--preset", "periodic01", "--window", "34", "-N", "40"],
+         "need at least 2 occurrences of %r... (length 33), found 1" % ("01" * 16)),
     ],
 )
 def test_returns_errors(argv, message):
@@ -388,7 +401,8 @@ def test_returns_errors(argv, message):
 
 def test_returns_refuses_a_prefix_longer_than_its_recurrence_up_front(capsys):
     # the first depth with one start, 8191, is refused before any row is
-    # built: 8190 rows, each keeping its own prefix, take 3 s and 34 MiB
+    # built: 8190 rows, each keeping its own prefix, take 3 s and 34 MiB;
+    # the message quotes the prefix's head and its length
     tracemalloc.start()
     try:
         with within(1):
@@ -399,7 +413,33 @@ def test_returns_refuses_a_prefix_longer_than_its_recurrence_up_front(capsys):
     assert peak < 4 << 20
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
-    assert err == "subrec: error: need at least 2 occurrences of %r, found 1\n" % ("01" * 4096)[:8191]
+    assert err == "subrec: error: need at least 2 occurrences of %r... (length 8191), found 1\n" % (
+        "01" * 16
+    )
+
+
+def test_returns_refuses_a_periodic_prefix_at_the_default_window_at_once(capsys):
+    # every start of the period matches to the end of the 65536-symbol
+    # window: prefix_match reads that from one query, not one per start
+    # (2.3 s when each start was compared to its end)
+    with within(1):
+        code = main(["returns", "--preset", "periodic01", "-N", "100000"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "subrec: error: need at least 2 occurrences of %r... (length 65535), found 1\n" % (
+        "01" * 16
+    )
+
+
+@pytest.mark.parametrize("preset", ["fibonacci", "thue-morse"])
+def test_power_at_a_window_of_65536_samples_its_periods(preset, capsys):
+    # one pass per period took 5.5 s here; the sampled periods take 0.1 s
+    with within(1):
+        code = main(["power", "--preset", preset, "--window", "65536"])
+    out = capsys.readouterr().out
+    assert code == 0 and out.startswith("window=65536\n")
+    if preset == "thue-morse":
+        assert "max_exponent=2/1\n" in out
 
 
 def test_returns_keeps_its_words_while_depths_only_trim_the_last_start(capsys):
@@ -463,13 +503,13 @@ def test_output_file(tmp_path):
 
 INTS = [0, 1, 2, -1, 3, 5, 17, 100, 1000, 10**6]
 CAPS = {  # a drawn integer above its cap is drawn as the cap
-    ("power", "window"): 4096,  # the power scan is quadratic in the window (ROADMAP item 7)
-    ("verify", "window"): 4096,  # morse-delta runs the same scan
+    ("power", "window"): 10**6,  # thue-morse, the slowest preset: 1.6-3.0 s and 155 MB at 10**6
+    ("verify", "window"): 10**6,  # morse-delta runs the same scan on thue-morse
     ("xcheck", "depth"): 10**6,  # linear in N: 1.6-2.4 s and 330 MB at 10**6
     ("rates", "depth"): 500,
     ("verify", "depth"): 500,
-    # periodic01 at --window 10**6 meets prefix_match's periodic worst case
-    # (ROADMAP item 8): 6.8 of 6.9 s in prefix_match at 8000, 19 s at 20000
+    # each row keeps its own prefix, so memory grows with the square of the
+    # depth: periodic01 at --window 10**6 takes 0.4 s and 244 MB at 20000
     ("returns", "depth"): 500,
     ("lr", "max_len"): 100,  # fibonacci at the default window: 2.4 s at 1000
     ("lr", "window"): 100_000,  # fibonacci at --max-len 100: 2.8 s at 10**6
