@@ -428,7 +428,7 @@ def return_table(x, depth: int, window: int) -> list[ReturnTableRow]:
     if not text:
         raise EmptyPattern("empty pattern")
     arr = _codes(text)
-    reach = np.minimum(prefix_match(arr, depth), len(arr) - np.arange(len(arr)))
+    reach = np.minimum(prefix_match(arr, min(depth, len(arr))), len(arr) - np.arange(len(arr)))
     second = int(np.partition(reach, -2)[-2]) if len(reach) > 1 else 0
     if second < depth:
         n = second + 1

@@ -391,6 +391,12 @@ def test_config_cannot_pick_the_suite(tmp_path):
          "need at least 2 occurrences of %r, found 1" % ("01" * 16)),
         (["--preset", "periodic01", "--window", "34", "-N", "40"],
          "need at least 2 occurrences of %r... (length 33), found 1" % ("01" * 16)),
+        # a depth past the window is read as the window: not wrapped to
+        # 32 bits (which made 2**32 + 5 a depth of 5), nor an overflow
+        (["--preset", "periodic01", "--window", "34", "-N", str(2**32 + 5)],
+         "need at least 2 occurrences of %r... (length 33), found 1" % ("01" * 16)),
+        (["--preset", "periodic01", "--window", "34", "-N", str(2**64 + 5)],
+         "need at least 2 occurrences of %r... (length 33), found 1" % ("01" * 16)),
     ],
 )
 def test_returns_errors(argv, message):
@@ -504,7 +510,9 @@ def test_output_file(tmp_path):
 INTS = [0, 1, 2, -1, 3, 5, 17, 100, 1000, 10**6]
 CAPS = {  # a drawn integer above its cap is drawn as the cap
     ("power", "window"): 10**6,  # thue-morse, the slowest preset: 1.6-3.0 s and 155 MB at 10**6
-    ("verify", "window"): 10**6,  # morse-delta runs the same scan on thue-morse
+    # morse-delta runs the same scan on thue-morse, then its rate series:
+    # 1.8-1.9 s and 146 MB at 10**6 with -N 500 --window-base 10**6
+    ("verify", "window"): 10**6,
     ("xcheck", "depth"): 10**6,  # linear in N: 1.6-2.4 s and 330 MB at 10**6
     ("rates", "depth"): 500,
     ("verify", "depth"): 500,

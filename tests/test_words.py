@@ -253,7 +253,8 @@ power_texts = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(power_texts)
 @example(_thue_ternary(120))  # no square: a best exponent below 2 sets the samples
-@example("abcdefghijklmnopqrstuvwxyz")  # no repetition at all: every period is scanned
+@example("abcdefghijklmnopqrstuvwxyz")  # no repetition: periods past 16 sampled at every position
+@example("".join(map(chr, range(65, 105))) * 2)  # the first repetition, a square, at period 40
 @example("0110" * 5 + "1" + "01" * 20)
 def test_sampled_power_witness_matches_oracle(text):
     w = max_power_witness(text)
