@@ -51,38 +51,41 @@ class Morphism:
 
     @cached_property
     def _tables(self):
-        """(domain codes, ascending; the images' codes end to end; where each
-        image starts in them; its length)."""
-        domain = sorted(self.images)
-        sizes = np.array([len(self.images[s]) for s in domain], dtype=np.intp)
-        return (
-            np.array([ord(s) for s in domain], dtype=np.uint32),
-            _codes("".join(self.images[s] for s in domain)),
-            np.cumsum(sizes) - sizes,
-            sizes,
-        )
+        """(row of each symbol code, -1 off the domain and at the one code
+        past its largest; each image's codes as a row, padded to the longest
+        image; the mask of real entries, or None when all images have one
+        length)."""
+        images, domain = list(self.images.values()), list(map(ord, self.images))
+        width = max(map(len, images), default=1)
+        codes = _codes("".join(img.ljust(width, "\0") for img in images))
+        rows = codes.reshape(len(images), width)
+        lut = np.full(max(domain, default=-1) + 2, -1, np.min_scalar_type(-1 - len(images)))
+        lut[domain] = np.arange(len(images))
+        if all(len(img) == width for img in images):
+            return lut, rows, None
+        return lut, rows, np.arange(width) < np.array([[len(img)] for img in images])
 
     def apply(self, word: str) -> str:
-        """The images of word's symbols, end to end, looked up in blocks of
-        _BLOCK symbols: a symbol with domain index d at output offset j
-        within its image reads flat[start[d] + j]. Any symbol outside the
-        domain raises, naming them all.
+        """The images of word's symbols, end to end, gathered as table rows
+        in blocks of up to _BLOCK symbols; the padding is masked out unless
+        all images have one length. Any symbol outside the domain raises,
+        naming them all.
         """
-        domain, flat, start, size = self._tables
+        lut, rows, mask = self._tables
+        # at most _BLOCK << 7 padded entries a block: one long image cannot
+        # swell a block of short ones
+        step = min(_BLOCK, max(1, (_BLOCK << 7) // rows.shape[1]))
         codes = _codes(word)
         out, bad = [], set()
-        for lo in range(0, len(codes), _BLOCK):
-            block = codes[lo : lo + _BLOCK]
-            idx = np.minimum(np.searchsorted(domain, block), len(domain) - 1)
-            miss = domain[idx] != block
+        for lo in range(0, len(codes), step):
+            block = codes[lo : lo + step]
+            idx = np.take(lut, block, mode="clip")  # a code past the table reads -1
+            miss = idx < 0
             if miss.any():
                 bad.update(map(chr, block[miss].tolist()))
                 continue
-            lens = size[idx]
-            ends = np.cumsum(lens)
-            at = np.repeat(start[idx] - ends + lens, lens)
-            at += np.arange(ends[-1])
-            out.append(_text(flat[at]))
+            got = np.take(rows, idx, axis=0)
+            out.append(_text(got.ravel() if mask is None else got[np.take(mask, idx, axis=0)]))
         if bad:
             raise ValueError("symbols outside domain: %s" % sorted(bad))
         return "".join(out)

@@ -381,12 +381,32 @@ def power_report(x, window: int) -> PowerWitness:
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class ReturnTableRow:
+    """Return words to prefix = text[:n]. The rows of one table share its
+    window as text, which is held once rather than once per depth; ==,
+    hash and repr go by (n, prefix, tau, words)."""
+
     n: int
-    prefix: str
+    text: str
     tau: int
     words: tuple[str, ...]  # sorted by (length, lexicographic)
+
+    @property
+    def prefix(self) -> str:
+        return self.text[: self.n]
+
+    def _key(self):
+        return self.n, self.prefix, self.tau, self.words
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "ReturnTableRow(n=%r, prefix=%r, tau=%r, words=%r)" % self._key()
 
 
 def _return_words(text: str, arr: np.ndarray, occ: np.ndarray) -> dict[str, int]:
@@ -443,7 +463,7 @@ def return_table(x, depth: int, window: int) -> list[ReturnTableRow]:
     values, many = np.unique(ends, return_counts=True)
     for v, c in zip(values.tolist(), many.tolist()):
         words = tuple(sorted((w for w, k in counts.items() if k), key=lambda w: (len(w), w)))
-        rows += [ReturnTableRow(m, text[:m], len(words[0]), words) for m in range(n, v + 1)]
+        rows += [ReturnTableRow(m, text, len(words[0]), words) for m in range(n, v + 1)]
         n = v + 1
         if n > depth:
             break

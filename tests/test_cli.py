@@ -504,8 +504,8 @@ def test_output_file(tmp_path):
 # added to the parser is drawn too. Integers come from INTS, capped
 # per (command, option dest) by CAPS so that each draw fits its time limit;
 # an option with no grammar of its own gets a short string. rates
-# --window-base and returns --window run to 10**6 uncapped: on periodic01
-# at -N 500, the slowest preset, they take 1.0 s and 0.5 s.
+# --window-base and returns --window run to 10**6 uncapped: rates at -N 500
+# takes at most 0.12 s over the presets, returns at -N 2000 at most 0.2 s.
 
 INTS = [0, 1, 2, -1, 3, 5, 17, 100, 1000, 10**6]
 CAPS = {  # a drawn integer above its cap is drawn as the cap
@@ -516,9 +516,10 @@ CAPS = {  # a drawn integer above its cap is drawn as the cap
     ("xcheck", "depth"): 10**6,  # linear in N: 1.6-2.4 s and 330 MB at 10**6
     ("rates", "depth"): 500,
     ("verify", "depth"): 500,
-    # each row keeps its own prefix, so memory grows with the square of the
-    # depth: periodic01 at --window 10**6 takes 0.4 s and 244 MB at 20000
-    ("returns", "depth"): 500,
+    # the rows share one window, but the output lists every row's return
+    # words, which grows with the square of the depth: at --window 10**6,
+    # thue-morse takes 0.2 s and 80 MB at 2000 and 0.4 s and 354 MB at 5000
+    ("returns", "depth"): 2000,
     ("lr", "max_len"): 100,  # fibonacci at the default window: 2.4 s at 1000
     ("lr", "window"): 100_000,  # fibonacci at --max-len 100: 2.8 s at 10**6
 }

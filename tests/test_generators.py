@@ -114,6 +114,9 @@ LONG = "a\u00e9\u20ac" * (generators._BLOCK // 3 + 5)  # over one block
 @example((WIDE, LONG + "0" + LONG + "x"))  # outside symbols in two blocks
 @example(({"0": "001", "1": "1"}, "0" * generators._BLOCK + "1"))
 @example(({"0": "01"}, ""))
+@example(({"0": "0\U0010ffff", "\U0010ffff": "1"}, "0\U0010ffff0"))  # the widest code's table
+# 2 reads the table's last entry, and \u20ac lies past it
+@example(({"0": "01", "1": "0"}, "0\u20ac12" * generators._BLOCK))
 def test_apply_matches_translate(case):
     images, word = case
     m = Morphism(images)
@@ -125,6 +128,21 @@ def test_apply_matches_translate(case):
         assert str(info.value) == str(exc)
     else:
         assert m.apply(word) == want
+
+
+def test_one_long_image_does_not_swell_the_blocks_of_short_ones():
+    # padded to the long image, a block of _BLOCK short symbols would gather
+    # over 800 MB
+    images = {"0": "0" + "1" * 100_000, "1": "1"}
+    word = "1" * 2000 + "0"
+    tracemalloc.start()
+    try:
+        got = Morphism(images).apply(word)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == translate_apply(images, word)
+    assert peak < 1 << 23
 
 
 def test_thue_morse_source_matches_oracle_across_extensions():
@@ -140,7 +158,7 @@ def test_thue_morse_source_matches_oracle_across_extensions():
     st.sampled_from(
         [thue_morse(), rho(1), Morphism({"0": "001", "1": "10"}), Morphism({"0": "01", "1": "02", "2": "0"})]
     ),
-    st.lists(st.integers(0, 5000), min_size=1, max_size=10),
+    st.lists(st.integers(0, 3 * generators._BLOCK), min_size=1, max_size=10),
 )
 def test_fixed_point_prefixes_nest_across_resumed_calls(m, lengths):
     src = FixedPointSource(m, "0")
