@@ -10,8 +10,10 @@ words.prefix_match: how far each start matches the prefix. The starts
 of depth n are those matching n symbols or more, so all depths up to the
 next match length share one start set, and the sweep and return_table
 work once per such block of depths, not once per depth. The sweep
-writes each block into tau, window and stabilized columns; the columns
-are the record of a RateSeries, and its TauResults are built on demand.
+settles most depths from their block's closest pair of starts, without
+running the window rounds, and writes each block into tau, window and
+stabilized columns; the columns are the record of a RateSeries, and its
+TauResults are built on demand.
 """
 
 from __future__ import annotations
@@ -92,18 +94,28 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
     k = #(p <= w - n), and tau is least[k - 1], least being the running
     minimum of their gaps after a leading 0 (no pair yet). A start whose
     match runs off the text never counts, as it lies past w - n. The
-    depths up to the least z over occ share occ and least, so the Python
-    loop runs once per such block and, inside it, once per window round
-    for all its depths still pending; a failing depth ends the sweep after
-    the depths before it are yielded. occ travels with its z values, so
-    each block filters one pair of arrays. A window longer than the text
-    grows it geometrically up to the cap, z is matched again over the
-    whole text, and the block starts over from its first windows: a
-    depth's value reads the text only up to its last window, so it does
-    not change.
+    depths up to the least z over occ share occ, so the Python loop runs
+    once per such block; a failing depth ends the sweep after the depths
+    before it are yielded. occ travels with its z values, so each block
+    filters one pair of arrays.
+    A block first settles its plateau. Let w1 = policy.initial(n) and
+    w2 = policy.grow(w1), and let occ[i], occ[i + 1] be the first closest
+    pair among the starts up to the greatest w2 - n of the block, m apart.
+    A depth with occ[i + 1] <= w1 - n and w1 < w2 <= len(text) reads tau = m
+    in both windows, as no window of it holds a closer pair, so the rounds
+    would settle it on its second window, stabilized, and the sweep writes
+    (m, w2, True) at once: the columns are those of the rounds. Only the
+    other depths (no pair in w1, w1 at the cap, w2 past the text read) build
+    least and run the window rounds, once per round for all of them. A
+    window longer than the text grows it geometrically up to the cap, z is
+    matched again over the whole text, and the block starts over from its
+    first windows: a depth's value reads the text only up to its last
+    window, so it does not change.
     No window passes the cap, so the text is never read past the cap or
     the word's max_length, and a first depth past either is refused
-    before any symbol is read.
+    before any symbol is read. When the first read already reaches that
+    bound, no depth past D + 1 recurs in it (D from _deepest_pair), so the
+    columns stop there, or at first.
     """
     cap, length = policy.cap, source.max_length
     bound = cap if length is None else min(cap, length)  # no read goes past it
@@ -114,7 +126,10 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
     arr = _codes(source.prefix(min(max(last, int(policy.grow(policy.initial(last)))), cap)))
     index = np.int32 if cap < 2**31 else np.int64  # holds any start
     z = prefix_match(arr, min(last, len(arr)))
-    ns = np.arange(first, min(last, len(arr)) + 1)
+    top = min(last, len(arr))
+    if len(arr) == bound:  # the text cannot grow, so depth D + 1 fails if it is reached
+        top = max(first, min(top, _deepest_pair(z, top) + 1))
+    ns = np.arange(first, top + 1)
     window = policy.initial(ns)  # grown per round, then the window read
     tau = np.zeros(len(ns), np.int64)  # tau in the last window; 0 for none
     stabilized = np.zeros(len(ns), bool)
@@ -127,10 +142,21 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
             keep = np.flatnonzero(zo >= ns[lo])  # cheaper than a boolean mask, twice
             occ, zo = occ[keep], zo[keep]
         hi = min(int(zo.min()) - first + 1, stop)  # ns[lo:hi] start at occ
-        least = np.zeros(len(occ), index)
-        np.subtract(occ[1:], occ[:-1], out=least[1:])  # the gaps, in place
-        np.minimum.accumulate(least[1:], out=least[1:])
         todo = np.arange(lo, hi)
+        w1, w2 = window[lo:hi], policy.grow(window[lo:hi])
+        k = occ.searchsorted(min(int((w2 - ns[lo:hi]).max()), len(arr)), "right")
+        if k > 1:  # the plateau: occ[i], occ[i + 1] is the closest pair in any w2
+            gaps = np.diff(occ[:k])
+            i = int(gaps.argmin())
+            flat = (occ[i + 1] <= w1 - ns[lo:hi]) & (w1 < w2) & (w2 <= len(arr))
+            tau[lo:hi][flat], window[lo:hi][flat], stabilized[lo:hi][flat] = gaps[i], w2[flat], True
+            todo = todo[~flat]
+            del gaps, flat
+        del w1, w2  # block-sized, like todo: free them before the rounds
+        if len(todo):
+            least = np.zeros(len(occ), index)
+            np.subtract(occ[1:], occ[:-1], out=least[1:])  # the gaps, in place
+            np.minimum.accumulate(least[1:], out=least[1:])
         while len(todo):
             w = window[todo]
             if w.max() > len(arr) and len(arr) < bound:
@@ -164,6 +190,19 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
             lo = hi
     if failure is not None:
         raise WindowCapExceeded(failure)
+
+
+def _deepest_pair(z: np.ndarray, last: int) -> int:
+    """D = max over p >= 1 of min(z[p], len(z) - p), the deepest prefix
+    with two starts in the text z was matched over (z from prefix_match,
+    capped at last), or more where D reaches last. A start matching fewer
+    than last symbols stopped inside the text; of the others, the first
+    reaches furthest. Only boolean temporaries are as long as the text."""
+    full = z == last
+    full[0] = False  # start 0 is the prefix itself
+    p = int(full.argmax())
+    inside = int(z[1:].max(where=~full[1:], initial=0))
+    return max(inside, len(z) - p) if full[p] else inside
 
 
 def _rows(chunks):

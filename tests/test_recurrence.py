@@ -31,12 +31,15 @@ from subrec import (
 )
 from subrec.generators import gamma, rho
 from subrec.presets import get_preset, golden_kappa_steps, preset_names
-from subrec.recurrence import SubInvarianceReport
+from subrec.recurrence import SubInvarianceReport, _deepest_pair
+from subrec.rotation import RotationSpec
 from subrec.words import (
     EmptyPattern,
     InsufficientWindow,
     PowerWitness,
+    _codes,
     factor_keys,
+    prefix_match,
 )
 from guards import within
 from oracles import (
@@ -123,6 +126,34 @@ def test_the_sweep_matches_no_further_than_its_text():
     finally:
         tracemalloc.stop()
     assert peak < 80 << 20
+
+
+def test_the_sweep_sizes_its_columns_to_the_depths_with_two_starts():
+    # the text read reaches the cap, so no depth past the deepest prefix
+    # with two starts (534347 here) can recur: the depth columns stop one
+    # past it, not at the text length. A traced peak of 33.3 MiB, against
+    # 77.4 MiB with columns for all 2**20 depths
+    tracemalloc.start()
+    try:
+        with pytest.raises(WindowCapExceeded, match="^prefix of depth 534348 of fibonacci "):
+            rate_series(get_preset("fibonacci"), 10**15, WindowPolicy(1000, 2**20))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 << 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="01", min_size=1, max_size=60) | st.sampled_from(["0", "00", "0" * 40, "01" * 20]),
+       st.integers(1, 70))
+def test_deepest_pair_matches_oracle(text, last):
+    def lcp(p):
+        return next((m for m in range(len(text) - p) if text[p + m] != text[m]), len(text) - p)
+
+    want = max(map(lcp, range(1, len(text))), default=0)
+    last = min(last, len(text))
+    z = prefix_match(_codes(text), last)
+    assert min(_deepest_pair(z, last), last) == min(want, last)
 
 
 class CapFirst(WindowPolicy):
@@ -566,6 +597,8 @@ source_specs = st.one_of(
     ),
     kappa_specs,
     st.tuples(st.just("cf"), st.lists(st.integers(1, 5), min_size=1, max_size=6)),
+    # the periodic part of a rotation angle: the coding xcheck sweeps
+    st.tuples(st.just("rotation"), st.lists(st.integers(1, 5), min_size=1, max_size=4)),
     st.tuples(st.just("preset"), st.sampled_from(preset_names())),
 )
 # a deep prefix far rarer than the shallower ones makes the text grow at a
@@ -597,6 +630,8 @@ def build(spec):
         return KappaSource([(rho if r == "r" else gamma)(i) for r, i in arg])
     if kind == "cf":
         return StandardWordSource(CFExpansion(tuple(arg)))
+    if kind == "rotation":
+        return RotationSpec(CFExpansion((), tuple(arg))).coding
     return get_preset(arg)
 
 
@@ -653,6 +688,24 @@ DROPS_ONE_START = (("text", "1" + "0" * 49 + "11" + "0" * 68 + "1" + "0" * 79), 
 # the shifted word stabilizes at window 100 on 30; the word itself only
 # meets its gap of 5 at window 200, so the finite-window check fails
 LATE_SHORT_GAP = (("text", "01" + "0" * 28 + "01" + "0" * 88 + "01000" + "01" + "0" * 873), 1, 3000, 2)
+# The sweep settles a depth without window rounds when its two windows
+# w1 < w2 fit the text read and w1 holds the later start of the closest
+# pair in the block's widest second window; at base 1, w1 = 50 n, w2 = 100 n.
+# Depths 1 and 2 share their starts 0, 40, 150, 160: the closest pair lies
+# in depth 2's second window (starts up to 198) and past depth 1's (up to
+# 99), so a gap minimum taken only up to 99 would settle depth 2 on 40
+CLOSEST_PAIR_PAST_SHALLOW_SECOND_WINDOW = (
+    ("text", "1" + "0" * 39 + "1" + "0" * 109 + "1" + "0" * 9 + "1" + "0" * 339), 1, 3000, 2,
+)
+# the later start of the closest pair at 49 = w1 - n, the last start in the
+# first window, then one symbol past it, where only the second window sees it
+CLOSEST_PAIR_AT_FIRST_WINDOW_EDGE = (("text", "1" + "0" * 38 + "1" + "0" * 9 + "1" + "0" * 350), 1, 3000, 1)
+CLOSEST_PAIR_PAST_FIRST_WINDOW_EDGE = (("text", "1" + "0" * 39 + "1" + "0" * 9 + "1" + "0" * 349), 1, 3000, 1)
+# the word ends between the two windows, 50 and 100: the value stands on
+# the whole word, 70 symbols, not on a second window of 100
+ENDS_BEFORE_SECOND_WINDOW = (("text", "1" + "0" * 29 + "1" + "0" * 9 + "1" + "0" * 29), 1, 3000, 1)
+# depth 2's first window is the cap, so it settles there unstabilized
+FIRST_WINDOW_AT_CAP = (("text", "1" + "0" * 29 + "1" + "0" * 9 + "1" + "0" * 359), 1, 100, 2)
 
 
 def test_examples_reach_every_window_branch():
@@ -677,6 +730,13 @@ def test_examples_reach_every_window_branch():
     assert [r.tau for r in naive_taus(*DROPS_ONE_START)] == [1, 51]
     first, second = naive_taus(*TRIMS_ONLY)
     assert first == TauResult(1, 39, 200, True) and second == TauResult(2, 31, 800, True)
+    assert naive_taus(*CLOSEST_PAIR_PAST_SHALLOW_SECOND_WINDOW) == [
+        TauResult(1, 40, 100, True), TauResult(2, 10, 400, True)
+    ]
+    assert naive_taus(*CLOSEST_PAIR_AT_FIRST_WINDOW_EDGE) == [TauResult(1, 10, 100, True)]
+    assert naive_taus(*CLOSEST_PAIR_PAST_FIRST_WINDOW_EDGE) == [TauResult(1, 10, 200, True)]
+    assert naive_taus(*ENDS_BEFORE_SECOND_WINDOW) == [TauResult(1, 10, 70, True)]
+    assert naive_taus(*FIRST_WINDOW_AT_CAP) == [TauResult(1, 10, 100, True), TauResult(2, 10, 100, False)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -686,6 +746,11 @@ def test_examples_reach_every_window_branch():
 @example(*ENDS_BEFORE_DEPTH)
 @example(*GROWS_PAST_FIRST_READ)
 @example(*GAP_AT_FIRST_NEW_POSITION)
+@example(*CLOSEST_PAIR_PAST_SHALLOW_SECOND_WINDOW)
+@example(*CLOSEST_PAIR_AT_FIRST_WINDOW_EDGE)
+@example(*CLOSEST_PAIR_PAST_FIRST_WINDOW_EDGE)
+@example(*ENDS_BEFORE_SECOND_WINDOW)
+@example(*FIRST_WINDOW_AT_CAP)
 @example(("preset", "fibonacci"), 10_000, 2**31, 16)  # a cap of 2**31 switches to int64 starts
 def test_sweep_matches_naive_window_loop(spec, base, cap, depth):
     policy = WindowPolicy(base, cap)
@@ -693,6 +758,25 @@ def test_sweep_matches_naive_window_loop(spec, base, cap, depth):
     expect_series(lambda: rate_series(build(spec), depth, policy).entries, want)
     for n, w in enumerate(want, 1):
         expect_series(lambda: [tau_cylinder(build(spec), n, policy)], [w])
+
+
+class ShallowFirst(WindowPolicy):
+    """Wider first windows for shallower depths, so a shallow depth's second
+    window passes the text the sweep reads for the deepest one."""
+
+    def initial(self, n):
+        return np.clip(self.base // n, 1, self.cap)
+
+
+def test_a_second_window_past_the_text_read_grows_it():
+    # depths 1 and 2 share the starts 0, 30, 120, 125; the sweep first
+    # reads grow(initial(2)) = 100 symbols, but depth 1's second window is
+    # 200 and meets the closest pair only past the text read
+    spec = ("text", "1" + "0" * 29 + "1" + "0" * 89 + "1" + "0" * 4 + "1" + "0" * 874)
+    policy = ShallowFirst(100, 3000)
+    want = [TauResult(1, 5, 400, True), TauResult(2, 30, 100, True)]
+    assert rate_series(build(spec), 2, policy).entries == want
+    assert [tau_cylinder(build(spec), n, policy) for n in (1, 2)] == want
 
 
 @settings(max_examples=60, deadline=None)
