@@ -15,6 +15,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from . import presets
 from .contfrac import parse_cf
@@ -97,12 +98,13 @@ def add_window_args(p: argparse.ArgumentParser):
     p.add_argument("--window-cap", type=int, help="window growth cap (default 10^7)")
 
 
-def write_out(text: str, out: str | None):
+def write_out(chunks, out: str | None = None):
+    """Write the text chunks to out, or stdout, each as it comes."""
     if out and out != "-":
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 # --------------------------------------------------------------- subcommands
@@ -127,7 +129,7 @@ def cmd_generate(args) -> int:
             "%s yields only %d symbols (%d requested)"
             % (source.name, len(word), args.length)
         )
-    write_out(word + "\n", args.out)
+    write_out((word, "\n"), args.out)
     print("source=%s length=%d" % (source.name, len(word)), file=sys.stderr)
     return EXIT_OK
 
@@ -136,7 +138,7 @@ def cmd_rates(args) -> int:
     _require(args, "depth")
     source = build_source(args)
     series = rate_series(source, args.depth, window_policy(args))
-    write_out(series.to_csv(), args.out)
+    write_out(series.csv_chunks(), args.out)
     bad = int(len(series.n) - series.stabilized.sum())
     print(
         "source=%s depth=%d tail(n>=%d): min=%s max=%s unstabilized=%d"
@@ -163,35 +165,26 @@ def _window(args, default: int) -> int:
 def cmd_returns(args) -> int:
     source = build_source(args)
     rows = return_table(source, _fallback(args, "depth", 8), _window(args, 65536))
-    lines = ["n,tau,return_words"]
-    for r in rows:
-        lines.append("%d,%d,%s" % (r.n, r.tau, " ".join(r.words)))
-    write_out("\n".join(lines) + "\n", args.out)
+    # one line per row: a row's return words have no width bound
+    lines = ("%d,%d,%s\n" % (r.n, r.tau, " ".join(r.words)) for r in rows)
+    write_out(chain(["n,tau,return_words\n"], lines), args.out)
     return EXIT_OK
 
 
 def cmd_power(args) -> int:
     source = build_source(args)
     rep = power_report(source, _fallback(args, "window", 4096))
-    print("window=%d" % rep.analyzed_length)
-    print("max_exponent=%s" % frac(rep.exponent))
-    print("base=%s" % rep.base)
-    print("position=%d" % rep.position)
-    print("factor=%s" % rep.factor)
+    fields = rep.analyzed_length, frac(rep.exponent), rep.base, rep.position, rep.factor
+    write_out(["window=%d\nmax_exponent=%s\nbase=%s\nposition=%d\nfactor=%s\n" % fields])
     return EXIT_OK
 
 
 def cmd_lr(args) -> int:
     source = build_source(args)
-    rep = lr_constant_estimate(
-        source, _fallback(args, "max_len", 20), _window(args, 100_000)
-    )
-    print("max_len=%d" % rep.max_len)
-    print("window=%d" % rep.window)
-    print("k_estimate=%s" % frac(rep.k_estimate))
-    print("k_lower_gap=%s" % frac(rep.k_lower_gap))
-    print("k_witness=%s" % rep.k_witness)
-    print("gap_witness=%s" % rep.gap_witness)
+    rep = lr_constant_estimate(source, _fallback(args, "max_len", 20), _window(args, 100_000))
+    fmt = "max_len=%d\nwindow=%d\nk_estimate=%s\nk_lower_gap=%s\nk_witness=%s\ngap_witness=%s\n"
+    fields = frac(rep.k_estimate), frac(rep.k_lower_gap), rep.k_witness, rep.gap_witness
+    write_out([fmt % (rep.max_len, rep.window, *fields)])
     return EXIT_OK
 
 
@@ -208,7 +201,7 @@ def cmd_xcheck(args) -> int:
     else:
         raise ValueError("xcheck needs --cf or a preset with an exact angle")
     report = cross_check(RotationSpec(cf), _fallback(args, "depth", 200), window_policy(args))
-    write_out(report.to_csv(), args.out)
+    write_out(report.csv_chunks(), args.out)
     if not report.ok:
         first = report.mismatches[0]
         print(
@@ -362,7 +355,7 @@ def cmd_verify(args) -> int:
         "passed": all(c["passed"] for c in checks),
         "checks": checks,
     }
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    write_out([json.dumps(summary, indent=2, sort_keys=True), "\n"])
     return EXIT_OK if summary["passed"] else EXIT_VERIFY
 
 
@@ -485,7 +478,7 @@ def main(argv=None) -> int:
     except WindowCapExceeded as exc:
         print("subrec: degraded: %s" % exc, file=sys.stderr)
         return EXIT_DEGRADED
-    except ValueError as exc:  # every input error of the library subclasses it
+    except (OSError, ValueError) as exc:  # an unwritable -o, or any input error of the library
         print("subrec: error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

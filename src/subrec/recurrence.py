@@ -212,6 +212,14 @@ def _rows(chunks):
         yield from zip(*(c.tolist() for c in chunk))
 
 
+def _csv_chunks(header: str, fmt: str, rows: int, values):
+    """A table as CSV text: the header line, then its rows in blocks of 2**16, each
+    formatted at once as fmt * rows % values(lo, hi), the flat values of rows lo..hi."""
+    yield header + "\n"
+    for lo in range(0, rows, 1 << 16):
+        yield fmt * min(rows - lo, 1 << 16) % tuple(values(lo, lo + (1 << 16)))
+
+
 def tau_cylinder(x, n: int, policy: WindowPolicy = DEFAULT_POLICY) -> TauResult:
     """Recurrence time of the depth-n cylinder of x.
 
@@ -295,11 +303,15 @@ class RateSeries:
             out.append(least)
         return out
 
+    def csv_chunks(self):
+        def values(lo, hi):
+            n, tau, window, stabilized = (c[lo:hi] for c in self._columns)
+            g = np.gcd(tau, n)
+            return np.column_stack((n, tau, tau // g, n // g, window, stabilized)).ravel().tolist()
+        return _csv_chunks(self.CSV_HEADER, "%d,%d,%d,%d,%d,%d\n", len(self.n), values)
+
     def to_csv(self) -> str:
-        g = np.gcd(self.tau, self.n)
-        cols = (self.n, self.tau, self.tau // g, self.n // g, self.window, self.stabilized)
-        body = np.column_stack(cols).ravel().tolist()
-        return self.CSV_HEADER + "\n" + "%d,%d,%d,%d,%d,%d\n" * len(self.n) % tuple(body)
+        return "".join(self.csv_chunks())
 
 
 def rate_series(x, depth: int, policy: WindowPolicy = DEFAULT_POLICY) -> RateSeries:

@@ -29,7 +29,7 @@ from .generators import (
     kappa_images,
 )
 from .quadratic import ONE, ZERO, QuadraticReal
-from .recurrence import DEFAULT_POLICY, WindowPolicy, rate_series
+from .recurrence import DEFAULT_POLICY, WindowPolicy, _csv_chunks, rate_series
 
 
 @dataclass(frozen=True)
@@ -371,12 +371,17 @@ class CrossCheckReport:
     def ok(self) -> bool:
         return bool((self.tau_symbolic == self.tau_geometric).all())
 
-    def to_csv(self) -> str:
+    def csv_chunks(self):
         approx = ["%.12g" % float(length) for length in self.lengths]
-        match = (self.tau_symbolic == self.tau_geometric).tolist()
-        cols = (self.n.tolist(), self.tau_symbolic.tolist(), self.tau_geometric.tolist())
-        body = chain.from_iterable(zip(*cols, map(approx.__getitem__, self.move.tolist()), match))
-        return self.CSV_HEADER + "\n" + "%d,%d,%d,%s,%d\n" * len(self.n) % tuple(body)
+
+        def values(lo, hi):
+            n, s, g, move = (c[lo:hi] for c in self._columns)
+            cols = (n.tolist(), s.tolist(), g.tolist(), map(approx.__getitem__, move.tolist()))
+            return chain.from_iterable(zip(*cols, (s == g).tolist()))
+        return _csv_chunks(self.CSV_HEADER, "%d,%d,%d,%s,%d\n", len(self.n), values)
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_chunks())
 
 
 def cross_check(

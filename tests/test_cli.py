@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subrec import RotationCodingSource, parse_cf, quadratic_of_cf, rate_series
+from subrec import RotationCodingSource, cli, parse_cf, quadratic_of_cf, rate_series
 from subrec.cli import SUITES, build_parser, main
 from subrec.presets import PRESET_CF, preset_names
 from guards import within
+from oracles import naive_rate_csv, naive_xcheck_csv
 
 PY = [sys.executable, "-m", "subrec.cli"]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -209,7 +210,7 @@ def test_in_process_calls_read_like_fresh_processes(capsys):
 
 # Fixed hostile argv, each run in process: (argv, exit code, stdout head).
 # `power --window 1000000` (up to 3 s and 155 MB, on thue-morse) and
-# `xcheck -N 1000000` (1.6-2.4 s, 330 MB) stay out, as they need more than
+# `xcheck -N 1000000` (1.2-1.8 s, 171-242 MB) stay out, as they need more than
 # the 16 MiB allowed here; the contract test below draws both.
 HOSTILE_ARGV = {
     "unparsable-depth": (["rates", "--preset", "fibonacci", "-N", "x"], 1, ""),
@@ -498,6 +499,102 @@ def test_output_file(tmp_path):
     assert out.read_text().startswith("n,tau,")
 
 
+# ------------------------------------------------------------ table writer
+
+def _keeping(monkeypatch, name):
+    """Let main call cli.<name> as it does, and keep what it returned."""
+    kept, real = [], getattr(cli, name)
+
+    def keep(*args):
+        kept.append(real(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(cli, name, keep)
+    return kept
+
+
+@pytest.mark.parametrize("depth", [2**16 - 1, 2**16, 2**16 + 1])
+def test_tables_in_blocks_read_like_the_row_by_row_references(depth, tmp_path, monkeypatch, capsys):
+    # tables are formatted 2**16 rows at a time: a block dropped, repeated
+    # or cut mid-row shows against references that format one row at a time
+    out = tmp_path / "table.csv"
+    series = _keeping(monkeypatch, "rate_series")
+    assert main(["rates", "--preset", "periodic01", "-N", str(depth), "-o", str(out)]) == 0
+    rows = [(e.n, e.tau, e.window, e.stabilized) for e in series[0].entries]
+    assert len(rows) == depth and out.read_text() == naive_rate_csv(rows)
+    reports = _keeping(monkeypatch, "cross_check")
+    assert main(["xcheck", "--cf", "[0;(2)]", "-N", str(depth), "-o", str(out)]) == 0
+    rows = [(r.n, r.tau_symbolic, r.tau_geometric, float(r.atom_length), r.match) for r in reports[0].rows]
+    assert len(rows) == depth and out.read_text() == naive_xcheck_csv(rows)
+    assert capsys.readouterr().out == ""
+
+
+def test_returns_holds_less_than_the_file_it_writes(tmp_path):
+    # the rows share their words, but the text lists each row's, so it grows
+    # with the square of the depth; joined whole it took 36 MB of traced
+    # memory for this 12 MB file, and written row by row it takes 3 MB
+    out = tmp_path / "returns.csv"
+    tracemalloc.start()
+    try:
+        code = main(["returns", "--preset", "fibonacci", "-N", "3000", "--window", "100000", "-o", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < out.stat().st_size
+
+
+def test_rates_holds_one_block_of_its_table_at_a_time(tmp_path, monkeypatch):
+    # traced from the end of the sweep, writing the table takes what one
+    # 2**16-row block takes (14 MB here), however many blocks there are;
+    # held whole, the text took twice that at 2 blocks. A block's values
+    # take about 8 times its text, so the peak falls below the file only
+    # from about 9 blocks on, and the sweep's own peak is larger still
+    real = cli.rate_series
+
+    def swept(*args):
+        series = real(*args)
+        tracemalloc.start()
+        return series
+
+    monkeypatch.setattr(cli, "rate_series", swept)
+    peaks = []
+    for depth in (2**16, 2 * 2**16):
+        try:
+            assert main(["rates", "--preset", "periodic01", "-N", str(depth), "-o", str(tmp_path / "r.csv")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
+
+
+@pytest.mark.parametrize("bad", ["missing/table.csv", ""])  # "" names tmp_path, a directory
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--preset", "fibonacci", "--length", "5"],
+        ["rates", "--preset", "fibonacci", "-N", "5"],
+        ["returns", "--preset", "fibonacci", "-N", "5"],
+        ["xcheck", "--cf", "[0;(1)]", "-N", "5"],
+    ],
+)
+def test_an_unwritable_out_is_refused_by_exit_1(argv, bad, tmp_path, capsys):
+    # it used to escape main as FileNotFoundError or IsADirectoryError
+    path = str(tmp_path / bad)
+    assert main(argv + ["-o", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("subrec: error: [Errno ") and repr(path) in err
+
+
+def test_a_closed_pipe_still_exits_0(monkeypatch):
+    # BrokenPipeError is an OSError too, and must not read as exit 1
+    class Closed(io.StringIO):
+        def writelines(self, chunks):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["rates", "--preset", "fibonacci", "-N", "5"]) == 0
+
+
 # ------------------------------------------------------------ CLI contract
 # argv lists are drawn from build_parser()'s own subcommands and options,
 # and its top-level ones (--config) before the subcommand, so an option
@@ -513,12 +610,14 @@ CAPS = {  # a drawn integer above its cap is drawn as the cap
     # morse-delta runs the same scan on thue-morse, then its rate series:
     # 1.8-1.9 s and 146 MB at 10**6 with -N 500 --window-base 10**6
     ("verify", "window"): 10**6,
-    ("xcheck", "depth"): 10**6,  # linear in N: 1.6-2.4 s and 330 MB at 10**6
+    # linear in N: 1.2-1.8 s and 171-242 MB max RSS at 10**6 with -o to a file
+    ("xcheck", "depth"): 10**6,
     ("rates", "depth"): 500,
     ("verify", "depth"): 500,
     # the rows share one window, but the output lists every row's return
     # words, which grows with the square of the depth: at --window 10**6,
-    # thue-morse takes 0.2 s and 80 MB at 2000 and 0.4 s and 354 MB at 5000
+    # thue-morse takes 0.18 s and 65 MB max RSS at 2000, and 0.24 s and
+    # 65 MB at 5000, with -o to a file
     ("returns", "depth"): 2000,
     ("lr", "max_len"): 100,  # fibonacci at the default window: 2.4 s at 1000
     ("lr", "window"): 100_000,  # fibonacci at --max-len 100: 2.8 s at 10**6
@@ -529,7 +628,7 @@ STRINGS = {
            "[1;(2)]", "(1)"],
     "kappa": ["r1", "r1,g2", "g1,g1,r3", "r1000000", "x", "r"],
     "config": [os.devnull, "no-such-dir/config"],
-    "out": ["-"],  # no draw writes a file
+    "out": ["-", "no-such-dir/out.csv"],  # no draw writes a file; the second is refused, exit 1
 }
 HEADS = {
     "generate": None,  # a binary word and a newline, checked below
