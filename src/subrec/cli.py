@@ -481,6 +481,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # an unwritable -o, or any input error of the library
         print("subrec: error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print("subrec: error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

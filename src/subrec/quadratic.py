@@ -42,6 +42,82 @@ def _squarefree_part(d: int) -> tuple[int, int]:
     return f * root, s
 
 
+def _operand(x) -> tuple | None:
+    """x's integer form, or None when x is not an exact number."""
+    if isinstance(x, QuadraticReal):
+        return x._v
+    if isinstance(x, int):
+        return (x, 0, 1, 0)
+    if isinstance(x, Fraction):
+        return (x.numerator, 0, x.denominator, 0)
+    return None
+
+
+def _meet(u: tuple, v: tuple) -> tuple[tuple, tuple]:
+    """u and v over one radicand, for radicands d1 != d2, both nonzero: they
+    meet when d1*d2 = s*s, and the operand over the larger radicand moves to
+    the smaller, d, by sqrt(d1*d2/d) = (s/d)*sqrt(d), unnormalised."""
+    d1, d2 = u[3], v[3]
+    s = isqrt(d1 * d2)
+    if s * s != d1 * d2:
+        raise ValueError("mixed radicands %d and %d" % (d1, d2))
+    d = min(d1, d2)
+    g = gcd(s, d)
+    p, q, r, _ = v if d == d1 else u
+    moved = (p * (d // g), q * (s // g), r * (d // g), d)
+    return (u, moved) if d == d1 else (moved, v)
+
+
+def _align(u: tuple, v: tuple) -> tuple:
+    """(p1, q1, r1, p2, q2, r2, d): u and v over one radicand d, 0 if both are rational."""
+    if u[3] != v[3] and u[3] and v[3]:
+        u, v = _meet(u, v)
+    p1, q1, r1, d1 = u
+    p2, q2, r2, d2 = v
+    return p1, q1, r1, p2, q2, r2, d1 or d2
+
+
+def _neg(v: tuple) -> tuple:
+    return (-v[0], -v[1], v[2], v[3])
+
+
+def _add(u: tuple, v: tuple) -> QuadraticReal:
+    p1, q1, r1, p2, q2, r2, d = _align(u, v)
+    if r1 == r2:
+        return _new(p1 + p2, q1 + q2, r1, d)
+    return _new(p1 * r2 + p2 * r1, q1 * r2 + q2 * r1, r1 * r2, d)
+
+
+def _sub(u: tuple, v: tuple) -> QuadraticReal:
+    return _add(u, _neg(v))
+
+
+def _mul(u: tuple, v: tuple) -> QuadraticReal:
+    p1, q1, r1, p2, q2, r2, d = _align(u, v)
+    return _new(p1 * p2 + q1 * q2 * d, p1 * q2 + q1 * p2, r1 * r2, d)
+
+
+def _div(u: tuple, v: tuple) -> QuadraticReal:
+    p1, q1, r1, p2, q2, r2, d = _align(u, v)
+    # multiply by the conjugate; the norm is nonzero for nonzero divisors
+    norm = p2 * p2 - q2 * q2 * d
+    if norm == 0:
+        raise ZeroDivisionError("division by zero quadratic value")
+    if norm < 0:
+        norm, r2 = -norm, -r2
+    return _new(r2 * (p1 * p2 - q1 * q2 * d), r2 * (q1 * p2 - p1 * q2), r1 * norm, d)
+
+
+def _operator(op, reflected=False):
+    """A binary dunder: op on the integer forms (other's first if reflected)."""
+    def method(self, other):
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        return op(o, self._v) if reflected else op(self._v, o)
+    return method
+
+
 class QuadraticReal:
     """Immutable exact number a + b*sqrt(d)."""
 
@@ -84,57 +160,15 @@ class QuadraticReal:
     def is_rational(self) -> bool:
         return self._v[1] == 0
 
-    def __add__(self, other):
-        o = _operand(other)
-        if o is None:
-            return NotImplemented
-        return _add(self._v, o)
-
-    __radd__ = __add__
+    __add__ = __radd__ = _operator(_add)
+    __sub__ = _operator(_sub)
+    __rsub__ = _operator(_sub, reflected=True)
+    __mul__ = __rmul__ = _operator(_mul)
+    __truediv__ = _operator(_div)
+    __rtruediv__ = _operator(_div, reflected=True)
 
     def __neg__(self):
-        p, q, r, d = self._v
-        return _wrap((-p, -q, r, d))
-
-    def __sub__(self, other):
-        o = _operand(other)
-        if o is None:
-            return NotImplemented
-        p, q, r, d = o
-        return _add(self._v, (-p, -q, r, d))
-
-    def __rsub__(self, other):
-        o = _operand(other)
-        if o is None:
-            return NotImplemented
-        p, q, r, d = self._v
-        return _add(o, (-p, -q, r, d))
-
-    def __mul__(self, other):
-        o = _operand(other)
-        if o is None:
-            return NotImplemented
-        u = self._v
-        if u[3] != o[3] and u[3] and o[3]:
-            u, o = _meet(u, o)
-        p1, q1, r1, d1 = u
-        p2, q2, r2, d2 = o
-        d = d1 or d2
-        return _new(p1 * p2 + q1 * q2 * d, p1 * q2 + q1 * p2, r1 * r2, d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _operand(other)
-        if o is None:
-            return NotImplemented
-        return _div(self._v, o)
-
-    def __rtruediv__(self, other):
-        o = _operand(other)
-        if o is None:
-            return NotImplemented
-        return _div(o, self._v)
+        return _wrap(_neg(self._v))
 
     def sign(self) -> int:
         p, q, _, d = self._v
@@ -146,12 +180,7 @@ class QuadraticReal:
         o = _operand(other)
         if o is None:
             raise TypeError("cannot compare QuadraticReal with %s" % type(other).__name__)
-        u = self._v
-        if u[3] != o[3] and u[3] and o[3]:
-            u, o = _meet(u, o)
-        p1, q1, r1, d1 = u
-        p2, q2, r2, d2 = o
-        d = d1 or d2
+        p1, q1, r1, p2, q2, r2, d = _align(self._v, o)
         if r1 == r2:
             return _sign(p1 - p2, q1 - q2, d)
         return _sign(p1 * r2 - p2 * r1, q1 * r2 - q2 * r1, d)
@@ -182,6 +211,9 @@ class QuadraticReal:
     def __ge__(self, other):
         return self._cmp(other) >= 0
 
+    def __bool__(self):
+        return self._v[:2] != (0, 0)  # sqrt(d) is irrational, so 0 only when p = q = 0
+
     def __hash__(self):
         p, q, r, d = self._v
         if q == 0:
@@ -202,6 +234,9 @@ class QuadraticReal:
         elif q < 0:
             p -= isqrt(q * q * d) + 1  # q*sqrt(d) is irrational, never an integer
         return p // r
+
+    def __ceil__(self) -> int:
+        return -(-self).__floor__()
 
     def floor(self) -> int:
         return self.__floor__()
@@ -254,61 +289,6 @@ def _sign(p: int, q: int, d: int) -> int:
     if p > 0:
         return 1 if p * p > q * q * d else -1
     return 1 if q * q * d > p * p else -1
-
-
-def _operand(x) -> tuple | None:
-    """x's integer form, or None when x is not an exact number."""
-    if isinstance(x, QuadraticReal):
-        return x._v
-    if isinstance(x, int):
-        return (x, 0, 1, 0)
-    if isinstance(x, Fraction):
-        return (x.numerator, 0, x.denominator, 0)
-    return None
-
-
-def _meet(u: tuple, v: tuple) -> tuple[tuple, tuple]:
-    """u and v over one radicand, for radicands d1 != d2, both nonzero.
-
-    They meet when d1*d2 = s*s: the operand over the larger radicand moves
-    to the smaller, d, by sqrt(d1*d2/d) = (s/d)*sqrt(d), unnormalised.
-    Otherwise the fields differ.
-    """
-    d1, d2 = u[3], v[3]
-    s = isqrt(d1 * d2)
-    if s * s != d1 * d2:
-        raise ValueError("mixed radicands %d and %d" % (d1, d2))
-    d = min(d1, d2)
-    g = gcd(s, d)
-    p, q, r, _ = v if d == d1 else u
-    moved = (p * (d // g), q * (s // g), r * (d // g), d)
-    return (u, moved) if d == d1 else (moved, v)
-
-
-def _add(u: tuple, v: tuple) -> QuadraticReal:
-    if u[3] != v[3] and u[3] and v[3]:
-        u, v = _meet(u, v)
-    p1, q1, r1, d1 = u
-    p2, q2, r2, d2 = v
-    d = d1 or d2
-    if r1 == r2:
-        return _new(p1 + p2, q1 + q2, r1, d)
-    return _new(p1 * r2 + p2 * r1, q1 * r2 + q2 * r1, r1 * r2, d)
-
-
-def _div(u: tuple, v: tuple) -> QuadraticReal:
-    if u[3] != v[3] and u[3] and v[3]:
-        u, v = _meet(u, v)
-    p1, q1, r1, d1 = u
-    p2, q2, r2, d2 = v
-    d = d1 or d2
-    # multiply by the conjugate; the norm is nonzero for nonzero divisors
-    norm = p2 * p2 - q2 * q2 * d
-    if norm == 0:
-        raise ZeroDivisionError("division by zero quadratic value")
-    if norm < 0:
-        norm, r2 = -norm, -r2
-    return _new(r2 * (p1 * p2 - q1 * q2 * d), r2 * (q1 * p2 - p1 * q2), r1 * norm, d)
 
 
 ZERO = QuadraticReal(0)

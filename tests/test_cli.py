@@ -585,6 +585,27 @@ def test_an_unwritable_out_is_refused_by_exit_1(argv, bad, tmp_path, capsys):
     assert out == "" and err.startswith("subrec: error: [Errno ") and repr(path) in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--preset", "fibonacci", "--length", "100"],
+        ["lr", "--preset", "fibonacci", "--window", "100"],
+        ["power", "--preset", "fibonacci", "--window", "100"],
+        ["returns", "--preset", "fibonacci", "-N", "5", "--window", "100"],
+    ],
+)
+def test_out_of_memory_is_an_error_exit_1(argv, monkeypatch, capsys):
+    # a huge --length or --window used to escape main as a MemoryError
+    # traceback; the word source's growth step fails here without allocating
+    def exhausted(self, n):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.StandardWordSource, "_extend", exhausted)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "subrec: error: out of memory\n"
+
+
 def test_a_closed_pipe_still_exits_0(monkeypatch):
     # BrokenPipeError is an OSError too, and must not read as exit 1
     class Closed(io.StringIO):

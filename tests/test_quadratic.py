@@ -104,6 +104,15 @@ def test_floor_and_mod1():
     assert x == GOLDEN
     y = (-GOLDEN).mod1()
     assert y == 1 - GOLDEN
+    # math.ceil used to go through float and lose the sqrt(2) beyond 10**20
+    assert math.ceil(QuadraticReal(10**20, 1, 2)) == 10**20 + 2
+    assert math.ceil(QuadraticReal(Fraction(7, 2))) == 4 and math.ceil(QuadraticReal(-2)) == -2
+
+
+def test_truth_is_nonzero():
+    # like Fraction: zero is false however it was built
+    assert not ZERO and not QuadraticReal(0) and not (ONE - ONE) and not (GOLDEN - GOLDEN)
+    assert ONE and GOLDEN and QuadraticReal(0, 1, 2) and QuadraticReal(Fraction(-1, 3))
 
 
 rationals = st.fractions(
@@ -130,10 +139,14 @@ def test_field_axioms_same_radicand(pair):
 
 
 @given(quads())
+@example(QuadraticReal(10**20, 1, 2))
 def test_floor_bracket(x):
     f = x.floor()
     assert isinstance(f, int)
     assert QuadraticReal(f) <= x < QuadraticReal(f + 1)
+    c = math.ceil(x)
+    assert isinstance(c, int) and c - 1 < x <= c
+    assert bool(x) == (x != 0)
     m = x.mod1()
     assert ZERO <= m < ONE
     assert x - m == f
@@ -364,3 +377,53 @@ def test_comparisons_agree_with_the_sign_of_the_difference(pair):
         for op in ORDERINGS:
             with pytest.raises(ValueError, match="mixed radicands"):
                 op(x, stranger)
+
+
+ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+@st.composite
+def operand_pairs(draw):
+    """(x, y): x a QuadraticReal, irrational or rational; y in x's field,
+    a rational QuadraticReal, an int or a Fraction."""
+    d = draw(radicands)
+    x = QuadraticReal(draw(rationals), draw(st.sampled_from([0, 1])) * draw(rationals), d)
+    g, h = draw(rationals), draw(rationals)
+    kind = draw(st.sampled_from(["field", "rational", "int", "fraction"]))
+    return x, {"field": QuadraticReal(g, h, d), "rational": QuadraticReal(g), "int": int(g), "fraction": g}[kind]
+
+
+def _lift(y):
+    return y if isinstance(y, QuadraticReal) else QuadraticReal(y)
+
+
+@settings(deadline=None, max_examples=300)
+@given(operand_pairs())
+@example((QuadraticReal(Fraction(3, 2)), 0))
+@example((QuadraticReal(0), Fraction(1, 3)))
+def test_operator_table(pair):
+    # every arithmetic operator on both sides: a rational result is the
+    # Fraction result in the integer form QuadraticReal(that fraction) has,
+    # subtraction is addition of the negation, and a reflected operator
+    # gives the forward result of its operand's lift
+    x, y = pair
+    assert (x - y)._v == (x + (-_lift(y)))._v and (x - y) + y == x
+    for op in ARITHMETIC:
+        for left, right in ((x, y), (y, x)):
+            if op is operator.truediv and right == 0:
+                with pytest.raises(ZeroDivisionError):
+                    op(left, right)
+                continue
+            got = op(left, right)
+            assert isinstance(got, QuadraticReal)
+            if x.is_rational and _lift(y).is_rational:
+                want = op(_lift(left).a, _lift(right).a)
+                assert got == want and got._v == QuadraticReal(want)._v
+            if left is y:
+                assert got._v == getattr(x, "__r%s__" % op.__name__)(y)._v == op(_lift(y), x)._v
+        for bad in ("1", None, object()):  # only floats used to be tested
+            assert getattr(x, "__%s__" % op.__name__)(bad) is NotImplemented
+            with pytest.raises(TypeError):
+                op(x, bad)
+            with pytest.raises(TypeError):
+                op(bad, x)
