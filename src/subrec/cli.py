@@ -75,6 +75,8 @@ def build_source(args):
     picked = [x for x in (args.preset, args.cf, args.kappa) if x]
     if len(picked) != 1:
         raise ValueError("pick exactly one of --preset, --cf, --kappa")
+    if args.method and not args.cf:
+        raise ValueError("--method applies to --cf only")
     if args.preset:
         return presets.get_preset(args.preset)
     if args.cf:

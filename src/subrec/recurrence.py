@@ -83,10 +83,10 @@ class TauResult:
 
 
 def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
-    """The depths first..last as tau_cylinder defines them, in order, as
-    column chunks (n, tau, window, stabilized): slices of arrays filled in
-    place, one chunk per block of depths that share their starts. Every
-    window comes from policy.initial and policy.grow.
+    """The depths first..last as tau_cylinder defines them, as
+    ((n, tau, window, stabilized), failure): the columns cover the depths
+    before the first failing depth, and failure is that depth's refusal
+    text, or None. Every window comes from policy.initial and policy.grow.
 
     z = prefix_match(text, min(last, len(text))) holds each start's match
     with the prefix, so the starts of depth n are the p with z[p] >= n,
@@ -95,9 +95,8 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
     minimum of their gaps after a leading 0 (no pair yet). A start whose
     match runs off the text never counts, as it lies past w - n. The
     depths up to the least z over occ share occ, so the Python loop runs
-    once per such block; a failing depth ends the sweep after the depths
-    before it are yielded. occ travels with its z values, so each block
-    filters one pair of arrays.
+    once per such block; a failing depth ends the sweep. occ travels with
+    its z values, so each block filters one pair of arrays.
     A block first settles its plateau. Let w1 = policy.initial(n) and
     w2 = policy.grow(w1), and let occ[i], occ[i + 1] be the first closest
     pair among the starts up to the greatest w2 - n of the block, m apart.
@@ -112,17 +111,17 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
     first windows: a depth's value reads the text only up to its last
     window, so it does not change.
     No window passes the cap, so the text is never read past the cap or
-    the word's max_length, and a first depth past either is refused
-    before any symbol is read. When the first read already reaches that
-    bound, no depth past D + 1 recurs in it (D from _deepest_pair), so the
-    columns stop there, or at first.
+    the word's max_length, and a first depth past either is refused, with
+    empty columns, before any symbol is read. When the first read already
+    reaches that bound, no depth past D + 1 recurs in it (D from
+    _deepest_pair), so the columns stop there, or at first.
     """
     cap, length = policy.cap, source.max_length
     bound = cap if length is None else min(cap, length)  # no read goes past it
     if first > bound:
-        if length is not None and length < first:
-            raise WindowCapExceeded(_ENDS % (source.name, length, first))
-        raise WindowCapExceeded(_FEW % (first, source.name, cap))
+        ended = length is not None and length < first
+        failure = _ENDS % (source.name, length, first) if ended else _FEW % (first, source.name, cap)
+        return (np.zeros(0, np.int64),) * 3 + (np.zeros(0, bool),), failure
     arr = _codes(source.prefix(min(max(last, int(policy.grow(policy.initial(last)))), cap)))
     index = np.int32 if cap < 2**31 else np.int64  # holds any start
     z = prefix_match(arr, min(last, len(arr)))
@@ -184,12 +183,8 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
             window[todo] = np.where(settle, avail, policy.grow(w))
             todo = todo[again]
         else:
-            end = min(hi, stop)
-            if lo < end:
-                yield ns[lo:end], tau[lo:end], window[lo:end], stabilized[lo:end]
             lo = hi
-    if failure is not None:
-        raise WindowCapExceeded(failure)
+    return (ns[:stop], tau[:stop], window[:stop], stabilized[:stop]), failure
 
 
 def _deepest_pair(z: np.ndarray, last: int) -> int:
@@ -205,21 +200,6 @@ def _deepest_pair(z: np.ndarray, last: int) -> int:
     return max(inside, len(z) - p) if full[p] else inside
 
 
-def _rows(chunks):
-    """The (n, tau, window, stabilized) rows of the sweep's chunks, one
-    chunk at a time, so an error surfaces after the rows before it."""
-    for chunk in chunks:
-        yield from zip(*(c.tolist() for c in chunk))
-
-
-def _csv_chunks(header: str, fmt: str, rows: int, values):
-    """A table as CSV text: the header line, then its rows in blocks of 2**16, each
-    formatted at once as fmt * rows % values(lo, hi), the flat values of rows lo..hi."""
-    yield header + "\n"
-    for lo in range(0, rows, 1 << 16):
-        yield fmt * min(rows - lo, 1 << 16) % tuple(values(lo, lo + (1 << 16)))
-
-
 def tau_cylinder(x, n: int, policy: WindowPolicy = DEFAULT_POLICY) -> TauResult:
     """Recurrence time of the depth-n cylinder of x.
 
@@ -228,42 +208,65 @@ def tau_cylinder(x, n: int, policy: WindowPolicy = DEFAULT_POLICY) -> TauResult:
     """
     if n < 1:
         raise ValueError("cylinder depth must be >= 1")
-    return TauResult(*next(_rows(_tau_sweep(as_source(x), n, n, policy))))
+    columns, failure = _tau_sweep(as_source(x), n, n, policy)
+    if failure is not None:
+        raise WindowCapExceeded(failure)
+    return TauResult(*(c[0].item() for c in columns))
 
 
-class RateSeries:
+TABLE_BLOCK = 1 << 12  # rows formatted at once: their values take about 8 times their text
+
+
+class ColumnTable:
+    """Equal-length columns (the attributes named in _COLUMNS) and the fields in
+    _FIELDS. The CSV is CSV_HEADER, then _ROW * rows % _values(lo, hi), the flat
+    values of rows lo..hi, for each block of TABLE_BLOCK rows."""
+
+    @property
+    def _columns(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._COLUMNS)
+
+    def __eq__(self, other) -> bool:
+        same = type(other) is type(self) and all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
+        return same and all(map(np.array_equal, self._columns, other._columns))
+
+    def csv_chunks(self):
+        yield self.CSV_HEADER + "\n"
+        rows = len(self._columns[0])
+        for lo in range(0, rows, TABLE_BLOCK):
+            yield self._ROW * min(rows - lo, TABLE_BLOCK) % tuple(self._values(lo, lo + TABLE_BLOCK))
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_chunks())
+
+
+class RateSeries(ColumnTable):
     """tau(z_n)/n for n = 1..depth, with tail summaries.
 
     The record is four columns: n, tau, window and stabilized, as the
-    sweep fills them, and entries builds the TauResults on demand. tau is
-    int64, or holds Python ints where a value does not fit.
+    sweep fills them (int64, and bool for stabilized), and entries
+    builds the TauResults on demand.
 
     liminf/limsup are approximated by min/max of the ratio over the tail
     n > depth/2; the convention is part of the record so finite-depth
     summaries cannot be mistaken for limits.
     """
 
+    _FIELDS = ("source", "depth")
+    _COLUMNS = ("n", "tau", "window", "stabilized")
     CSV_HEADER = "n,tau,ratio_num,ratio_den,window,stabilized"
+    _ROW = "%d,%d,%d,%d,%d,%d\n"
 
     def __init__(self, source: str, depth: int, n, tau, window, stabilized):
         self.source, self.depth = source, depth
         self.n, self.tau, self.window, self.stabilized = n, tau, window, stabilized
-
-    @property
-    def _columns(self) -> tuple:
-        return self.n, self.tau, self.window, self.stabilized
-
-    def __eq__(self, other) -> bool:
-        fields = (self.source, self.depth)
-        same = type(other) is type(self) and fields == (other.source, other.depth)
-        return same and all(map(np.array_equal, self._columns, other._columns))
 
     def __repr__(self) -> str:
         return "RateSeries(source=%r, depth=%d, rows=%d)" % (self.source, self.depth, len(self.n))
 
     @property
     def entries(self) -> list[TauResult]:
-        return [TauResult(*row) for row in _rows([self._columns])]
+        return [TauResult(*row) for row in zip(*(c.tolist() for c in self._columns))]
 
     @property
     def tail_start(self) -> int:
@@ -271,17 +274,20 @@ class RateSeries:
 
     def _extreme(self, least: bool) -> Fraction:
         """The least (or greatest) tau/n over the tail, compared exactly
-        among the rows whose float ratio lies within a few ulps of the
-        float extreme: each float ratio is within 3 ulps of its value."""
-        tail = self.n >= self.tail_start
-        tau, n = self.tau[tail], self.n[tail]
-        if not len(n):
+        among the rows whose float ratio lies within a few ulps of their
+        block's float extreme: each float ratio is within 3 ulps of its
+        value. Blocks of TABLE_BLOCK rows, as the table is written."""
+        found = []
+        for lo in range(0, len(self.n), TABLE_BLOCK):
+            tau, n = self.tau[lo : lo + TABLE_BLOCK], self.n[lo : lo + TABLE_BLOCK]
+            tau, n = tau[n >= self.tail_start], n[n >= self.tail_start]
+            r = np.asarray(tau / n, float)
+            best = r.min(initial=np.inf) if least else r.max(initial=-np.inf)
+            near = np.flatnonzero(abs(r - best) <= 8 * np.finfo(float).eps * best)
+            found += map(Fraction, tau[near].tolist(), n[near].tolist())
+        if not found:
             raise ValueError("no depth n >= %d in the series" % self.tail_start)
-        r = np.asarray(tau / n, float)
-        best = r.min() if least else r.max()
-        near = np.flatnonzero(abs(r - best) <= 8 * np.finfo(float).eps * best)
-        ratios = map(Fraction, tau[near].tolist(), n[near].tolist())
-        return min(ratios) if least else max(ratios)
+        return min(found) if least else max(found)
 
     def tail_min(self) -> Fraction:
         return self._extreme(True)
@@ -303,15 +309,10 @@ class RateSeries:
             out.append(least)
         return out
 
-    def csv_chunks(self):
-        def values(lo, hi):
-            n, tau, window, stabilized = (c[lo:hi] for c in self._columns)
-            g = np.gcd(tau, n)
-            return np.column_stack((n, tau, tau // g, n // g, window, stabilized)).ravel().tolist()
-        return _csv_chunks(self.CSV_HEADER, "%d,%d,%d,%d,%d,%d\n", len(self.n), values)
-
-    def to_csv(self) -> str:
-        return "".join(self.csv_chunks())
+    def _values(self, lo: int, hi: int) -> list:
+        n, tau, window, stabilized = (c[lo:hi] for c in self._columns)
+        g = np.gcd(tau, n)
+        return np.column_stack((n, tau, tau // g, n // g, window, stabilized)).ravel().tolist()
 
 
 def rate_series(x, depth: int, policy: WindowPolicy = DEFAULT_POLICY) -> RateSeries:
@@ -319,8 +320,10 @@ def rate_series(x, depth: int, policy: WindowPolicy = DEFAULT_POLICY) -> RateSer
     if depth < 1:
         raise ValueError("depth must be >= 1")
     source = as_source(x)
-    chunks = list(_tau_sweep(source, 1, depth, policy))
-    return RateSeries(source.name, depth, *map(np.concatenate, zip(*chunks)))
+    columns, failure = _tau_sweep(source, 1, depth, policy)
+    if failure is not None:
+        raise WindowCapExceeded(failure)
+    return RateSeries(source.name, depth, *columns)
 
 
 @dataclass(frozen=True)
@@ -337,25 +340,28 @@ def sub_invariance_check(
     """Check tau(z_{n-1}(Sx)) <= tau(z_n(x)) for n = 2..depth.
 
     Only pairs where both values stabilized are compared; the rest are
-    counted as skipped.
+    counted as skipped. The depths are compared up to the first that
+    either side cannot answer: a violation before it is reported, and
+    otherwise that depth's refusal is raised, the right side's (x at n)
+    before the left's (Sx at n - 1) when both fail there.
     """
     if depth < 2:
         raise ValueError("need depth >= 2")
     source = as_source(x)
-    # zip asks the right side first at each n, so errors surface in order
-    pairs = zip(
-        _rows(_tau_sweep(source, 2, depth, policy)),
-        _rows(_tau_sweep(ShiftedSource(source), 1, depth - 1, policy)),
-    )
-    checked = skipped = 0
-    for (n, tau, _, stable), (_, shifted, _, shifted_stable) in pairs:
-        if not (stable and shifted_stable):
-            skipped += 1
-            continue
-        checked += 1
-        if shifted > tau:
-            return SubInvarianceReport(False, checked, skipped, (n, shifted, tau))
-    return SubInvarianceReport(True, checked, skipped, None)
+    (n, tau, _, stable), failure = _tau_sweep(source, 2, depth, policy)
+    (_, shifted, _, shifted_stable), shift_failure = _tau_sweep(ShiftedSource(source), 1, depth - 1, policy)
+    k = min(len(n), len(shifted))
+    both = stable[:k] & shifted_stable[:k]
+    bad = np.flatnonzero(both & (shifted[:k] > tau[:k]))
+    if len(bad):
+        i = int(bad[0])
+        checked = int(both[: i + 1].sum())
+        return SubInvarianceReport(False, checked, i + 1 - checked, (int(n[i]), int(shifted[i]), int(tau[i])))
+    for fail, rows in ((failure, len(n)), (shift_failure, len(shifted))):
+        if fail is not None and rows == k:
+            raise WindowCapExceeded(fail)
+    checked = int(both.sum())
+    return SubInvarianceReport(True, checked, k - checked, None)
 
 
 @dataclass(frozen=True)

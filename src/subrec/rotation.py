@@ -29,7 +29,7 @@ from .generators import (
     kappa_images,
 )
 from .quadratic import ONE, ZERO, QuadraticReal
-from .recurrence import DEFAULT_POLICY, WindowPolicy, _csv_chunks, rate_series
+from .recurrence import DEFAULT_POLICY, ColumnTable, WindowPolicy, rate_series
 
 
 @dataclass(frozen=True)
@@ -327,27 +327,21 @@ class CrossCheckRow:
     match: bool
 
 
-class CrossCheckReport:
+class CrossCheckReport(ColumnTable):
     """The rows of cross_check as columns: n, tau_symbolic, tau_geometric,
     and move, the index into lengths, the distinct atom lengths in depth
     order. rows and mismatches build their CrossCheckRows on demand, and
     the CSV formats each distinct length once."""
 
+    _FIELDS = ("alpha", "depth", "lengths")
+    _COLUMNS = ("n", "tau_symbolic", "tau_geometric", "move")
     CSV_HEADER = "n,tau_symbolic,tau_geometric,atom_len_num_approx,match"
+    _ROW = "%d,%d,%d,%s,%d\n"
 
     def __init__(self, alpha: str, depth: int, n, tau_symbolic, tau_geometric, lengths, move):
         self.alpha, self.depth, self.n = alpha, depth, n
         self.tau_symbolic, self.tau_geometric = tau_symbolic, tau_geometric
         self.lengths, self.move = lengths, move
-
-    @property
-    def _columns(self) -> tuple:
-        return self.n, self.tau_symbolic, self.tau_geometric, self.move
-
-    def __eq__(self, other) -> bool:
-        fields = (self.alpha, self.depth, self.lengths)
-        same = type(other) is type(self) and fields == (other.alpha, other.depth, other.lengths)
-        return same and all(map(np.array_equal, self._columns, other._columns))
 
     def __repr__(self) -> str:
         fields = (self.alpha, self.depth, len(self.n), self.ok)
@@ -371,17 +365,14 @@ class CrossCheckReport:
     def ok(self) -> bool:
         return bool((self.tau_symbolic == self.tau_geometric).all())
 
-    def csv_chunks(self):
-        approx = ["%.12g" % float(length) for length in self.lengths]
+    @cached_property
+    def _approx(self) -> list[str]:
+        return ["%.12g" % float(length) for length in self.lengths]
 
-        def values(lo, hi):
-            n, s, g, move = (c[lo:hi] for c in self._columns)
-            cols = (n.tolist(), s.tolist(), g.tolist(), map(approx.__getitem__, move.tolist()))
-            return chain.from_iterable(zip(*cols, (s == g).tolist()))
-        return _csv_chunks(self.CSV_HEADER, "%d,%d,%d,%s,%d\n", len(self.n), values)
-
-    def to_csv(self) -> str:
-        return "".join(self.csv_chunks())
+    def _values(self, lo: int, hi: int):
+        n, s, g, move = (c[lo:hi] for c in self._columns)
+        cols = (n.tolist(), s.tolist(), g.tolist(), map(self._approx.__getitem__, move.tolist()))
+        return chain.from_iterable(zip(*cols, (s == g).tolist()))
 
 
 def cross_check(

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from subrec import RotationCodingSource, cli, parse_cf, quadratic_of_cf, rate_series
 from subrec.cli import SUITES, build_parser, main
 from subrec.presets import PRESET_CF, preset_names
+from subrec.recurrence import TABLE_BLOCK
 from guards import within
 from oracles import naive_rate_csv, naive_xcheck_csv
 
@@ -180,6 +181,36 @@ def test_xcheck_of_a_preset_checks_its_periodic_expansion(preset, capsys):
     else:
         assert got == (main(["xcheck", "--cf", str(cf), "-N", "40"]), *capsys.readouterr())
         assert got[0] == 0
+
+
+def test_xcheck_reports_a_mismatch_by_exit_3(monkeypatch, capsys):
+    real = cli.cross_check
+
+    def off_by_one_at_7(*args):
+        report = real(*args)
+        report.tau_geometric = report.tau_geometric.copy()
+        report.tau_geometric[6] += 1
+        return report
+
+    monkeypatch.setattr(cli, "cross_check", off_by_one_at_7)
+    assert main(["xcheck", "--cf", "[0;(1)]", "-N", "10"]) == 3
+    out, err = capsys.readouterr()
+    rows = out.splitlines()[1:]
+    assert [r.endswith(",0") for r in rows] == [n == 7 for n in range(1, 11)]
+    n, symbolic, geometric = rows[6].split(",")[:3]
+    assert int(geometric) == int(symbolic) + 1
+    assert err == "MISMATCH at n=7: symbolic %s vs geometric %s\n" % (symbolic, geometric)
+
+
+@pytest.mark.parametrize("method", ["standard", "rotation"])
+@pytest.mark.parametrize("source", [["--preset", "fibonacci"], ["--kappa", "r1,g2"]])
+def test_method_without_cf_is_refused(source, method, tmp_path, capsys):
+    assert main(["rates", *source, "--method", method, "-N", "5"]) == 1
+    assert capsys.readouterr() == ("", "subrec: error: --method applies to --cf only\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("method=%s\n" % method)
+    assert main(["rates", *source, "-N", "5", "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", "subrec: error: --method applies to --cf only\n")
 
 
 @pytest.mark.parametrize("cf", ["[0;(1)]", "[0;(2)]", "[0;(1,2,3)]", "[0;3,(1,4)]"])
@@ -490,6 +521,10 @@ def test_config_file_and_flag_override(tmp_path):
     r4 = run_cli("--config", str(cfg), "generate")
     assert r4.returncode == 0
     assert r4.stdout.strip() == "0101010101"
+    cfg.write_text("# defaults\npreset=periodic01\nlength 10\n")
+    r5 = run_cli("generate", "--config", str(cfg))
+    assert (r5.returncode, r5.stdout) == (1, "")
+    assert r5.stderr == "subrec: config: %s:3: expected key=value\n" % cfg
 
 
 def test_output_file(tmp_path):
@@ -513,10 +548,13 @@ def _keeping(monkeypatch, name):
     return kept
 
 
-@pytest.mark.parametrize("depth", [2**16 - 1, 2**16, 2**16 + 1])
+@pytest.mark.parametrize(
+    "depth", [TABLE_BLOCK - 1, TABLE_BLOCK + 1, 16 * TABLE_BLOCK - 1, 16 * TABLE_BLOCK, 16 * TABLE_BLOCK + 1]
+)
 def test_tables_in_blocks_read_like_the_row_by_row_references(depth, tmp_path, monkeypatch, capsys):
-    # tables are formatted 2**16 rows at a time: a block dropped, repeated
-    # or cut mid-row shows against references that format one row at a time
+    # tables are formatted TABLE_BLOCK rows at a time: a block dropped,
+    # repeated or cut mid-row, at the first block edge or the sixteenth,
+    # shows against references that format one row at a time
     out = tmp_path / "table.csv"
     series = _keeping(monkeypatch, "rate_series")
     assert main(["rates", "--preset", "periodic01", "-N", str(depth), "-o", str(out)]) == 0
@@ -544,11 +582,11 @@ def test_returns_holds_less_than_the_file_it_writes(tmp_path):
 
 
 def test_rates_holds_one_block_of_its_table_at_a_time(tmp_path, monkeypatch):
-    # traced from the end of the sweep, writing the table takes what one
-    # 2**16-row block takes (14 MB here), however many blocks there are;
-    # held whole, the text took twice that at 2 blocks. A block's values
-    # take about 8 times its text, so the peak falls below the file only
-    # from about 9 blocks on, and the sweep's own peak is larger still
+    # traced from the end of the sweep, writing the table and reading its
+    # tail extremes take what one TABLE_BLOCK of rows takes (1 MB here),
+    # however many blocks there are; held whole, the text took twice its
+    # size at 2 blocks of 2**16 rows, and the tail extremes read over
+    # whole columns took 2.3 MB at 2**17 rows against 1.1 MB at 2**16
     real = cli.rate_series
 
     def swept(*args):

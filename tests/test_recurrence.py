@@ -31,6 +31,7 @@ from subrec import (
 )
 from subrec.generators import gamma, rho
 from subrec.presets import get_preset, golden_kappa_steps, preset_names
+from subrec import recurrence
 from subrec.recurrence import SubInvarianceReport, _deepest_pair
 from subrec.rotation import RotationSpec
 from subrec.words import (
@@ -688,6 +689,15 @@ DROPS_ONE_START = (("text", "1" + "0" * 49 + "11" + "0" * 68 + "1" + "0" * 79), 
 # the shifted word stabilizes at window 100 on 30; the word itself only
 # meets its gap of 5 at window 200, so the finite-window check fails
 LATE_SHORT_GAP = (("text", "01" + "0" * 28 + "01" + "0" * 88 + "01000" + "01" + "0" * 873), 1, 3000, 2)
+# sub_invariance_check compares the depths up to the first that either side
+# cannot answer. Both fail at depth 3 here, on "000" and on its shift "00";
+# the message of x at n wins over that of Sx at n - 1
+BOTH_FAIL_AT_ONE_DEPTH = (("text", "000"), 5, 100, 5)
+# the violation at n = 2 is reported; depth 32 would fail after it
+VIOLATION_BEFORE_FAILURE = (LATE_SHORT_GAP[0], 1, 3000, 32)
+# the first depth of x, 2, is past the cap and refused before any symbol is
+# read; the shift fails at depth 1 in its window, at the same n
+REFUSED_UP_FRONT = (("preset", "fibonacci"), 1, 1, 2)
 # The sweep settles a depth without window rounds when its two windows
 # w1 < w2 fit the text read and w1 holds the later start of the closest
 # pair in the block's widest second window; at base 1, w1 = 50 n, w2 = 100 n.
@@ -794,6 +804,9 @@ def test_sweep_carries_the_gap_minimum_only_while_it_holds(spec, base, cap, dept
 @given(source_specs, st.integers(1, 300), caps, st.integers(2, 12))
 @example(*UNSTABILIZED_THEN_NO_RETURN)
 @example(*LATE_SHORT_GAP)
+@example(*BOTH_FAIL_AT_ONE_DEPTH)
+@example(*VIOLATION_BEFORE_FAILURE)
+@example(*REFUSED_UP_FRONT)
 def test_sub_invariance_matches_naive_window_loop(spec, base, cap, depth):
     right = naive_taus(spec, base, cap, depth)[1:]
     left = naive_taus(spec, base, cap, depth - 1, shift=True)
@@ -818,6 +831,39 @@ def test_sub_invariance_matches_naive_window_loop(spec, base, cap, depth):
         want = [str(exc)]
     policy = WindowPolicy(base, cap)
     expect_series(lambda: [sub_invariance_check(build(spec), depth, policy)], want)
+
+
+def test_sub_invariance_examples_reach_every_failure_order():
+    both = naive_taus(*BOTH_FAIL_AT_ONE_DEPTH)[2], naive_taus(*BOTH_FAIL_AT_ONE_DEPTH[:3], 4, shift=True)[1]
+    assert both == (
+        "prefix of depth 3 of text recurs less than twice in a 3-window",
+        "prefix of depth 2 of shift of text recurs less than twice in a 2-window",
+    )
+    with pytest.raises(WindowCapExceeded, match="depth 3 of text "):
+        sub_invariance_check(build(BOTH_FAIL_AT_ONE_DEPTH[0]), 5, WindowPolicy(5, 100))
+    late = naive_taus(*VIOLATION_BEFORE_FAILURE)
+    assert late[-1] == "prefix of depth 32 of text recurs less than twice in a 1000-window"
+    report = sub_invariance_check(build(VIOLATION_BEFORE_FAILURE[0]), 32, WindowPolicy(1, 3000))
+    assert report == SubInvarianceReport(False, 1, 0, (2, 30, 5))
+    with pytest.raises(WindowCapExceeded, match="^prefix of depth 2 of fibonacci .* 1-window$"):
+        sub_invariance_check(get_preset("fibonacci"), 2, WindowPolicy(1, 1))
+
+
+def test_sub_invariance_raises_the_shift_failure_when_it_comes_first(monkeypatch):
+    # under one window policy the shift answers every depth its word does
+    # (a return of x[0:n] is one of x[1:n]), so the naive loop never fails
+    # on the shift first; a sweep stubbed to give up early pins that order
+    real = recurrence._tau_sweep
+
+    def sweep(source, first, last, policy):
+        columns, failure = real(source, first, last, policy)
+        if isinstance(source, ShiftedSource):
+            return tuple(c[:3] for c in columns), "the shift gives up at depth 4"
+        return columns, failure
+
+    monkeypatch.setattr(recurrence, "_tau_sweep", sweep)
+    with pytest.raises(WindowCapExceeded, match="^the shift gives up at depth 4$"):
+        sub_invariance_check(get_preset("fibonacci"), 10)
 
 
 def test_long_sweep_table_and_fixed_point_finish_fast():
