@@ -9,7 +9,7 @@ exactly two return words, and consecutive substitution images of the
 two letters reproduce them.
 """
 
-from subrec import kappa_images, parse_kappa, return_table, return_words
+from subrec import kappa_images, parse_kappa, return_table
 from subrec.presets import get_preset
 
 src = get_preset("fibonacci")
@@ -24,13 +24,12 @@ assert all(row.tau == min(len(w) for w in row.words) for row in table)
 
 # the two return words of the depth-3 prefix are exactly the images of
 # the two letters under the composed substitution tower
-text = src.prefix(100)
-rw = return_words(text[:3], src.prefix(65536))
+row = table[2]
 v, u = kappa_images(parse_kappa("r1,g1"))
-print("\nreturn words of %r : %s" % (text[:3], sorted(rw)))
+print("\nreturn words of %r : %s" % (row.prefix, sorted(row.words)))
 print("tower images        : %s" % sorted([v, u]))
 
 # Thue-Morse is not Sturmian: four return words instead of two
 tm = get_preset("thue-morse")
-rw = return_words(tm.prefix(2), tm.prefix(65536))
-print("\nthue-morse %r returns: %s" % (tm.prefix(2), sorted(rw)))
+row = return_table(tm, 2, 65536)[-1]
+print("\nthue-morse %r returns: %s" % (row.prefix, sorted(row.words)))

@@ -82,21 +82,35 @@ class TauResult:
         return Fraction(self.tau, self.n)
 
 
+def _start_blocks(z: np.ndarray, first: int, last: int, index):
+    """The depths first..last in blocks that share their starts, as
+    (n, hi, occ): occ holds the starts p with z[p] >= n, ascending, in the
+    dtype index, and hi is the least z over occ, at most last, so the
+    depths n..hi all start at occ. z comes from prefix_match, whose start
+    0 matches every depth. Each block filters the one before it, with its
+    z values, and only when it is asked for."""
+    occ, zo = None, z
+    while first <= last:
+        keep = np.flatnonzero(zo >= first)  # cheaper than a boolean mask, twice
+        occ = keep.astype(index) if occ is None else occ[keep]
+        zo = zo[keep]
+        hi = min(int(zo.min()), last)
+        yield first, hi, occ
+        first = hi + 1
+
+
 def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
     """The depths first..last as tau_cylinder defines them, as
     ((n, tau, window, stabilized), failure): the columns cover the depths
     before the first failing depth, and failure is that depth's refusal
     text, or None. Every window comes from policy.initial and policy.grow.
 
-    z = prefix_match(text, min(last, len(text))) holds each start's match
-    with the prefix, so the starts of depth n are the p with z[p] >= n,
-    ascending: those inside a window of w symbols are occ[:k] with
-    k = #(p <= w - n), and tau is least[k - 1], least being the running
-    minimum of their gaps after a leading 0 (no pair yet). A start whose
-    match runs off the text never counts, as it lies past w - n. The
-    depths up to the least z over occ share occ, so the Python loop runs
-    once per such block; a failing depth ends the sweep. occ travels with
-    its z values, so each block filters one pair of arrays.
+    The Python loop runs once per block of _start_blocks over
+    z = prefix_match(text, min(last, len(text))); a failing depth ends the
+    sweep. The starts of depth n inside a window of w symbols are occ[:k]
+    with k = #(p <= w - n), and tau is least[k - 1], least being the
+    running minimum of their gaps after a leading 0 (no pair yet). A start
+    whose match runs off the text never counts, as it lies past w - n.
     A block first settles its plateau. Let w1 = policy.initial(n) and
     w2 = policy.grow(w1), and let occ[i], occ[i + 1] be the first closest
     pair among the starts up to the greatest w2 - n of the block, m apart.
@@ -107,9 +121,10 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
     other depths (no pair in w1, w1 at the cap, w2 past the text read) build
     least and run the window rounds, once per round for all of them. A
     window longer than the text grows it geometrically up to the cap, z is
-    matched again over the whole text, and the block starts over from its
-    first windows: a depth's value reads the text only up to its last
-    window, so it does not change.
+    matched again over the whole text, and a fresh walk over it starts
+    over at the block's first depth, from its first windows: a depth's
+    value reads the text only up to its last window, so it does not
+    change.
     No window passes the cap, so the text is never read past the cap or
     the word's max_length, and a first depth past either is refused, with
     empty columns, before any symbol is read. When the first read already
@@ -132,15 +147,11 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
     window = policy.initial(ns)  # grown per round, then the window read
     tau = np.zeros(len(ns), np.int64)  # tau in the last window; 0 for none
     stabilized = np.zeros(len(ns), bool)
-    lo, stop, occ, failure = 0, len(ns), None, None
-    while lo < stop:
-        if occ is None:
-            occ = np.flatnonzero(z >= ns[lo]).astype(index)
-            zo = z[occ]
-        else:
-            keep = np.flatnonzero(zo >= ns[lo])  # cheaper than a boolean mask, twice
-            occ, zo = occ[keep], zo[keep]
-        hi = min(int(zo.min()) - first + 1, stop)  # ns[lo:hi] start at occ
+    stop, failure = len(ns), None
+    blocks = _start_blocks(z, first, top, index)
+    while failure is None and (block := next(blocks, None)) is not None:
+        d, e, occ = block
+        lo, hi = d - first, e - first + 1  # ns[lo:hi] start at occ
         todo = np.arange(lo, hi)
         w1, w2 = window[lo:hi], policy.grow(window[lo:hi])
         k = occ.searchsorted(min(int((w2 - ns[lo:hi]).max()), len(arr)), "right")
@@ -162,7 +173,7 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
                 arr = _codes(source.prefix(min(max(int(w.max()), 2 * len(arr)), cap)))
                 z = prefix_match(arr, min(last, len(arr)))
                 tau[lo:], window[lo:] = 0, policy.initial(ns[lo:])
-                occ = None
+                blocks = _start_blocks(z, d, top, index)  # the block starts over
                 break
             n = ns[todo]
             avail = np.minimum(w, len(arr))
@@ -182,8 +193,6 @@ def _tau_sweep(source, first: int, last: int, policy: WindowPolicy):
             stabilized[todo] = stable
             window[todo] = np.where(settle, avail, policy.grow(w))
             todo = todo[again]
-        else:
-            lo = hi
     return (ns[:stop], tau[:stop], window[:stop], stabilized[:stop]), failure
 
 
@@ -467,37 +476,37 @@ class ReturnTableRow:
 
 
 def _return_words(text: str, arr: np.ndarray, occ: np.ndarray) -> dict[str, int]:
-    """{word: how many pairs give it} over the words text[p:q] of
+    """{word: the first p giving it} over the words text[p:q] of
     consecutive starts p < q of occ.
 
     The pairs are grouped by their gap g; a group's words are the rows
-    arr[p:p + g], deduplicated and counted exactly as byte strings, and
-    text is sliced once per distinct row.
+    arr[p:p + g], deduplicated exactly as byte strings, and text is sliced
+    once per distinct row, at its first start.
     """
     gaps = np.diff(occ)
     gaps = gaps.astype(np.min_scalar_type(int(gaps.max())))  # radix-sortable
     order = np.argsort(gaps, kind="stable")
     gaps, starts = gaps[order], occ[:-1][order]
     cuts = np.flatnonzero(np.diff(gaps)) + 1
-    counts = {}
+    found = {}
     for g, group in zip(gaps[np.r_[0, cuts]].tolist(), np.split(starts, cuts)):
         rows = arr[group[:, None] + np.arange(g)].view(np.dtype((np.void, g * arr.itemsize)))
-        _, first, many = np.unique(rows, return_index=True, return_counts=True)
-        for p, c in zip(group[first].tolist(), many.tolist()):
-            counts[text[p : p + g]] = c
-    return counts
+        for p in group[np.unique(rows, return_index=True)[1]].tolist():
+            found[text[p : p + g]] = p
+    return found
 
 
 def return_table(x, depth: int, window: int) -> list[ReturnTableRow]:
     """Return words to each prefix x[0:n], n = 1..depth, from one window.
 
-    Start p of the window serves the depths up to reach[p] =
-    min(z[p], len(text) - p), z from prefix_match, so the first depth with
-    fewer than two starts is refused before any row is built. The depths
-    up to the next value of reach share their starts and words. A depth
-    that drops only the last start drops only the last pair, and keeps
-    the words unless that pair was the only one giving its word; any
-    other drop reads the words again with _return_words.
+    The depths come in the blocks of _start_blocks over the window's
+    prefix_match array. In a window of L symbols the starts of depth n are
+    the block's starts p <= L - n, a prefix of them, so a word whose first
+    pair p < q gives it serves exactly the depths n <= L - q of its block.
+    Each block reads its words once, with _return_words, and the depths
+    with the same words share one tuple. The first depth with fewer than
+    two starts, D + 1 with D from _deepest_pair, is refused before any row
+    is built; only start 0 reaches it.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -505,29 +514,19 @@ def return_table(x, depth: int, window: int) -> list[ReturnTableRow]:
     if not text:
         raise EmptyPattern("empty pattern")
     arr = _codes(text)
-    reach = np.minimum(prefix_match(arr, min(depth, len(arr))), len(arr) - np.arange(len(arr)))
-    second = int(np.partition(reach, -2)[-2]) if len(reach) > 1 else 0
-    if second < depth:
-        n = second + 1
+    size = len(arr)
+    z = prefix_match(arr, min(depth, size))
+    n = _deepest_pair(z, min(depth, size)) + 1
+    if n <= depth:
         quoted = repr(text[:n]) if n <= _QUOTED else "%r... (length %d)" % (text[:_QUOTED], n)
-        raise InsufficientWindow(
-            "need at least 2 occurrences of %s, found %d" % (quoted, (reach >= n).sum())
-        )
-    occ = np.flatnonzero(reach)
-    ends = reach[occ]
-    counts = _return_words(text, arr, occ)
-    rows, n = [], 1
-    values, many = np.unique(ends, return_counts=True)
-    for v, c in zip(values.tolist(), many.tolist()):
-        words = tuple(sorted((w for w, k in counts.items() if k), key=lambda w: (len(w), w)))
-        rows += [ReturnTableRow(m, text, len(words[0]), words) for m in range(n, v + 1)]
-        n = v + 1
-        if n > depth:
-            break
-        if c == 1 and ends[-1] == v:  # only the last start leaves, and the last pair
-            counts[text[occ[-2] : occ[-1]]] -= 1
-            occ, ends = occ[:-1], ends[:-1]
-        else:
-            occ, ends = occ[ends > v], ends[ends > v]
-            counts = _return_words(text, arr, occ)
+        raise InsufficientWindow("need at least 2 occurrences of %s, found 1" % quoted)
+    rows = []
+    for n, hi, occ in _start_blocks(z, 1, depth, np.int32 if size < 2**31 else np.int64):
+        found = _return_words(text, arr, occ[: occ.searchsorted(size - n, "right")])
+        words = sorted(found, key=lambda w: (len(w), w))
+        deepest = {w: min(size - found[w] - len(w), hi) for w in words}  # the last depth w serves
+        for end in sorted(set(deepest.values())):
+            kept = tuple(w for w in words if deepest[w] >= end)
+            rows += [ReturnTableRow(m, text, len(kept[0]), kept) for m in range(n, end + 1)]
+            n = end + 1
     return rows

@@ -2,7 +2,8 @@
 
 Every command runs in process through main: each preset, --cf with and
 without --method rotation, a --kappa tower, the exit-1 and exit-2 paths,
-and tables one row past a TABLE_BLOCK edge. Each case's exit code, the
+tables one row past a TABLE_BLOCK edge, and return tables whose window
+end cuts their deeper depths' starts. Each case's exit code, the
 sha1 of its stdout and its stderr text must match cli_corpus.json. A
 change that declares an output change re-records the file in the same
 change, and names each case it moved:
@@ -36,6 +37,8 @@ ARGVS = [
     ["rates", "--preset", "fibonacci", "--method", "rotation", "-N", "5"],
     ["returns", "--preset", "thue-morse", "-N", "12"],
     ["returns", "--cf", CF, "--method", "rotation", "-N", "10"],
+    *(["returns", *s, "-N", "40", "--window", "100"] for s in SOURCES),
+    ["returns", "--preset", "fibonacci", "-N", "5", "--window", "3"],
     ["power", "--preset", "thue-morse", "--window", "512"],
     ["power", "--preset", "sqrt2", "--window", "512"],
     ["lr", "--preset", "fibonacci", "--max-len", "8", "--window", "2000"],

@@ -537,13 +537,30 @@ def test_lr_estimate_matches_oracle(text, max_len):
         assert (rep.k_estimate, rep.k_lower_gap, rep.k_witness, rep.gap_witness) == want
 
 
+# one example per window-end case of return_table: in a window of L
+# symbols the starts of depth n are the p <= L - n, so the last start
+# leaves at depth L - p + 1 and takes its pair with it. "001" is given by
+# the pairs at 0 and 3; the later stops fitting at depth 4, the word stays
+KEEPS_A_WORD_OF_TWO_PAIRS = ("001001001", 6)
+# "011" is given only by the last pair, at 6 and 9, and leaves with it
+LOSES_THE_LAST_PAIRS_WORD = ("0101010110", 2)
+# the depths 2 to 9 share the starts 0, 3, 6, 9: 9 leaves at depth 4 and 6
+# at depth 7, and "001" stays both times
+TWO_STARTS_LEAVE_ONE_BLOCK = ("001" * 4, 9)
+# a window of 4 symbols holds no depth past 3; "010" recurs in none
+WINDOW_SHORTER_THAN_DEPTH = ("0101", 5)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.text(alphabet="01", min_size=1, max_size=80)
     | st.text(alphabet="a\u00e9\u20ac", min_size=1, max_size=40),
     st.integers(1, 12),
 )
-@example("0101010110", 2)  # depth 2 only trims the start at 9, and loses the word 011
+@example(*KEEPS_A_WORD_OF_TWO_PAIRS)
+@example(*LOSES_THE_LAST_PAIRS_WORD)
+@example(*TWO_STARTS_LEAVE_ONE_BLOCK)
+@example(*WINDOW_SHORTER_THAN_DEPTH)
 @example("0ab0ba0ab0", 1)  # two return words of length 3
 @example("0010001000010010110", 3)  # gaps 1, 2, 3 at depth 1 and 3, 4, 5 at depth 3
 @example("a\u20ac\u00e9a\u20aca\u20ac\u00e9\u00e9a\u20ac\U0001d11ea\u20ac", 2)  # not latin-1
@@ -563,6 +580,44 @@ def test_return_table_matches_oracle_at_every_depth(text, depth):
         return_table(text, depth, len(text))
     found = len(naive_occurrences(text[:n], text))
     assert str(info.value) == "need at least 2 occurrences of %r, found %d" % (text[:n], found)
+
+
+def test_return_table_examples_reach_every_window_end_case():
+    def starts_and_words(text, n):
+        return naive_occurrences(text[:n], text), naive_return_words(text[:n], text)
+
+    text = KEEPS_A_WORD_OF_TWO_PAIRS[0]
+    assert starts_and_words(text, 3) == ([0, 3, 6], {"001"})
+    assert starts_and_words(text, 4) == ([0, 3], {"001"})
+    text = LOSES_THE_LAST_PAIRS_WORD[0]
+    assert starts_and_words(text, 1) == ([0, 2, 4, 6, 9], {"01", "011"})
+    assert starts_and_words(text, 2) == ([0, 2, 4, 6], {"01"})
+    text, depth = TWO_STARTS_LEAVE_ONE_BLOCK
+    assert [starts_and_words(text, n) for n in (2, 3, 4, 6, 7, 9)] == [
+        ([0, 3, 6, 9], {"001"}), ([0, 3, 6, 9], {"001"}), ([0, 3, 6], {"001"}),
+        ([0, 3, 6], {"001"}), ([0, 3], {"001"}), ([0, 3], {"001"}),
+    ]
+    assert [r.words for r in return_table(text, depth, len(text))] == [("0", "01")] + [("001",)] * 8
+    text, depth = WINDOW_SHORTER_THAN_DEPTH
+    assert len(text) < depth and starts_and_words(text, 2) == ([0, 2], {"01"})
+    with pytest.raises(InsufficientWindow, match="^need at least 2 occurrences of '010', found 1$"):
+        return_table(text, depth, len(text))
+
+
+def test_return_table_holds_no_window_long_int64_array():
+    # the match array, its start filters and the word groups set the peak:
+    # 19.9 MiB, against 29.9 MiB with the window-long int64 reach and
+    # position arrays and the partition of reach
+    tm = get_preset("thue-morse")
+    tm.prefix(10**6)  # the source builds its window before tracing starts
+    tracemalloc.start()
+    try:
+        rows = return_table(tm, 8, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r.n for r in rows] == list(range(1, 9))
+    assert peak < 25 << 20
 
 
 def test_power_report_refuses_a_witness_outside_the_window(monkeypatch):
