@@ -42,7 +42,6 @@ from .recurrence import (
     LRReport,
     RateSeries,
     ReturnTableRow,
-    SubInvarianceReport,
     TauResult,
     WindowCapExceeded,
     WindowPolicy,
@@ -50,7 +49,6 @@ from .recurrence import (
     power_report,
     rate_series,
     return_table,
-    sub_invariance_check,
     tau_cylinder,
 )
 from .rotation import (
@@ -61,10 +59,8 @@ from .rotation import (
     atom_lengths,
     atom_of,
     cross_check,
-    cylinder_interval,
     cylinder_measure,
     mu_tower_values,
-    partition_points,
     tau_length,
     tau_length_linear,
 )

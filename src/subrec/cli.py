@@ -22,6 +22,7 @@ from .contfrac import parse_cf
 from .generators import (
     KappaSource,
     SequenceTooShort,
+    ShiftedSource,
     StandardWordSource,
     gamma,
     kappa_image_lengths,
@@ -304,12 +305,32 @@ def _suite_kappa_ratio(seed=0):
     yield "ratios-in-1-to-3/2", bad == 0, detail
 
 
+def _suite_sub_invariance(depth=200, policy=DEFAULT_POLICY):
+    # tau(z_{n-1}(Sx)) <= tau(z_n(x)) for n = 2..depth: a shifted cylinder
+    # never returns later than its parent; compared where both stabilized
+    if depth < 2:
+        raise ValueError("need depth >= 2")
+    for name in presets.preset_names():
+        word = presets.get_preset(name)
+        x = rate_series(word, depth, policy)
+        sx = rate_series(ShiftedSource(word), depth - 1, policy)
+        both = x.stabilized[1:] & sx.stabilized
+        bad = both & (sx.tau > x.tau[1:])
+        checked = int(both.sum())
+        detail = "checked %d, skipped %d" % (checked, depth - 1 - checked)
+        if bad.any():
+            i = int(bad.argmax())
+            detail += ", first violation n=%d: %d > %d" % (i + 2, sx.tau[i], x.tau[i + 1])
+        yield name, not bad.any(), detail
+
+
 SUITES = {
     "bounded-cf": _suite_bounded_cf,
     "unbounded-cf": _suite_unbounded_cf,
     "morse-delta": _suite_morse_delta,
     "xcheck-rotation": _suite_xcheck_rotation,
     "kappa-ratio": _suite_kappa_ratio,
+    "sub-invariance": _suite_sub_invariance,
 }
 
 

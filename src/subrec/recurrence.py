@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .generators import _MAX_LENGTH, _TOO_LONG, ShiftedSource, as_source
+from .generators import _MAX_LENGTH, _TOO_LONG, as_source
 from .words import (
     EmptyPattern,
     InsufficientWindow,
@@ -94,6 +94,7 @@ def _start_blocks(z: np.ndarray, first: int, last: int, index):
         keep = np.flatnonzero(zo >= first)  # cheaper than a boolean mask, twice
         occ = keep.astype(index) if occ is None else occ[keep]
         zo = zo[keep]
+        del keep  # as long as the block, in int64: not held while the block is worked on
         hi = min(int(zo.min()), last)
         yield first, hi, occ
         first = hi + 1
@@ -333,44 +334,6 @@ def rate_series(x, depth: int, policy: WindowPolicy = DEFAULT_POLICY) -> RateSer
     if failure is not None:
         raise WindowCapExceeded(failure)
     return RateSeries(source.name, depth, *columns)
-
-
-@dataclass(frozen=True)
-class SubInvarianceReport:
-    ok: bool
-    checked: int
-    skipped: int
-    first_violation: tuple[int, int, int] | None  # (n, tau_shifted, tau)
-
-
-def sub_invariance_check(
-    x, depth: int, policy: WindowPolicy = DEFAULT_POLICY
-) -> SubInvarianceReport:
-    """Check tau(z_{n-1}(Sx)) <= tau(z_n(x)) for n = 2..depth.
-
-    Only pairs where both values stabilized are compared; the rest are
-    counted as skipped. The depths are compared up to the first that
-    either side cannot answer: a violation before it is reported, and
-    otherwise that depth's refusal is raised, the right side's (x at n)
-    before the left's (Sx at n - 1) when both fail there.
-    """
-    if depth < 2:
-        raise ValueError("need depth >= 2")
-    source = as_source(x)
-    (n, tau, _, stable), failure = _tau_sweep(source, 2, depth, policy)
-    (_, shifted, _, shifted_stable), shift_failure = _tau_sweep(ShiftedSource(source), 1, depth - 1, policy)
-    k = min(len(n), len(shifted))
-    both = stable[:k] & shifted_stable[:k]
-    bad = np.flatnonzero(both & (shifted[:k] > tau[:k]))
-    if len(bad):
-        i = int(bad[0])
-        checked = int(both[: i + 1].sum())
-        return SubInvarianceReport(False, checked, i + 1 - checked, (int(n[i]), int(shifted[i]), int(tau[i])))
-    for fail, rows in ((failure, len(n)), (shift_failure, len(shifted))):
-        if fail is not None and rows == k:
-            raise WindowCapExceeded(fail)
-    checked = int(both.sum())
-    return SubInvarianceReport(True, checked, k - checked, None)
 
 
 @dataclass(frozen=True)

@@ -157,11 +157,6 @@ def _circle_order(spec: RotationSpec, n: int) -> np.ndarray:
     return order[order <= n]
 
 
-def partition_points(spec: RotationSpec, n: int) -> list[QuadraticReal]:
-    """Endpoints (-j*alpha) mod 1 for 0 <= j <= n, sorted ascending."""
-    return list(map(spec._point, _circle_order(spec, n).tolist()))
-
-
 def atom_lengths(spec: RotationSpec, n: int) -> list[QuadraticReal]:
     """Lengths of all depth-n atoms, in circle order.
 
@@ -279,17 +274,6 @@ def _cylinder_ends(spec: RotationSpec, word: str) -> tuple[int, int] | None:
         elif bits[j - i - 1] != sym:
             return None
     return i, r
-
-
-def cylinder_interval(spec: RotationSpec, word: str) -> IntervalAtom | None:
-    """The set {t : the coding of t starts with word}: the depth-len(word)
-    atom with that coding, or None when word is not a factor. Only its two
-    endpoints are built as exact values."""
-    ends = _cylinder_ends(spec, word)
-    if ends is None:
-        return None
-    i, r = ends
-    return IntervalAtom(spec._point(i), spec._point(r) if r else ONE, len(word))
 
 
 def cylinder_measure(spec: RotationSpec, word: str) -> QuadraticReal:

@@ -1,7 +1,7 @@
 """Acceptance checks, one per numbered criterion, one report line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see every line.
-Criteria 1-4 and 6 run the `subrec verify` suites (`subrec.cli.SUITES`),
+Criteria 1-4, 6 and 7 run the `subrec verify` suites (`subrec.cli.SUITES`),
 so the CLI and this module share one definition of each bound.
 Three checks (3, 6, 8) encode target bounds the implemented systems
 provably miss; they print FAIL with the true values and then assert,
@@ -16,7 +16,6 @@ from subrec import (
     lr_constant_estimate,
     mu_tower_values,
     rate_series,
-    sub_invariance_check,
     word_counts,
 )
 from subrec.cli import SUITES
@@ -25,7 +24,6 @@ from subrec.presets import (
     SQRT2_CF,
     get_preset,
     golden_kappa_steps,
-    preset_names,
 )
 
 GOLDEN = RotationSpec(GOLDEN_CF)
@@ -104,15 +102,7 @@ def test_criterion_6_kappa_ratio_bound():
 
 
 def test_criterion_7_sub_invariance_all_presets():
-    clauses = []
-    for name in preset_names():
-        rep = sub_invariance_check(get_preset(name), 200)
-        clauses.append(
-            (
-                "%s checked=%d skipped=%d" % (name, rep.checked, rep.skipped),
-                rep.ok,
-            )
-        )
+    clauses = suite_clauses("sub-invariance")
     assert report(7, "shifted cylinder recurrence never beats the parent", clauses)
 
 

@@ -2,8 +2,9 @@
 
 Every command runs in process through main: each preset, --cf with and
 without --method rotation, a --kappa tower, the exit-1 and exit-2 paths,
-tables one row past a TABLE_BLOCK edge, and return tables whose window
-end cuts their deeper depths' starts. Each case's exit code, the
+tables one row past a TABLE_BLOCK edge, return tables whose window
+end cuts their deeper depths' starts, a rate sweep and a cross-check
+whose windows outgrow the text first read, and every verify suite. Each case's exit code, the
 sha1 of its stdout and its stderr text must match cli_corpus.json. A
 change that declares an output change re-records the file in the same
 change, and names each case it moved:
@@ -35,6 +36,7 @@ ARGVS = [
     ["rates", "--preset", "periodic01", "-N", "4097"],
     ["rates", "--preset", "fibonacci", "-N", "30000000", "--window-base", "1000", "--window-cap", "2000"],
     ["rates", "--preset", "fibonacci", "--method", "rotation", "-N", "5"],
+    ["rates", "--cf", "[0;17,74,9]", "-N", "41", "--window-base", "3", "--window-cap", "20000"],
     ["returns", "--preset", "thue-morse", "-N", "12"],
     ["returns", "--cf", CF, "--method", "rotation", "-N", "10"],
     *(["returns", *s, "-N", "40", "--window", "100"] for s in SOURCES),
@@ -47,11 +49,13 @@ ARGVS = [
     ["xcheck", "--preset", "golden-kappa", "-N", "100"],
     ["xcheck", "--preset", "periodic01"],
     ["xcheck", "--cf", "[0; 1,2]"],
+    ["xcheck", "--cf", "[0;(17,74,9)]", "-N", "41", "--window-base", "3", "--window-cap", "20000"],
     ["verify", "bounded-cf", "-N", "100"],
     ["verify", "unbounded-cf", "-N", "50"],
     ["verify", "morse-delta", "-N", "100", "--window", "512"],
     ["verify", "xcheck-rotation", "--cf", "[0;(1,2,3)]", "-N", "50"],
     ["verify", "kappa-ratio"],
+    ["verify", "sub-invariance", "-N", "50"],
 ]
 
 

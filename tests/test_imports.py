@@ -1,18 +1,23 @@
 """Every name a library module imports is used in that module, every
-private name a module defines is used somewhere in the package, no
-module holds an `assert` statement, which `python -O` strips, and no
-module imports one in a later layer.
+private name a module defines is used somewhere in the package, every
+public name has a user outside the tests, no module holds an `assert`
+statement, which `python -O` strips, and no module imports one in a
+later layer.
 
 The package __init__ is left out of the import check: it imports names to
 re-export them.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "subrec"
+import subrec
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "subrec"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 PACKAGE = sorted(SRC.glob("*.py"))
 
@@ -151,6 +156,46 @@ def test_the_check_sees_a_dead_private_class_member():
 
 def test_no_dead_private_name():
     assert dead_private_names({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def unreferenced_public_names(public, sources: dict[str, str], demos: list[str], bench: str) -> list[str]:
+    """The names of public that no module of sources references outside the
+    statement defining it, no demo references, and bench, the text of the
+    benchmark's files, does not hold as a word."""
+    trees = [ast.parse(src) for src in sources.values()]
+    used = set(re.findall(r"\w+", bench)).union(*(referenced_names(ast.parse(d)) for d in demos))
+    return sorted(
+        name
+        for name in public
+        if name not in used
+        and not any(
+            name in referenced_names(t, skip=next((n for n in t.body if name in defined_names(n)), None))
+            for t in trees
+        )
+    )
+
+
+def test_the_check_sees_an_unreferenced_public_name():
+    sources = {
+        "a": "def solo():\n    return solo()\n\ndef shared():\n    pass\n\nclass Demo:\n    pass\n",
+        "b": "from .a import shared\n",
+    }
+    public = ["Benched", "Demo", "shared", "solo"]
+    demos = ["from subrec import Demo\n"]
+    assert unreferenced_public_names(public, sources, demos, "SPANS = ('x', 'Benched')") == ["solo"]
+
+
+# atom_of has no caller yet: it is kept for the local rates at a chosen
+# point t0 (ROADMAP item 11)
+UNCALLED_PUBLIC = {"atom_of"}
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    demos = [p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))]
+    bench = "".join(p.read_text() for p in sorted((ROOT / "bench").glob("*.py")))
+    unreferenced = unreferenced_public_names(subrec.__all__, sources, demos, bench)
+    assert sorted(set(unreferenced) - UNCALLED_PUBLIC) == []
 
 
 # the package's layers, lowest first: a module imports only earlier ones

@@ -3,6 +3,7 @@ import pickle
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,14 +26,15 @@ from subrec import (
     power_report,
     rate_series,
     return_table,
-    sub_invariance_check,
     tau_cylinder,
     word_counts,
 )
+from subrec import presets
+from subrec.cli import SUITES, build_parser, main
 from subrec.generators import gamma, rho
 from subrec.presets import get_preset, golden_kappa_steps, preset_names
 from subrec import recurrence
-from subrec.recurrence import SubInvarianceReport, _deepest_pair
+from subrec.recurrence import DEFAULT_POLICY, _deepest_pair
 from subrec.rotation import RotationSpec
 from subrec.words import (
     EmptyPattern,
@@ -142,6 +144,21 @@ def test_the_sweep_sizes_its_columns_to_the_depths_with_two_starts():
     finally:
         tracemalloc.stop()
     assert peak < 48 << 20
+
+
+def test_the_block_walk_holds_no_index_array_while_a_block_is_worked_on():
+    # the first block's starts are every position with z >= 1, 10**7 of
+    # them: a traced peak of 108.4 MiB, against 137.5 MiB when the walk
+    # kept their int64 index array alive across the block's rounds
+    fib = get_preset("fibonacci")
+    fib.prefix(10**7)  # the sweep reads 10**7 symbols; the source holds them already
+    tracemalloc.start()
+    try:
+        rate_series(fib, 100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 120 << 20
 
 
 @settings(max_examples=200, deadline=None)
@@ -344,12 +361,19 @@ def test_rate_series_on_finite_kappa_source():
     assert [e.tau for e in rs.entries[:4]] == [2, 2, 5, 5]
 
 
+def suite_on(word, depth, policy=DEFAULT_POLICY):
+    """The checks of the sub-invariance suite with word as its one preset."""
+    with mock.patch.object(presets, "preset_names", lambda: [word.name]), \
+            mock.patch.object(presets, "get_preset", lambda name: word):
+        return list(SUITES["sub-invariance"](depth, policy))
+
+
 def test_sub_invariance_on_presets():
-    for name in ("fibonacci", "thue-morse"):
-        rep = sub_invariance_check(get_preset(name), 100)
-        assert rep.ok
-        assert rep.checked > 0
-        assert rep.first_violation is None
+    checks = list(SUITES["sub-invariance"](depth=100))
+    assert [name for name, _, _ in checks] == preset_names()
+    assert all(passed and detail == "checked 99, skipped 0" for _, passed, detail in checks)
+    with pytest.raises(ValueError, match="^need depth >= 2$"):
+        suite_on(get_preset("fibonacci"), 1)
 
 
 def test_lr_estimate_periodic_frozen():
@@ -744,14 +768,14 @@ DROPS_ONE_START = (("text", "1" + "0" * 49 + "11" + "0" * 68 + "1" + "0" * 79), 
 # the shifted word stabilizes at window 100 on 30; the word itself only
 # meets its gap of 5 at window 200, so the finite-window check fails
 LATE_SHORT_GAP = (("text", "01" + "0" * 28 + "01" + "0" * 88 + "01000" + "01" + "0" * 873), 1, 3000, 2)
-# sub_invariance_check compares the depths up to the first that either side
-# cannot answer. Both fail at depth 3 here, on "000" and on its shift "00";
-# the message of x at n wins over that of Sx at n - 1
+# the sub-invariance suite sweeps x at 1..depth, then Sx at 1..depth - 1,
+# and the first refusal ends it. Both fail at depth 3 here, on "000" and on
+# its shift "00"; the message of x comes first
 BOTH_FAIL_AT_ONE_DEPTH = (("text", "000"), 5, 100, 5)
-# the violation at n = 2 is reported; depth 32 would fail after it
+# the violation at n = 2 is not reported: x fails at depth 32, which ends
+# the suite
 VIOLATION_BEFORE_FAILURE = (LATE_SHORT_GAP[0], 1, 3000, 32)
-# the first depth of x, 2, is past the cap and refused before any symbol is
-# read; the shift fails at depth 1 in its window, at the same n
+# x and its shift both fail at depth 1, in a 1-symbol window
 REFUSED_UP_FRONT = (("preset", "fibonacci"), 1, 1, 2)
 # The sweep settles a depth without window rounds when its two windows
 # w1 < w2 fit the text read and w1 holds the later start of the closest
@@ -863,29 +887,19 @@ def test_sweep_carries_the_gap_minimum_only_while_it_holds(spec, base, cap, dept
 @example(*VIOLATION_BEFORE_FAILURE)
 @example(*REFUSED_UP_FRONT)
 def test_sub_invariance_matches_naive_window_loop(spec, base, cap, depth):
-    right = naive_taus(spec, base, cap, depth)[1:]
+    right = naive_taus(spec, base, cap, depth)
     left = naive_taus(spec, base, cap, depth - 1, shift=True)
-
-    def naive():
-        checked = skipped = 0
-        for r, lt in zip(right, left):
-            for w in (r, lt):
-                if isinstance(w, str):
-                    raise WindowCapExceeded(w)
-            if not (lt.stabilized and r.stabilized):
-                skipped += 1
-            elif lt.tau > r.tau:
-                return [SubInvarianceReport(False, checked + 1, skipped, (r.n, lt.tau, r.tau))]
-            else:
-                checked += 1
-        return [SubInvarianceReport(True, checked, skipped, None)]
-
-    try:
-        want = naive()
-    except WindowCapExceeded as exc:
-        want = [str(exc)]
     policy = WindowPolicy(base, cap)
-    expect_series(lambda: [sub_invariance_check(build(spec), depth, policy)], want)
+    expect_series(lambda: rate_series(ShiftedSource(build(spec)), depth - 1, policy).entries, left)
+    failure = next((w for w in right + left if isinstance(w, str)), None)
+    if failure is None:
+        pairs = [(r.n, lt.tau, r.tau) for lt, r in zip(left, right[1:]) if lt.stabilized and r.stabilized]
+        bad = [pair for pair in pairs if pair[1] > pair[2]]
+        detail = "checked %d, skipped %d" % (len(pairs), depth - 1 - len(pairs))
+        if bad:
+            detail += ", first violation n=%d: %d > %d" % bad[0]
+    want = [failure] if failure else [(build(spec).name, not bad, detail)]
+    expect_series(lambda: suite_on(build(spec), depth, policy), want)
 
 
 def test_sub_invariance_examples_reach_every_failure_order():
@@ -895,13 +909,24 @@ def test_sub_invariance_examples_reach_every_failure_order():
         "prefix of depth 2 of shift of text recurs less than twice in a 2-window",
     )
     with pytest.raises(WindowCapExceeded, match="depth 3 of text "):
-        sub_invariance_check(build(BOTH_FAIL_AT_ONE_DEPTH[0]), 5, WindowPolicy(5, 100))
+        suite_on(build(BOTH_FAIL_AT_ONE_DEPTH[0]), 5, WindowPolicy(5, 100))
     late = naive_taus(*VIOLATION_BEFORE_FAILURE)
     assert late[-1] == "prefix of depth 32 of text recurs less than twice in a 1000-window"
-    report = sub_invariance_check(build(VIOLATION_BEFORE_FAILURE[0]), 32, WindowPolicy(1, 3000))
-    assert report == SubInvarianceReport(False, 1, 0, (2, 30, 5))
-    with pytest.raises(WindowCapExceeded, match="^prefix of depth 2 of fibonacci .* 1-window$"):
-        sub_invariance_check(get_preset("fibonacci"), 2, WindowPolicy(1, 1))
+    with pytest.raises(WindowCapExceeded, match="^%s$" % late[-1]):
+        suite_on(build(VIOLATION_BEFORE_FAILURE[0]), 32, WindowPolicy(1, 3000))
+    with pytest.raises(WindowCapExceeded, match="^prefix of depth 1 of fibonacci .* 1-window$"):
+        suite_on(get_preset("fibonacci"), 2, WindowPolicy(1, 1))
+
+
+def test_the_sub_invariance_suite_names_the_first_violation(monkeypatch, capsys):
+    # the shift settles on 30 at n = 1, the word only on 5 at n = 2
+    build_parser()  # cached: built before the patch, its help names the real presets
+    monkeypatch.setattr(presets, "preset_names", lambda: ["late-short-gap"])
+    monkeypatch.setattr(presets, "get_preset", lambda name: build(LATE_SHORT_GAP[0]))
+    checks = list(SUITES["sub-invariance"](2, WindowPolicy(1, 3000)))
+    assert checks == [("late-short-gap", False, "checked 1, skipped 0, first violation n=2: 30 > 5")]
+    assert main(["verify", "sub-invariance", "-N", "2", "--window-base", "1", "--window-cap", "3000"]) == 3
+    assert "late-short-gap: FAIL (checked 1, skipped 0, first violation n=2: 30 > 5)" in capsys.readouterr().err
 
 
 def test_sub_invariance_raises_the_shift_failure_when_it_comes_first(monkeypatch):
@@ -918,7 +943,7 @@ def test_sub_invariance_raises_the_shift_failure_when_it_comes_first(monkeypatch
 
     monkeypatch.setattr(recurrence, "_tau_sweep", sweep)
     with pytest.raises(WindowCapExceeded, match="^the shift gives up at depth 4$"):
-        sub_invariance_check(get_preset("fibonacci"), 10)
+        suite_on(get_preset("fibonacci"), 10)
 
 
 def test_long_sweep_table_and_fixed_point_finish_fast():
@@ -963,7 +988,7 @@ def test_dense_periodic_word_finishes_fast():
     # every position of a periodic word is an occurrence at every depth
     with within(2):
         rs = rate_series(PeriodicSource("01"), 1000)
-        rep = sub_invariance_check(get_preset("periodic01"), 500)
+        checks = suite_on(get_preset("periodic01"), 500)
     assert [e.tau for e in rs.entries] == [2] * 1000
     assert all(e.stabilized for e in rs.entries)
-    assert (rep.ok, rep.checked, rep.skipped) == (True, 499, 0)
+    assert checks == [("periodic 01", True, "checked 499, skipped 0")]

@@ -23,12 +23,10 @@ from subrec import (
     atom_lengths,
     atom_of,
     cross_check,
-    cylinder_interval,
     cylinder_measure,
     kappa_images,
     mu_tower_values,
     occurrences,
-    partition_points,
     quadratic_of_cf,
     tau_cylinder,
     tau_length,
@@ -41,13 +39,28 @@ from subrec.presets import (
     golden_kappa_steps,
     sqrt2_kappa_steps,
 )
-from subrec.rotation import _extremes
+from subrec.rotation import _circle_order, _cylinder_ends, _extremes
 from guards import within
 from oracles import exact_atom_lengths, exact_sorted_orbit, naive_atom, naive_cylinder, naive_xcheck_csv
 
 GOLDEN = RotationSpec(GOLDEN_CF)
 SQRT2 = RotationSpec(SQRT2_CF)
 ALPHA = GOLDEN.alpha  # (sqrt(5)-1)/2
+
+
+def partition_points(spec, n):
+    """The endpoints e_j = (-j*alpha) mod 1, 0 <= j <= n, ascending."""
+    return list(map(spec._point, _circle_order(spec, n).tolist()))
+
+
+def cylinder_interval(spec, word):
+    """The cylinder [e_i, e_r) of word as an atom, r = 0 standing for 1, or
+    None when word is not a factor."""
+    ends = _cylinder_ends(spec, word)
+    if ends is None:
+        return None
+    i, r = ends
+    return IntervalAtom(spec._point(i), spec._point(r) if r else ONE, len(word))
 
 
 def test_spec_validation():
